@@ -33,7 +33,7 @@ import numpy as np
 
 from .fracpoly import DomainError, FracPoly, beta_convolve, make
 from .hfunc import CoeffScheme, DegenerateSchemeError, HBreakdown, h_value
-from .optimizer import OptimizeConfig, optimize_scheme, verify_table
+from .optimizer import OptimizeConfig, grid_points, optimize_scheme, verify_table
 from .presets import get_preset, preset_names
 from .quadcheck import dimreduct_check, h_value_numeric
 from .sieve import finite_h, mertens_deficit
@@ -52,7 +52,7 @@ _SCALAR_KEYS = {
     "bisection_tol",
     "simplex_scale",
     "max_iters",
-    "seed",
+    "seed",  # accepted for old config files and ignored: the optimizer is deterministic
 }
 _LIST_KEYS = {"f1", "f1t", "P"}
 _KNOWN_KEYS = _SCALAR_KEYS | _LIST_KEYS
@@ -193,9 +193,9 @@ def _cmd_verify_table(args, out) -> int:
                 "name": row.name,
                 "c": row.c,
                 "r": row.r,
-                "margin_direct": row.margin_direct,
-                "recovered": row.recovered,
-                "margin_final": row.margin_final,
+                "margin_direct": row.margin,
+                "recovered": False,
+                "margin_final": row.margin,
                 "passed": row.passed,
             }
             for row in report.rows
@@ -203,11 +203,10 @@ def _cmd_verify_table(args, out) -> int:
         print(json.dumps(rows, indent=2), file=out)
     else:
         for row in report.rows:
-            path = "recovered" if row.recovered else "direct"
             verdict = "PASS" if row.passed else "FAIL"
             print(
                 f"{row.name}: c={_fmt(row.c)} r={_fmt(row.r)} "
-                f"margin={_fmt(row.margin_final)} ({path}) {verdict}",
+                f"margin={_fmt(row.margin)} (direct) {verdict}",
                 file=out,
             )
         print(
@@ -227,14 +226,9 @@ def _cmd_optimize(args, out) -> int:
     cfg_kwargs = {"degrees": degrees}
     if {"c_lo", "c_hi", "c_step"} <= config.keys():
         cfg_kwargs["c_grid"] = (config["c_lo"], config["c_hi"], config["c_step"])
-    for key, name in [
-        ("bisection_tol", "bisection_tol"),
-        ("max_iters", "max_iters"),
-        ("simplex_scale", "simplex_scale"),
-        ("seed", "seed"),
-    ]:
+    for key in ("bisection_tol", "max_iters", "simplex_scale"):
         if key in config:
-            cfg_kwargs[name] = type(getattr(OptimizeConfig(), name))(config[key])
+            cfg_kwargs[key] = type(getattr(OptimizeConfig(), key))(config[key])
     try:
         cfg = OptimizeConfig(**cfg_kwargs)
     except ValueError as exc:
@@ -281,9 +275,7 @@ def _cmd_scan(args, out) -> int:
     if not (0.0 < args.clo < args.chi < 1.0) or args.step <= 0:
         raise CliError("need 0 < --clo < --chi < 1 and --step > 0")
     print("c,h", file=out)
-    n_steps = int((args.chi - args.clo) / args.step + 1e-9)
-    for i in range(n_steps + 1):
-        c = min(args.clo + i * args.step, args.chi)
+    for c in grid_points(args.clo, args.chi, args.step):
         print(f"{_fmt(c)},{_fmt(h_value(scheme, c).h)}", file=out)
     return 0
 

@@ -52,6 +52,7 @@ __all__ = [
     "p2_of",
     "denominator_terms",
     "numerator_terms",
+    "assemble_h",
     "h_value",
 ]
 
@@ -190,11 +191,17 @@ def numerator_terms(
     the same t = u + v - 1 substitution as d31.
 
     c must lie strictly inside (0, 1); there the default 24-term sine series
-    is certified to better than 1e-18 on [0, 1].
+    is certified to better than 1e-18 on [0, 1].  A shorter series that
+    misses this budget raises DomainError.
     """
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
-    assert sinc_truncation_bound(c, n_sinc_terms) < 1e-18
+    bound = sinc_truncation_bound(c, n_sinc_terms)
+    if not bound < 1e-18:
+        raise DomainError(
+            f"{n_sinc_terms} sine-series terms leave a truncation error of {bound:.1e} "
+            "at this c, above the 1e-18 budget"
+        )
 
     r = scheme.r
     a = r * r
@@ -225,32 +232,21 @@ def numerator_terms(
     return n1, n2, n31, n32, n41, n42, n43
 
 
-def h_value(scheme: CoeffScheme, c: float) -> HBreakdown:
-    """Full component breakdown and h(c) = c - numerator/denominator.
+def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:
+    """HBreakdown and h(c) = c - numerator/denominator from the eleven components.
 
-    Raises DegenerateSchemeError when the denominator sum is below
-    DENOMINATOR_FLOOR in magnitude.
+    den_terms is (d1, d2, d31, d32) and num_terms (n1, n2, n31, n32, n41,
+    n42, n43).  Raises DegenerateSchemeError when the denominator sum is
+    below DENOMINATOR_FLOOR in magnitude.
     """
-    d1, d2, d31, d32 = denominator_terms(scheme)
-    den = d1 + d2 + d31 + d32
+    den = sum(den_terms)
     if abs(den) <= DENOMINATOR_FLOOR:
         raise DegenerateSchemeError(
             f"denominator {den:.3e} is below the floor {DENOMINATOR_FLOOR:.0e}"
         )
-    n1, n2, n31, n32, n41, n42, n43 = numerator_terms(scheme, c)
-    num = n1 + n2 + n31 + n32 + n41 + n42 + n43
-    return HBreakdown(
-        c=c,
-        d1=d1,
-        d2=d2,
-        d31=d31,
-        d32=d32,
-        n1=n1,
-        n2=n2,
-        n31=n31,
-        n32=n32,
-        n41=n41,
-        n42=n42,
-        n43=n43,
-        h=c - num / den,
-    )
+    return HBreakdown(c, *den_terms, *num_terms, h=c - sum(num_terms) / den)
+
+
+def h_value(scheme: CoeffScheme, c: float) -> HBreakdown:
+    """Full component breakdown and h(c) = c - numerator/denominator (see assemble_h)."""
+    return assemble_h(c, denominator_terms(scheme), numerator_terms(scheme, c))

@@ -4,10 +4,7 @@ h(c) - 1 changes sign once on the working range, so certifying a bound is a
 two-part job: locate a sign change on a grid (bracket_scan), sharpen it by
 bisection (threshold_c), and in between improve the scheme itself by
 maximizing h at a probe value of c just below the current threshold with a
-derivative-free simplex search.  The objective is a ratio of quadratic
-forms in the (f1, f1t) coefficients, hence invariant under joint rescaling;
-no gauge fixing is applied and the simplex termination measures diameters
-of max-norm-normalized vertices instead.
+derivative-free simplex search.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ __all__ = [
     "RowCheck",
     "TableReport",
     "bracket_scan",
+    "grid_points",
     "threshold_c",
     "nelder_mead",
     "optimize_scheme",
@@ -34,6 +32,8 @@ __all__ = [
 ]
 
 R_MIN, R_MAX = 1.0, 1.5
+# The simplex search stops once its diameter (max norm) drops below this.
+DIAMETER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class OptimizeConfig:
     bisection_tol: float = 1e-6
     max_iters: int = 400
     simplex_scale: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi, step = self.c_grid
@@ -71,20 +70,22 @@ class OptimizeReport:
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def bracket_scan(scheme, c_lo, c_hi, step):
-    """First adjacent grid pair where h - 1 changes sign, or None.
-
-    Walks c_lo, c_lo + step, ... up to c_hi inclusive.
-    """
+def grid_points(c_lo, c_hi, step) -> list[float]:
+    """The scan grid c_lo, c_lo + step, ... up to c_hi inclusive."""
     if not (0.0 < c_lo < c_hi < 1.0):
         raise ValueError("need 0 < c_lo < c_hi < 1")
     if step <= 0:
         raise ValueError("step must be positive")
     n_steps = int((c_hi - c_lo) / step + 1e-9)
-    prev_c = c_lo
+    return [min(c_lo + i * step, c_hi) for i in range(n_steps + 1)]
+
+
+def bracket_scan(scheme, c_lo, c_hi, step):
+    """First adjacent pair of grid_points where h - 1 changes sign, or None."""
+    grid = grid_points(c_lo, c_hi, step)
+    prev_c = grid[0]
     prev_v = h_value(scheme, prev_c).h - 1.0
-    for i in range(1, n_steps + 1):
-        cur_c = min(c_lo + i * step, c_hi)
+    for cur_c in grid[1:]:
         cur_v = h_value(scheme, cur_c).h - 1.0
         if prev_v * cur_v < 0.0:
             return prev_c, cur_c
@@ -116,30 +117,12 @@ def threshold_c(scheme, bracket, tol=1e-6):
     return lo if v_lo > 0.0 else hi
 
 
-def _gauge_normalized(v: np.ndarray) -> np.ndarray:
-    """Unit max-norm representative of v, with a canonical overall sign."""
-    m = np.max(np.abs(v))
-    if m == 0.0 or not np.isfinite(m):
-        return v
-    u = v / m
-    idx = int(np.argmax(np.abs(u)))
-    return -u if u[idx] < 0 else u
-
-
-def nelder_mead(
-    objective,
-    start_vector,
-    config: OptimizeConfig | None = None,
-    *,
-    diameter_tol: float = 1e-7,
-    scale_invariant: bool = False,
-):
+def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
     """Minimize `objective` by the standard simplex method.
 
     Reflection/expansion/contraction/shrink coefficients are (1, 2, 0.5,
-    0.5).  Terminates when the simplex diameter (in max norm, measured on
-    gauge-normalized vertices when scale_invariant is set) drops below
-    diameter_tol, or after config.max_iters iterations.  Ties in the vertex
+    0.5).  Terminates when the simplex diameter (in max norm) drops below
+    DIAMETER_TOL, or after config.max_iters iterations.  Ties in the vertex
     ordering are broken by insertion order.  Returns
     (best_vector, best_value, trace) with trace entries (iteration, best).
     """
@@ -163,10 +146,9 @@ def nelder_mead(
     trace = [(0, best_f)]
 
     def diameter() -> float:
-        pts = [_gauge_normalized(p) if scale_invariant else p for p in simplex]
         return max(
-            float(np.max(np.abs(p - pts[0]))) for p in pts[1:]
-        ) if len(pts) > 1 else 0.0
+            float(np.max(np.abs(p - simplex[0]))) for p in simplex[1:]
+        ) if n else 0.0
 
     for it in range(1, cfg.max_iters + 1):
         order = np.argsort(values, kind="stable")
@@ -207,7 +189,7 @@ def nelder_mead(
             i_best = values.index(cur_best)
             best_x, best_f = simplex[i_best].copy(), cur_best
         trace.append((it, best_f))
-        if diameter() < diameter_tol:
+        if diameter() < DIAMETER_TOL:
             break
 
     return best_x, best_f, trace
@@ -286,9 +268,7 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
             except DegenerateSchemeError:
                 return math.inf
 
-        vec_new, neg_h, nm_trace = nelder_mead(
-            objective, vec, config, scale_invariant=True
-        )
+        vec_new, neg_h, nm_trace = nelder_mead(objective, vec, config)
         base = trace[-1][0] + 1 if trace else 0
         trace.extend((base + i, v) for i, v in nm_trace)
 
@@ -310,13 +290,11 @@ class RowCheck:
     name: str
     c: float
     r: float
-    margin_direct: float
-    recovered: bool
-    margin_final: float
+    margin: float  # h(c) - 1 of the scheme as published
 
     @property
     def passed(self) -> bool:
-        return self.margin_final > 0.0
+        return self.margin > 0.0
 
 
 @dataclass(frozen=True)
@@ -328,45 +306,16 @@ class TableReport:
         return all(row.passed for row in self.rows)
 
 
-def verify_table(recovery_max_iters: int = 300) -> TableReport:
-    """Evaluate every built-in reference scheme at its listed threshold.
-
-    Rows whose direct margin h - 1 is nonpositive (possible since published
-    coefficients are rounded) get a fixed-degree local search at the same c;
-    the report records which path succeeded.
-    """
-    rows = []
-    for preset in PRESETS:
-        scheme, c = preset.scheme, preset.c
-        margin = h_value(scheme, c).h - 1.0
-        recovered = False
-        margin_final = margin
-        if margin <= 0.0:
-            degrees = (
-                int(scheme.f1.degree),
-                int(scheme.f1t.degree),
-                int(scheme.P.degree),
-            )
-            cfg = OptimizeConfig(degrees=degrees, max_iters=recovery_max_iters)
-            vec = _pack_scheme(scheme, degrees)
-
-            def objective(v):
-                try:
-                    return -h_value(_unpack_scheme(v, degrees), c).h
-                except DegenerateSchemeError:
-                    return math.inf
-
-            _, neg_h, _ = nelder_mead(objective, vec, cfg, scale_invariant=True)
-            recovered = True
-            margin_final = -neg_h - 1.0
-        rows.append(
+def verify_table() -> TableReport:
+    """Evaluate every built-in reference scheme at its listed threshold."""
+    return TableReport(
+        rows=[
             RowCheck(
                 name=preset.name,
-                c=c,
-                r=scheme.r,
-                margin_direct=margin,
-                recovered=recovered,
-                margin_final=margin_final,
+                c=preset.c,
+                r=preset.scheme.r,
+                margin=h_value(preset.scheme, preset.c).h - 1.0,
             )
-        )
-    return TableReport(rows=rows)
+            for preset in PRESETS
+        ]
+    )

@@ -30,15 +30,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, roots_legendre
 
 from .fracpoly import DomainError, FracPoly
-from .hfunc import (
-    DENOMINATOR_FLOOR,
-    CoeffScheme,
-    DegenerateSchemeError,
-    HBreakdown,
-)
+from .hfunc import CoeffScheme, HBreakdown, assemble_h
 
 __all__ = [
     "QuadRule",
@@ -66,45 +61,12 @@ class QuadRule:
         self.weights.setflags(write=False)
 
 
-def _legendre_pair(n: int, x: float) -> tuple[float, float]:
-    """Value and derivative of the degree-n Legendre polynomial at x."""
-    p_prev, p = 1.0, x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 def gauss_legendre(order: int) -> QuadRule:
-    """Standard rule on [-1, 1] by Newton iteration on Legendre polynomials.
-
-    Nodes are solved on the positive half and mirrored, so symmetry about 0
-    is exact by construction.
-    """
+    """Standard rule on [-1, 1] (scipy's roots_legendre, symmetric about 0)."""
     if not (2 <= order <= 128):
         raise ValueError("order must lie in [2, 128]")
-    half_nodes = []
-    half_weights = []
-    for k in range(1, order // 2 + 1):
-        x = math.cos(math.pi * (k - 0.25) / (order + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_pair(order, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        p, dp = _legendre_pair(order, x)
-        half_nodes.append(x)
-        half_weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    nodes = [-x for x in half_nodes]
-    weights = list(half_weights)
-    if order % 2 == 1:
-        _, dp0 = _legendre_pair(order, 0.0)
-        nodes.append(0.0)
-        weights.append(2.0 / (dp0 * dp0))
-    nodes.extend(half_nodes[::-1])
-    weights.extend(half_weights[::-1])
-    return QuadRule(np.asarray(nodes), np.asarray(weights), order)
+    nodes, weights = roots_legendre(order)
+    return QuadRule(nodes, weights, order)
 
 
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,27 +195,7 @@ def h_value_numeric(
         lambda u: p1v(1.0 - u), lambda g: f1t.eval(g) * sinp_conv(f1t, g)
     )
 
-    den = d1 + d2 + d31 + d32
-    if abs(den) <= DENOMINATOR_FLOOR:
-        raise DegenerateSchemeError(
-            f"denominator {den:.3e} is below the floor {DENOMINATOR_FLOOR:.0e}"
-        )
-    num = n1 + n2 + n31 + n32 + n41 + n42 + n43
-    return HBreakdown(
-        c=c,
-        d1=d1,
-        d2=d2,
-        d31=d31,
-        d32=d32,
-        n1=n1,
-        n2=n2,
-        n31=n31,
-        n32=n32,
-        n41=n41,
-        n42=n42,
-        n43=n43,
-        h=c - num / den,
-    )
+    return assemble_h(c, (d1, d2, d31, d32), (n1, n2, n31, n32, n41, n42, n43))
 
 
 def dimreduct_check(

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -123,6 +125,12 @@ def test_verify_table_json():
     rows = json.loads(out)
     assert len(rows) == 3
     assert all(row["passed"] for row in rows)
+    for row in rows:
+        assert set(row) == {
+            "name", "c", "r", "margin_direct", "recovered", "margin_final", "passed"
+        }
+        assert row["recovered"] is False
+        assert row["margin_final"] == row["margin_direct"] > 0.0
 
 
 # ---------------------------------------------------------------- scan
@@ -162,6 +170,7 @@ def test_optimize_roundtrip(tmp_path):
         "f1t = [-0.7, -1.92]\n"
         "P = [0, 0, 1]\n"
         "max_iters = 40\n"
+        "seed = 3\n"  # still accepted, and ignored
     )
     trace = tmp_path / "trace.csv"
     best = tmp_path / "best.cfg"
@@ -226,3 +235,25 @@ def test_module_invocation_smoke():
 def test_unknown_preset_is_validation_error():
     code, _ = run_cli(["eval", "--preset", "nope"])
     assert code == 1
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.optimize alone adds about 22 MB of resident memory at import;
+    # modules that need one of these import it inside the function using it
+    import zetagaps
+
+    src = str(pathlib.Path(zetagaps.__file__).resolve().parents[1])
+    code = (
+        "import sys, zetagaps, zetagaps.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -123,6 +123,15 @@ def test_numerator_rejects_c_outside_unit_interval(row1):
             numerator_terms(row1.scheme, c)
 
 
+def test_numerator_rejects_short_sine_series(row1):
+    # four terms leave a truncation error far above the 1e-18 budget; this
+    # must raise even under python -O, so it cannot be an assert
+    from zetagaps.fracpoly import DomainError
+
+    with pytest.raises(DomainError):
+        numerator_terms(row1.scheme, 0.5154, n_sinc_terms=4)
+
+
 # ---------------------------------------------------------------- h assembly
 
 

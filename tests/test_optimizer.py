@@ -123,7 +123,7 @@ def test_nelder_mead_monotone_on_h(row1):
 
     start_h = -objective(start_vec)
     cfg = OptimizeConfig(degrees=degrees, max_iters=120)
-    _, neg_h, _ = nelder_mead(objective, start_vec, cfg, scale_invariant=True)
+    _, neg_h, _ = nelder_mead(objective, start_vec, cfg)
     assert -neg_h >= start_h
 
 
@@ -175,10 +175,11 @@ def test_optimize_deterministic(row1):
 
 
 def test_optimize_recovers_from_perturbed_start(row1):
-    cfg = OptimizeConfig(degrees=(3, 1, 2), max_iters=150, seed=42)
+    perturbation_seed = 42
+    cfg = OptimizeConfig(degrees=(3, 1, 2), max_iters=150)
     baseline = optimize_scheme(cfg, row1.scheme)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(perturbation_seed)
     vec = _pack_scheme(row1.scheme, cfg.degrees)
     vec[:-1] *= 1.0 + rng.uniform(-0.01, 0.01, size=vec.size - 1)
     perturbed = optimize_scheme(cfg, _unpack_scheme(vec, cfg.degrees))
@@ -214,8 +215,7 @@ def test_verify_table_rows_pass():
         "table1-row3",
     ]
     for row in report.rows:
-        assert row.margin_final > 0.0
-        assert not row.recovered  # published coefficients carry h > 1 directly
+        assert row.margin > 0.0  # published coefficients carry h > 1 directly
 
 
 def test_verify_table_thresholds_non_increasing():
