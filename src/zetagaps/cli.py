@@ -143,11 +143,7 @@ def _write_scheme_config(path: str, scheme: CoeffScheme, c: float) -> None:
     """Emit a config file that round-trips the scheme bit-exactly."""
 
     def row(p: FracPoly) -> str:
-        deg = int(round(p.degree)) if not p.is_zero else 0
-        dense = [0.0] * (deg + 1)
-        for coeff, expo in p.terms:
-            dense[int(round(expo))] = coeff
-        return "[" + ", ".join(repr(v) for v in dense) + "]"
+        return "[" + ", ".join(repr(v) for v in p.to_coeffs().tolist()) + "]"
 
     lines = [
         f"r = {scheme.r!r}",
@@ -218,12 +214,8 @@ def _cmd_verify_table(args, out) -> int:
 
 def _cmd_optimize(args, out) -> int:
     scheme, config = _resolve_scheme(args)
-    degrees = (
-        int(scheme.f1.degree),
-        int(scheme.f1t.degree),
-        max(int(scheme.P.degree), 1),
-    )
-    cfg_kwargs = {"degrees": degrees}
+    d1, d2, d3 = (p.to_coeffs().size - 1 for p in (scheme.f1, scheme.f1t, scheme.P))
+    cfg_kwargs = {"degrees": (d1, d2, max(d3, 1))}
     if {"c_lo", "c_hi", "c_step"} <= config.keys():
         cfg_kwargs["c_grid"] = (config["c_lo"], config["c_hi"], config["c_step"])
     for key in ("bisection_tol", "max_iters", "simplex_scale"):

@@ -138,29 +138,25 @@ class FracPoly:
         Only defined for integer exponents; fractional binomials would not
         terminate.
         """
-        if self.coeffs.size == 0:
-            return self
-        degs = np.rint(self.exponents)
-        if np.any(np.abs(self.exponents - degs) > MERGE_TOL):
-            raise DomainError("compose_one_minus requires integer exponents")
-        nmax = int(degs.max())
-        out = np.zeros(nmax + 1)
-        for coeff, n in zip(self.coeffs, degs.astype(int)):
+        dense = self.to_coeffs()
+        out = np.zeros(dense.size)
+        for n, coeff in enumerate(dense):
             for k in range(n + 1):
                 out[k] += coeff * math.comb(n, k) * (-1) ** k
-        return FracPoly(*_normalized(out, np.arange(nmax + 1, dtype=float)))
+        return FracPoly.from_coeffs(out)
 
-    def __add__(self, other):
-        return self.add(other)
+    def to_coeffs(self) -> np.ndarray:
+        """Dense ascending-degree coefficients, the inverse of from_coeffs.
 
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
+        The zero element gives [0.0].  Raises DomainError unless every
+        exponent is an integer to within MERGE_TOL.
+        """
+        if self.coeffs.size == 0:
+            return np.zeros(1)
+        degs = np.rint(self.exponents)
+        if np.any(np.abs(self.exponents - degs) > MERGE_TOL):
+            raise DomainError("expected integer exponents")
+        return np.bincount(degs.astype(int), weights=self.coeffs)
 
     def __repr__(self):
         if self.coeffs.size == 0:

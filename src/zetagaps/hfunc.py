@@ -30,15 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .fracpoly import (
     DomainError,
     FracPoly,
     beta_convolve,
     convolve,
     integrate_weighted,
-    make,
     sin_series,
     sinc_series,
     sinc_truncation_bound,
@@ -64,11 +61,6 @@ class DegenerateSchemeError(ArithmeticError):
     """The scheme's denominator quadratic form is numerically zero."""
 
 
-def _check_integer_exponents(p: FracPoly, name: str) -> None:
-    if p.coeffs.size and np.any(np.abs(p.exponents - np.rint(p.exponents)) > 1e-9):
-        raise ValueError(f"{name} must have integer exponents")
-
-
 @dataclass(frozen=True)
 class CoeffScheme:
     """Coefficient scheme (r, f1, f1t, P) defining the mollified weights.
@@ -86,10 +78,12 @@ class CoeffScheme:
     def __post_init__(self):
         if not (self.r >= 1.0):
             raise ValueError("r must be >= 1")
-        _check_integer_exponents(self.f1, "f1")
-        _check_integer_exponents(self.f1t, "f1t")
-        _check_integer_exponents(self.P, "P")
-        if self.P.coeffs.size and np.any(np.rint(self.P.exponents) == 0):
+        for name in ("f1", "f1t", "P"):
+            try:
+                getattr(self, name).to_coeffs()
+            except DomainError as exc:
+                raise ValueError(f"{name} must have integer exponents") from exc
+        if self.P.to_coeffs()[0] != 0.0:
             raise ValueError("P must vanish at 0 (no constant term)")
 
 
@@ -123,23 +117,14 @@ class HBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _shift_down(p: FracPoly) -> FracPoly:
-    """Divide by x: every exponent drops by one.  Needs a vanishing constant term."""
-    if p.coeffs.size == 0:
-        return p
-    if np.any(p.exponents < 0.5):
-        raise DomainError("division by x requires a vanishing constant term")
-    return make(zip(p.coeffs, p.exponents - 1.0))
-
-
 def p1_of(scheme: CoeffScheme) -> FracPoly:
     """P1(y) = P(y) / y."""
-    return _shift_down(scheme.P)
+    return FracPoly.from_coeffs(scheme.P.to_coeffs()[1:])
 
 
 def p2_of(scheme: CoeffScheme) -> FracPoly:
     """P2(y) = P(y)**2 / y."""
-    return _shift_down(scheme.P.mul(scheme.P))
+    return FracPoly.from_coeffs(scheme.P.mul(scheme.P).to_coeffs()[1:])
 
 
 def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:

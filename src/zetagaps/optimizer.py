@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracpoly import FracPoly
+from .fracpoly import DomainError, FracPoly
 from .hfunc import CoeffScheme, DegenerateSchemeError, h_value
 from .presets import PRESETS
 
@@ -197,23 +197,13 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
 
 def _pack_scheme(scheme: CoeffScheme, degrees) -> np.ndarray:
     """Flatten a scheme into the search vector [f1 | f1t | P(x^1..) | r]."""
-    d1, d2, d3 = degrees
-
-    def coeff_list(p: FracPoly, deg: int, drop_constant: bool) -> list[float]:
-        out = [0.0] * (deg + 1)
-        for coeff, expo in p.terms:
-            k = int(round(expo))
-            if k > deg:
-                raise ValueError("start scheme exceeds the configured degrees")
-            out[k] = coeff
-        return out[1:] if drop_constant else out
-
-    return np.array(
-        coeff_list(scheme.f1, d1, False)
-        + coeff_list(scheme.f1t, d2, False)
-        + coeff_list(scheme.P, d3, True)
-        + [scheme.r]
-    )
+    parts = []
+    for p, deg in zip((scheme.f1, scheme.f1t, scheme.P), degrees):
+        dense = p.to_coeffs()
+        if dense.size > deg + 1:
+            raise ValueError("start scheme exceeds the configured degrees")
+        parts.append(np.pad(dense, (0, deg + 1 - dense.size)))
+    return np.concatenate([parts[0], parts[1], parts[2][1:], [scheme.r]])
 
 
 def _unpack_scheme(vec: np.ndarray, degrees) -> CoeffScheme:
@@ -233,7 +223,7 @@ def _certify(scheme, config: OptimizeConfig, hi: float) -> float:
     if bracket is None:
         if h_value(scheme, lo).h > 1.0:
             return lo
-        raise ValueError("h(c) - 1 has no sign change on the scan grid")
+        raise DomainError("h(c) - 1 has no sign change on the scan grid")
     return threshold_c(scheme, bracket, config.bisection_tol)
 
 

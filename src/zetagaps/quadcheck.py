@@ -6,21 +6,14 @@ the same eleven components by nested Gauss quadrature over their original
 evaluated pointwise.  Agreement between the two routes validates both.
 
 The singular Beta kernels (u - v)**(a-1) are the only non-smooth factors.
-Two treatments are available for the unit-interval weight functional
-int_0^1 (1-t)**(a-1) phi(t) dt that all kernel integrals reduce to:
-
-  "jacobi" (default): Gauss-Jacobi nodes that integrate the weight exactly,
-      so polynomial integrands are exact and entire ones converge
-      spectrally.
-  "power": the substitution w = (1 - t)**a, which removes the kernel
-      singularity exactly and integrates the transformed integrand with
-      plain Gauss-Legendre.  The transformed integrand keeps mild w**(k/a)
-      endpoint terms, so convergence is algebraic rather than spectral;
-      kept as a second, structurally different cross-check.
+All kernel integrals reduce to the unit-interval weight functional
+int_0^1 (1-t)**(a-1) phi(t) dt, which Gauss-Jacobi nodes integrate with the
+weight built in, so polynomial integrands are exact and entire ones
+converge spectrally.
 
 Inner integrals over v in [0, u] are rescaled to v = u*t, which multiplies
-the value by u**a; the outer rules absorb that monomial factor the same two
-ways.  All evaluations are pure and embarrassingly parallel.
+the value by u**a; the outer Gauss-Jacobi rules absorb that monomial factor
+the same way.  All evaluations are pure and embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 48
-DEFAULT_METHOD = "jacobi"
 
 
 @dataclass(frozen=True)
@@ -75,38 +67,22 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (rule.nodes + 1.0) / 2.0, rule.weights / 2.0
 
 
-def beta_kernel_rule(
-    a: float, order: int, method: str = DEFAULT_METHOD
-) -> tuple[np.ndarray, np.ndarray]:
+def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (t_i, w_i) with int_0^1 (1-t)**(a-1) phi(t) dt ~ sum w_i phi(t_i)."""
     if a <= 0:
         raise ValueError("a must be positive")
-    if method == "jacobi":
-        x, w = roots_jacobi(order, a - 1.0, 0.0)
-        return (x + 1.0) / 2.0, w / 2.0**a
-    if method == "power":
-        # w = (1-t)**a maps the weighted integral to (1/a) * int_0^1 phi(1 - tau**(1/a)) dtau
-        tau, wt = _unit_rule(order)
-        return 1.0 - tau ** (1.0 / a), wt / a
-    raise ValueError(f"unknown method {method!r}")
+    x, w = roots_jacobi(order, a - 1.0, 0.0)
+    return (x + 1.0) / 2.0, w / 2.0**a
 
 
-def _monomial_rule(
-    gamma: float, order: int, method: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _monomial_rule(gamma: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for int_0^1 x**gamma phi(x) dx with gamma > -1."""
-    if method == "jacobi":
-        x, w = roots_jacobi(order, 0.0, gamma)
-        return (x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0)
-    z, wz = _unit_rule(order)
-    return z, wz * z**gamma
+    x, w = roots_jacobi(order, 0.0, gamma)
+    return (x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0)
 
 
 def h_value_numeric(
-    scheme: CoeffScheme,
-    c: float,
-    order: int = DEFAULT_ORDER,
-    method: str = DEFAULT_METHOD,
+    scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER
 ) -> HBreakdown:
     """Recompute the full h(c) breakdown by tensor-product nested quadrature.
 
@@ -135,10 +111,10 @@ def h_value_numeric(
         return py * py / y
 
     zeta, w_zeta = _unit_rule(order)  # smooth inner sine direction
-    tb, wb = beta_kernel_rule(a, order, method)  # (1-t)**(a-1) weight
-    ua, wua = _monomial_rule(a, order, method)  # u**a weight
-    ub, wub = _monomial_rule(a + 1.0, order, method)  # u**(a+1) weight
-    sa, wsa = _monomial_rule(a, order, method)  # s**a weight
+    tb, wb = beta_kernel_rule(a, order)  # (1-t)**(a-1) weight
+    ua, wua = _monomial_rule(a, order)  # u**a weight
+    ub, wub = _monomial_rule(a + 1.0, order)  # u**(a+1) weight
+    sa, wsa = _monomial_rule(a, order)  # s**a weight
 
     def sinc_conv(g: FracPoly, v: np.ndarray) -> np.ndarray:
         # int_0^v sin(pi c z)/z * g(v - z) dz  with z = v*zeta

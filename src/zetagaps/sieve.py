@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .hfunc import CoeffScheme
 
@@ -139,7 +140,9 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     a_k = lambda(k) d_r(k) / sqrt(k) * [ f1(x_k) + S_P(k) * f1t(x_k) ]
 
     with x_k = log(upto / k) / log(upto) and S_P(k) the sum of
-    P(log p / log(upto)) over the distinct primes p dividing k.
+    P(log p / log(upto)) over the distinct primes p dividing k.  f1, f1t and
+    P are evaluated from their dense coefficients by Horner's rule (numpy's
+    polyval), P once at all primes up to `upto`.
     """
     upto = int(upto)
     if upto < 2 or upto > tables.limit:
@@ -153,16 +156,20 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
 
     psum = np.zeros(upto + 1)
     if not scheme.P.is_zero:
-        for p in _primes_up_to(upto):
-            p = int(p)
-            psum[p::p] += scheme.P.eval(math.log(p) / log_up)
+        primes = _primes_up_to(upto)
+        p_at_primes = polyval(np.log(primes) / log_up, scheme.P.to_coeffs())
+        for p, value in zip(primes.tolist(), p_at_primes.tolist()):
+            psum[p::p] += value
 
     a = np.zeros(upto + 1)
     a[1:] = (
         tables.liouville[1 : upto + 1]
         * tables.dr[1 : upto + 1]
         / np.sqrt(k)
-        * (scheme.f1.eval(x) + psum[1:] * scheme.f1t.eval(x))
+        * (
+            polyval(x, scheme.f1.to_coeffs())
+            + psum[1:] * polyval(x, scheme.f1t.to_coeffs())
+        )
     )
     return a
 

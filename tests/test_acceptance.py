@@ -186,6 +186,7 @@ def test_criterion_7_sieve_vs_asymptotics(capsys, ramp_scheme):
         f"|h_finite - h_limit| / |h_limit| = {dev[1e6]:.4f} exceeds 0.25 at "
         "T=1e6 (measured 0.2430 on a correct oracle)"
     )
+    assert elapsed < 30.0, f"criterion 7 took {elapsed:.1f} s, over its 30 s limit"
 
 
 def test_criterion_8_property_bundle(capsys, rows):

@@ -195,6 +195,23 @@ def test_optimize_roundtrip(tmp_path):
     assert abs((h - 1.0) - margin) < 1e-12
 
 
+def test_optimize_without_sign_change_is_math_error(tmp_path, capsys):
+    # h(c) - 1 stays negative on the whole default grid for f1 = 1 - u
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text("r = 1.18\nc = 0.5154\nf1 = [1.0, -1.0]\n")
+    trace = tmp_path / "trace.csv"
+    code, out = run_cli(
+        ["optimize", "--config", str(cfg), "--trace-out", str(trace),
+         "--scheme-out", str(tmp_path / "best.cfg")]
+    )
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "math error: h(c) - 1 has no sign change on the scan grid\n"
+    )
+    assert not trace.exists()
+
+
 # ---------------------------------------------------------------- oracle / check
 
 

@@ -80,6 +80,27 @@ def test_from_coeffs_ascending_degree():
     assert p.terms == ROW1_F1
 
 
+def test_to_coeffs_inverts_from_coeffs_on_presets():
+    from zetagaps.presets import PRESETS
+
+    for dense in ([1.95, 1.47, -1.07, -0.29], [0.0, 0.0, 1.0, 0.083]):
+        assert FracPoly.from_coeffs(dense).to_coeffs().tolist() == dense
+    for preset in PRESETS:
+        for p in (preset.scheme.f1, preset.scheme.f1t, preset.scheme.P):
+            dense = p.to_coeffs()
+            assert FracPoly.from_coeffs(dense).terms == p.terms
+            assert dense.size == int(p.degree) + 1
+
+
+def test_to_coeffs_zero_poly():
+    assert FracPoly.zero().to_coeffs().tolist() == [0.0]
+
+
+def test_to_coeffs_rejects_fractional_exponents():
+    with pytest.raises(DomainError):
+        make([(1.0, 0.5)]).to_coeffs()
+
+
 # ---------------------------------------------------------------- add / scale / mul
 
 
