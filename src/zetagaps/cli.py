@@ -71,6 +71,14 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float that is finite as a float; a boolean is not a number."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the flat key = value config format; rejects unknown keys."""
     config: dict = {}
@@ -91,12 +99,10 @@ def parse_config_text(text: str) -> dict:
         except json.JSONDecodeError as exc:
             raise CliError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
         if key in _LIST_KEYS:
-            if not isinstance(parsed, list) or not all(
-                isinstance(v, (int, float)) for v in parsed
-            ):
-                raise CliError(f"config line {lineno}: {key!r} must be a numeric array")
-        elif not isinstance(parsed, (int, float)):
-            raise CliError(f"config line {lineno}: {key!r} must be a number")
+            if not isinstance(parsed, list) or not all(map(_is_finite_number, parsed)):
+                raise CliError(f"config line {lineno}: {key!r} must be an array of finite numbers")
+        elif not _is_finite_number(parsed):
+            raise CliError(f"config line {lineno}: {key!r} must be a finite number")
         config[key] = parsed
     return config
 

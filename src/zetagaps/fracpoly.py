@@ -1,8 +1,10 @@
-"""Generalized polynomials with nonnegative real exponents, integrated exactly.
+"""Generalized polynomials with a real power of x, integrated exactly.
 
-A FracPoly is a finite sum  sum_i c_i * x**e_i  with real coefficients and
-real exponents e_i >= 0.  Every integral needed by the gap functional reduces
-to one of two Euler Beta identities, applied termwise:
+A FracPoly is x**s * sum_k c_k x**k: one real shift s >= 0 and a dense
+coefficient array.  Every operation below keeps a polynomial's exponents an
+integer apart (the gap functional only meets shifts k + m*r**2), and every
+integral it needs reduces to one of two Euler Beta identities, applied
+termwise over the exponents s + k:
 
     int_0^u (u - v)**(a-1) * v**b   dv = B(a, b+1)   * u**(a+b)     (beta_convolve)
     int_0^u v**p * (u - v)**q       dv = B(p+1, q+1) * u**(p+q+1)   (convolve)
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln
 
 __all__ = [
@@ -38,9 +41,9 @@ __all__ = [
     "sinc_truncation_bound",
 ]
 
-# Exponents closer than this are treated as the same power of x.  In this
-# application every exponent is either an integer or an integer plus r**2,
-# built by exact arithmetic, so the tolerance only absorbs float noise.
+# make() accepts exponents whose differences are within this of integers.
+# In this application every polynomial is one power of x (0, r**2, ...)
+# times an ordinary polynomial, so the tolerance only absorbs input noise.
 MERGE_TOL = 1e-9
 
 
@@ -48,45 +51,41 @@ class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 
 
-def _normalized(coeffs, exponents) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by exponent, merge near-equal exponents, drop zero coefficients."""
-    c = np.asarray(coeffs, dtype=float).ravel()
-    e = np.asarray(exponents, dtype=float).ravel()
-    if c.size != e.size:
-        raise ValueError("coefficient and exponent arrays must align")
-    if c.size == 0:
-        return np.empty(0), np.empty(0)
-    if np.any(e < 0):
-        raise DomainError("exponents must be nonnegative")
-    order = np.argsort(e, kind="stable")
-    c, e = c[order], e[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(e) >= MERGE_TOL)))
-    c = np.add.reduceat(c, starts)
-    e = e[starts]
-    keep = c != 0.0
-    return np.ascontiguousarray(c[keep]), np.ascontiguousarray(e[keep])
-
-
 @dataclass(frozen=True, eq=False)
 class FracPoly:
-    """Normalized term list: coeffs[i] * x**exponents[i], exponents ascending."""
+    """x**shift * (coeffs[0] + coeffs[1]*x + ...), shift >= 0.
 
+    Leading zeros are folded into shift and trailing ones trimmed; the zero
+    element is shift 0 with no coefficients.
+    """
+
+    shift: float
     coeffs: np.ndarray
-    exponents: np.ndarray
 
     def __post_init__(self):
-        self.coeffs.setflags(write=False)
-        self.exponents.setflags(write=False)
+        c = np.asarray(self.coeffs, dtype=float).ravel()
+        nz = np.flatnonzero(c)
+        shift = float(self.shift) + int(nz[0]) if nz.size else 0.0
+        if shift < 0:
+            raise DomainError("exponents must be nonnegative")
+        c = c[nz[0] : nz[-1] + 1] if nz.size else c[:0]
+        c.setflags(write=False)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def zero(cls) -> "FracPoly":
-        return cls(np.empty(0), np.empty(0))
+        return cls(0.0, np.empty(0))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[float]) -> "FracPoly":
         """Build an ordinary polynomial from ascending-degree coefficients."""
-        c = np.asarray(list(coeffs), dtype=float)
-        return cls(*_normalized(c, np.arange(c.size, dtype=float)))
+        return cls(0.0, np.array(list(coeffs), dtype=float))
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """The exponent of every stored coefficient, shift + 0, 1, 2, ..."""
+        return self.shift + np.arange(self.coeffs.size, dtype=float)
 
     @property
     def is_zero(self) -> bool:
@@ -95,42 +94,32 @@ class FracPoly:
     @property
     def degree(self) -> float:
         """Largest exponent, or 0.0 for the zero element."""
-        return float(self.exponents[-1]) if self.coeffs.size else 0.0
+        return self.shift + self.coeffs.size - 1 if self.coeffs.size else 0.0
 
     @property
     def terms(self) -> list[tuple[float, float]]:
-        return [(float(c), float(e)) for c, e in zip(self.coeffs, self.exponents)]
+        """(coefficient, exponent) of every nonzero term, exponents ascending."""
+        pairs = zip(self.coeffs, self.exponents)
+        return [(float(c), float(e)) for c, e in pairs if c != 0.0]
 
     def eval(self, x):
         """Evaluate at x >= 0; scalars map to float, arrays to arrays.  0**0 is 1."""
         xs = np.asarray(x, dtype=float)
         if np.any(xs < 0):
             raise DomainError("evaluation requires x >= 0")
-        if self.coeffs.size == 0:
+        if self.is_zero:
             out = np.zeros_like(xs)
         else:
-            out = np.power(xs[..., None], self.exponents) @ self.coeffs
-        if xs.ndim == 0:
-            return float(out)
-        return out
-
-    def add(self, other: "FracPoly") -> "FracPoly":
-        return FracPoly(
-            *_normalized(
-                np.concatenate([self.coeffs, other.coeffs]),
-                np.concatenate([self.exponents, other.exponents]),
-            )
-        )
+            out = np.power(xs, self.shift) * polyval(xs, self.coeffs)
+        return float(out) if xs.ndim == 0 else out
 
     def scale(self, s: float) -> "FracPoly":
-        return FracPoly(*_normalized(self.coeffs * float(s), self.exponents))
+        return FracPoly(self.shift, self.coeffs * float(s))
 
     def mul(self, other: "FracPoly") -> "FracPoly":
-        if self.coeffs.size == 0 or other.coeffs.size == 0:
+        if self.is_zero or other.is_zero:
             return FracPoly.zero()
-        c = np.multiply.outer(self.coeffs, other.coeffs).ravel()
-        e = np.add.outer(self.exponents, other.exponents).ravel()
-        return FracPoly(*_normalized(c, e))
+        return FracPoly(self.shift + other.shift, np.convolve(self.coeffs, other.coeffs))
 
     def compose_one_minus(self) -> "FracPoly":
         """Return x -> self(1 - x), expanded by the binomial theorem.
@@ -148,32 +137,36 @@ class FracPoly:
     def to_coeffs(self) -> np.ndarray:
         """Dense ascending-degree coefficients, the inverse of from_coeffs.
 
-        The zero element gives [0.0].  Raises DomainError unless every
-        exponent is an integer to within MERGE_TOL.
+        The zero element gives [0.0].  Raises DomainError unless the shift
+        is an integer.
         """
-        if self.coeffs.size == 0:
+        if self.is_zero:
             return np.zeros(1)
-        degs = np.rint(self.exponents)
-        if np.any(np.abs(self.exponents - degs) > MERGE_TOL):
+        if not self.shift.is_integer():
             raise DomainError("expected integer exponents")
-        return np.bincount(degs.astype(int), weights=self.coeffs)
-
-    def __repr__(self):
-        if self.coeffs.size == 0:
-            return "FracPoly(0)"
-        body = " + ".join(f"{c:g}*x^{e:g}" for c, e in self.terms)
-        return f"FracPoly({body})"
+        return np.concatenate([np.zeros(int(self.shift)), self.coeffs])
 
 
 def make(terms: Iterable[tuple[float, float]]) -> FracPoly:
-    """Build a FracPoly from (coefficient, exponent) pairs and normalize it."""
+    """Build a FracPoly from (coefficient, exponent) pairs, summing repeats.
+
+    Raises DomainError for a negative exponent, or for exponents that do not
+    differ by integers (to within MERGE_TOL).
+    """
     pairs = list(terms)
     if not pairs:
         return FracPoly.zero()
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a sequence of (coefficient, exponent) pairs")
-    return FracPoly(*_normalized(arr[:, 0], arr[:, 1]))
+    coeffs, exps = arr[:, 0], arr[:, 1]
+    shift = exps.min()
+    if shift < 0:
+        raise DomainError("exponents must be nonnegative")
+    offsets = np.rint(exps - shift)
+    if np.any(np.abs(exps - shift - offsets) > MERGE_TOL):
+        raise DomainError("exponents must differ from each other by integers")
+    return FracPoly(shift, np.bincount(offsets.astype(int), weights=coeffs))
 
 
 def _beta(a: float, b) -> np.ndarray:
@@ -185,11 +178,7 @@ def _beta(a: float, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a == 1.0:
         return 1.0 / b
-    out = np.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
-    ones = b == 1.0
-    if np.any(ones):
-        out = np.where(ones, 1.0 / a, out)
-    return out
+    return np.where(b == 1.0, 1.0 / a, np.exp(gammaln(a) + gammaln(b) - gammaln(a + b)))
 
 
 def beta_convolve(a: float, p: FracPoly) -> FracPoly:
@@ -199,26 +188,23 @@ def beta_convolve(a: float, p: FracPoly) -> FracPoly:
     """
     if a <= 0:
         raise DomainError("beta kernel exponent a must be positive")
-    if p.coeffs.size == 0:
-        return p
-    return FracPoly(
-        *_normalized(p.coeffs * _beta(a, p.exponents + 1.0), p.exponents + a)
-    )
+    return FracPoly(p.shift + a, p.coeffs * _beta(a, p.exponents + 1.0))
 
 
 def convolve(p: FracPoly, q: FracPoly) -> FracPoly:
-    """Exact finite-interval convolution u -> int_0^u p(v) q(u - v) dv."""
-    if p.coeffs.size == 0 or q.coeffs.size == 0:
-        return FracPoly.zero()
+    """Exact finite-interval convolution u -> int_0^u p(v) q(u - v) dv.
+
+    Each anti-diagonal of the termwise Beta matrix is one power of u.
+    """
     bp, bq = p.exponents, q.exponents
-    c = np.multiply.outer(p.coeffs, q.coeffs)
     logb = (
         gammaln(bp + 1.0)[:, None]
         + gammaln(bq + 1.0)[None, :]
         - gammaln(bp[:, None] + bq[None, :] + 2.0)
     )
-    e = np.add.outer(bp, bq) + 1.0
-    return FracPoly(*_normalized((c * np.exp(logb)).ravel(), e.ravel()))
+    c = np.multiply.outer(p.coeffs, q.coeffs) * np.exp(logb)
+    diag = np.add.outer(np.arange(bp.size), np.arange(bq.size))
+    return FracPoly(p.shift + q.shift + 1.0, np.bincount(diag.ravel(), weights=c.ravel()))
 
 
 def integrate_weighted(a: float, p: FracPoly) -> float:
@@ -228,8 +214,6 @@ def integrate_weighted(a: float, p: FracPoly) -> float:
     """
     if a <= 0:
         raise DomainError("weight exponent a must be positive")
-    if p.coeffs.size == 0:
-        return 0.0
     if a == 1.0:
         return float(np.sum(p.coeffs / (p.exponents + 1.0)))
     return float(np.sum(p.coeffs * _beta(a, p.exponents + 1.0)))
@@ -247,18 +231,18 @@ def sinc_series(c: float, n_terms: int = 24) -> FracPoly:
     if c <= 0:
         raise DomainError("c must be positive")
     x = math.pi * c
-    coeffs = np.empty(n_terms)
+    coeffs = np.zeros(2 * n_terms - 1)
     term = x
     for j in range(n_terms):
-        coeffs[j] = term
+        coeffs[2 * j] = term
         term *= -(x * x) / ((2 * j + 2) * (2 * j + 3))
-    return FracPoly(coeffs, np.arange(0, 2 * n_terms, 2, dtype=float))
+    return FracPoly(0.0, coeffs)
 
 
 def sin_series(c: float, n_terms: int = 24) -> FracPoly:
     """Truncated series of sin(pi*c*v); equals v times sinc_series(c, n_terms)."""
     base = sinc_series(c, n_terms)
-    return FracPoly(base.coeffs.copy(), base.exponents + 1.0)
+    return FracPoly(base.shift + 1.0, base.coeffs)
 
 
 def sinc_truncation_bound(c: float, n_terms: int) -> float:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .fracpoly import (
     DomainError,
@@ -86,6 +87,19 @@ class CoeffScheme:
         if self.P.to_coeffs()[0] != 0.0:
             raise ValueError("P must vanish at 0 (no constant term)")
 
+    # Built once per scheme: P1(y) = P(y)/y, P1c(u) = P1(1-u), P2c(u) = P2(1-u).
+    @cached_property
+    def p1(self) -> FracPoly:
+        return FracPoly(self.P.shift - 1.0, self.P.coeffs)
+
+    @cached_property
+    def p1c(self) -> FracPoly:
+        return self.p1.compose_one_minus()
+
+    @cached_property
+    def p2c(self) -> FracPoly:
+        return p2_of(self).compose_one_minus()
+
 
 @dataclass(frozen=True)
 class HBreakdown:
@@ -119,12 +133,12 @@ class HBreakdown:
 
 def p1_of(scheme: CoeffScheme) -> FracPoly:
     """P1(y) = P(y) / y."""
-    return FracPoly.from_coeffs(scheme.P.to_coeffs()[1:])
+    return scheme.p1
 
 
 def p2_of(scheme: CoeffScheme) -> FracPoly:
     """P2(y) = P(y)**2 / y."""
-    return FracPoly.from_coeffs(scheme.P.mul(scheme.P).to_coeffs()[1:])
+    return scheme.p1.mul(scheme.P)
 
 
 def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
@@ -144,9 +158,7 @@ def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
     r = scheme.r
     a = r * r
     f1, f1t = scheme.f1, scheme.f1t
-    p1 = p1_of(scheme)
-    p1c = p1.compose_one_minus()
-    p2c = p2_of(scheme).compose_one_minus()
+    p1, p1c, p2c = scheme.p1, scheme.p1c, scheme.p2c
 
     d1 = integrate_weighted(a, f1.mul(f1))
     d2 = 2.0 * r**2 * integrate_weighted(1.0, p1c.mul(beta_convolve(a, f1.mul(f1t))))
@@ -191,9 +203,7 @@ def numerator_terms(
     r = scheme.r
     a = r * r
     f1, f1t = scheme.f1, scheme.f1t
-    p1 = p1_of(scheme)
-    p1c = p1.compose_one_minus()
-    p2c = p2_of(scheme).compose_one_minus()
+    p1, p1c, p2c = scheme.p1, scheme.p1c, scheme.p2c
 
     sinc = sinc_series(c, n_sinc_terms)
     sin_p1 = sin_series(c, n_sinc_terms).mul(p1)

@@ -238,7 +238,6 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
     lo, hi, step = config.c_grid
     scheme = start
     c_star = _certify(scheme, config, hi)
-    margin = h_value(scheme, c_star).h - 1.0
 
     trace: list[tuple[int, float]] = []
     offset = step
@@ -266,11 +265,9 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
             vec = vec_new
             scheme = _unpack_scheme(vec, config.degrees)
             c_star = _certify(scheme, config, probe)
-            margin = h_value(scheme, c_star).h - 1.0
         else:
             offset /= 2.0
 
-    # fresh evaluation, not a cached intermediate
     margin = h_value(scheme, c_star).h - 1.0
     return OptimizeReport(best_scheme=scheme, c_star=c_star, margin=margin, trace=trace)
 

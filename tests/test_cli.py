@@ -48,6 +48,33 @@ def test_parse_config_rejects_duplicate_key():
         parse_config_text("r = 1.18\nr = 1.2\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "r = true\n",
+        "f1 = [1.0, false]\n",
+        "max_iters = 1e400\n",
+        "c = NaN\n",
+        "T = -Infinity\n",
+        "f1 = [NaN, 1.0]\n",
+        "r = 1" + "0" * 400 + "\n",
+    ],
+    ids=["bool", "bool-in-array", "overflow", "nan", "minus-inf", "nan-in-array", "huge-int"],
+)
+def test_parse_config_rejects_booleans_and_non_finite_numbers(text):
+    with pytest.raises(CliError, match="config line 1"):
+        parse_config_text(text)
+
+
+def test_eval_non_finite_coefficient_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "scheme.cfg"
+    cfg.write_text("r = 1.18\nc = 0.52\nf1 = [NaN, 1.0]\n")
+    code, out = run_cli(["eval", "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert "config line 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- eval
 
 

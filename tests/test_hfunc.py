@@ -132,6 +132,13 @@ def test_numerator_rejects_short_sine_series(row1):
         numerator_terms(row1.scheme, 0.5154, n_sinc_terms=4)
 
 
+def test_numerator_long_sine_series_matches_default(row1):
+    # 90 terms put exponents near 180 into convolve, past where Gamma itself
+    # overflows a float; the log-Gamma Beta matrix must stay finite there
+    long = numerator_terms(row1.scheme, 0.5154, n_sinc_terms=90)
+    np.testing.assert_allclose(long, numerator_terms(row1.scheme, 0.5154), rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------- h assembly
 
 

@@ -1,0 +1,98 @@
+"""The eleven closed forms of h(c), replayed at 40 digits with mpmath.
+
+The replay shares no arithmetic with zetagaps.fracpoly: a polynomial is a
+dict {(k, m): coefficient} for the term x**(k + m*a), a = r**2, and every
+integral is a termwise mpmath Beta value.  Only the scheme's float
+coefficients are read from the library.
+"""
+
+import mpmath as mp
+import pytest
+
+from zetagaps.hfunc import h_value
+
+from conftest import HB_FIELDS
+
+
+def _add(out, key, value):
+    out[key] = out.get(key, 0) + value
+
+
+def replay(scheme, c, n_sinc_terms=24):
+    """The eleven components and h(c) of hfunc's closed forms, as mpf values."""
+    r = mp.mpf(scheme.r)
+    a = r * r
+
+    def expo(key):
+        return key[0] + key[1] * a
+
+    def mul(p, q):
+        out = {}
+        for kp, vp in p.items():
+            for kq, vq in q.items():
+                _add(out, (kp[0] + kq[0], kp[1] + kq[1]), vp * vq)
+        return out
+
+    def conv(p, q):  # u -> int_0^u p(v) q(u - v) dv
+        out = {}
+        for kp, vp in p.items():
+            for kq, vq in q.items():
+                beta = mp.beta(expo(kp) + 1, expo(kq) + 1)
+                _add(out, (kp[0] + kq[0] + 1, kp[1] + kq[1]), vp * vq * beta)
+        return out
+
+    def bc(p):  # u -> int_0^u (u - v)**(a-1) p(v) dv
+        return {(k, m + 1): v * mp.beta(a, expo((k, m)) + 1) for (k, m), v in p.items()}
+
+    def integral(w, p):  # int_0^1 (1 - u)**(w-1) p(u) du
+        return mp.fsum(v * mp.beta(w, expo(k) + 1) for k, v in p.items())
+
+    def reflect(p):  # u -> p(1 - u) for integer exponents
+        out = {}
+        for (n, _), v in p.items():
+            for k in range(n + 1):
+                _add(out, (k, 0), v * mp.binomial(n, k) * (-1) ** k)
+        return out
+
+    def poly(fp, drop=0):
+        return {(k - drop, 0): mp.mpf(float(v)) for k, v in enumerate(fp.to_coeffs()) if v}
+
+    f1, f1t, p1 = poly(scheme.f1), poly(scheme.f1t), poly(scheme.P, drop=1)
+    p1c = reflect(p1)
+    p2c = reflect({(k - 1, m): v for (k, m), v in mul(poly(scheme.P), poly(scheme.P)).items()})
+    x = mp.pi * mp.mpf(c)
+    sinc = {(2 * j, 0): (-1) ** j * x ** (2 * j + 1) / mp.factorial(2 * j + 1) for j in range(n_sinc_terms)}
+    sin_p1 = mul({(k + 1, m): v for (k, m), v in sinc.items()}, p1)
+    conv_s_f1, conv_s_f1t = conv(sinc, f1), conv(sinc, f1t)
+    big_f = bc(mul(f1t, f1t))
+    big_g = bc(mul(f1t, conv_s_f1t))
+    pref1, pref3, pref5 = (-2 * r**k / mp.pi for k in (1, 3, 5))
+    out = {
+        "d1": integral(a, mul(f1, f1)),
+        "d2": 2 * r**2 * integral(1, mul(p1c, bc(mul(f1, f1t)))),
+        "d31": r**4 * integral(1, mul(p1c, conv(p1, big_f))),
+        "d32": r**2 * integral(1, mul(p2c, big_f)),
+        "n1": pref1 * integral(a, mul(f1, conv_s_f1)),
+        "n2": pref3 * integral(1, mul(p1c, bc(mul(f1t, conv_s_f1)))),
+        "n31": pref3 * integral(1, mul(p1c, bc(mul(f1, conv_s_f1t)))),
+        "n32": pref1 * integral(a, mul(f1, conv(sin_p1, f1t))),
+        "n41": pref5 * integral(1, mul(p1c, conv(p1, big_g))),
+        "n42": pref3 * integral(1, mul(p2c, big_g)),
+        "n43": pref3 * integral(1, mul(p1c, bc(mul(f1t, conv(sin_p1, f1t))))),
+    }
+    den = mp.fsum(out[k] for k in HB_FIELDS[:4])
+    out["h"] = mp.mpf(c) - mp.fsum(out[k] for k in HB_FIELDS[4:]) / den
+    return out
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_h_value_matches_40_digit_replay(rows, which):
+    preset = rows[which]
+    for c in (preset.c, 0.45, 0.6):
+        hb = h_value(preset.scheme, c)
+        with mp.workdps(40):
+            ref = replay(preset.scheme, c)
+        for name in HB_FIELDS:
+            rel = abs(getattr(hb, name) - ref[name]) / abs(ref[name])
+            assert rel <= 5e-14, (preset.name, c, name, float(rel))
+        assert abs(hb.h - ref["h"]) <= 1e-15, (preset.name, c)
