@@ -15,6 +15,7 @@ from .fracpoly import (
     convolve,
     integrate_weighted,
     make,
+    pair,
     sin_series,
     sinc_series,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "beta_convolve",
     "convolve",
     "integrate_weighted",
+    "pair",
     "sinc_series",
     "sin_series",
     "CoeffScheme",

@@ -227,6 +227,8 @@ def _cmd_optimize(args, out) -> int:
     for key in ("bisection_tol", "max_iters", "simplex_scale"):
         if key in config:
             cfg_kwargs[key] = type(getattr(OptimizeConfig(), key))(config[key])
+    if cfg_kwargs.get("max_iters") != config.get("max_iters"):  # int() truncates 2.7 to 2
+        raise CliError(f"max_iters must be an integer, got {config['max_iters']}")
     try:
         cfg = OptimizeConfig(**cfg_kwargs)
     except ValueError as exc:

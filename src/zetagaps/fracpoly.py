@@ -9,8 +9,11 @@ termwise over the exponents s + k:
     int_0^u (u - v)**(a-1) * v**b   dv = B(a, b+1)   * u**(a+b)     (beta_convolve)
     int_0^u v**p * (u - v)**q       dv = B(p+1, q+1) * u**(p+q+1)   (convolve)
     int_0^1 (1 - u)**(a-1) * u**e   du = B(a, e+1)                  (integrate_weighted)
+    int_0^1 (1 - u)**p * u**q       du = B(p+1, q+1)                (pair)
 
-so the whole evaluation pipeline stays closed-form.  The sine kernels
+so the whole evaluation pipeline stays closed-form.  The pairing <k, q> =
+int_0^1 k(1 - u) q(u) du is (k * q)(1), so <p, g * q> = <p * g, q> for the
+convolution *, and beta_convolve(a, q) = x**(a-1) * q.  The sine kernels
 sin(pi*c*v)/v and sin(pi*c*v) enter as truncated alternating power series,
 which keeps them inside the same representation; on [0, 1] the truncation
 error is bounded by the first omitted term.
@@ -36,6 +39,7 @@ __all__ = [
     "beta_convolve",
     "convolve",
     "integrate_weighted",
+    "pair",
     "sinc_series",
     "sin_series",
     "sinc_truncation_bound",
@@ -125,7 +129,7 @@ class FracPoly:
         """Return x -> self(1 - x), expanded by the binomial theorem.
 
         Only defined for integer exponents; fractional binomials would not
-        terminate.
+        terminate.  h never reflects (see pair); tests use this as a reference.
         """
         dense = self.to_coeffs()
         out = np.zeros(dense.size)
@@ -191,20 +195,30 @@ def beta_convolve(a: float, p: FracPoly) -> FracPoly:
     return FracPoly(p.shift + a, p.coeffs * _beta(a, p.exponents + 1.0))
 
 
+def _beta_matrix(bp: np.ndarray, bq: np.ndarray) -> np.ndarray:
+    """B(bp_i + 1, bq_j + 1) for all i, j, via log-Gamma (Gamma overflows past 171)."""
+    lg_sum = gammaln(bp[:, None] + bq[None, :] + 2.0)
+    return np.exp(gammaln(bp + 1.0)[:, None] + gammaln(bq + 1.0)[None, :] - lg_sum)
+
+
 def convolve(p: FracPoly, q: FracPoly) -> FracPoly:
     """Exact finite-interval convolution u -> int_0^u p(v) q(u - v) dv.
 
-    Each anti-diagonal of the termwise Beta matrix is one power of u.
+    Each anti-diagonal of the termwise Beta matrix is one power of u.  Only
+    nonzero coefficients of p get a row (the sine series skips odd degrees).
     """
-    bp, bq = p.exponents, q.exponents
-    logb = (
-        gammaln(bp + 1.0)[:, None]
-        + gammaln(bq + 1.0)[None, :]
-        - gammaln(bp[:, None] + bq[None, :] + 2.0)
-    )
-    c = np.multiply.outer(p.coeffs, q.coeffs) * np.exp(logb)
-    diag = np.add.outer(np.arange(bp.size), np.arange(bq.size))
+    rows = np.flatnonzero(p.coeffs)
+    c = np.multiply.outer(p.coeffs[rows], q.coeffs) * _beta_matrix(p.exponents[rows], q.exponents)
+    diag = np.add.outer(rows, np.arange(q.coeffs.size))
     return FracPoly(p.shift + q.shift + 1.0, np.bincount(diag.ravel(), weights=c.ravel()))
+
+
+def pair(k: FracPoly, q: FracPoly) -> float:
+    """<k, q> = int_0^1 k(1 - u) q(u) du = sum_ij k_i q_j B(e_i + 1, e_j + 1).
+
+    Equal to convolve(k, q).eval(1.0), without building the convolution.
+    """
+    return float(k.coeffs @ _beta_matrix(k.exponents, q.exponents) @ q.coeffs)
 
 
 def integrate_weighted(a: float, p: FracPoly) -> float:

@@ -3,19 +3,25 @@
 A scheme is the tuple (r, f1, f1t, P): a shape parameter r >= 1 and three
 integer-exponent polynomials.  In the long-mollifier limit the quadratic
 forms built from the scheme reduce to eleven component integrals, four in
-the denominator and seven in the numerator, each a combination of
-
-  * Beta-kernel convolutions  int_0^u (u - v)**(r^2 - 1) g(v) dv,
-  * sine convolutions         int_0^u sin(pi c v)/v * g(u - v) dv,
-  * plain weighted integrals  int_0^1 (1 - u)**(r^2 - 1) g(u) du,
-
-all evaluated exactly by the FracPoly engine.  The functional is
+the denominator and seven in the numerator.  The functional is
 
     h(c) = c - (n1 + n2 + n31 + n32 + n41 + n42 + n43)
                / (d1 + d2 + d31 + d32)
 
 and h(c) > 1 certifies that the liminf of normalized gaps between
 consecutive critical-line zeros is at most c.
+
+Every component is one pairing <K, q> = int_0^1 K(1-u) q(u) du (fracpoly's
+pair) of one of four kernels with a product q of f1, f1t and their sine
+convolutions.  With a = r**2, P1 = P(y)/y, P2 = P(y)**2/y, * the convolution
+on [0, u] and BC(g) = x**(a-1) * g, the kernels depend only on (r, P):
+
+    K1 = x**(a-1)          K3 = r^4 P1 * BC(P1)
+    K2 = r^2 BC(P1)        K4 = r^2 BC(P2)
+
+K1 is integrate_weighted(a, .); CoeffScheme.kernels builds K2-K4 once per
+scheme.  <p, g * q> = <p * g, q> moves every P-weight and Beta kernel of the
+paper's nested integrals onto the kernel, so nothing is reflected u -> 1 - u.
 
 Every component is normalized by the common prefactor A_r * r^2 * (log T)^(r^2)
 shared by all eleven integrals, which removes the (otherwise unspecified)
@@ -37,6 +43,7 @@ from .fracpoly import (
     beta_convolve,
     convolve,
     integrate_weighted,
+    pair,
     sin_series,
     sinc_series,
     sinc_truncation_bound,
@@ -87,18 +94,18 @@ class CoeffScheme:
         if self.P.to_coeffs()[0] != 0.0:
             raise ValueError("P must vanish at 0 (no constant term)")
 
-    # Built once per scheme: P1(y) = P(y)/y, P1c(u) = P1(1-u), P2c(u) = P2(1-u).
+    # Built once per scheme: P1(y) = P(y)/y and the kernels K2, K3, K4.
     @cached_property
     def p1(self) -> FracPoly:
         return FracPoly(self.P.shift - 1.0, self.P.coeffs)
 
     @cached_property
-    def p1c(self) -> FracPoly:
-        return self.p1.compose_one_minus()
-
-    @cached_property
-    def p2c(self) -> FracPoly:
-        return p2_of(self).compose_one_minus()
+    def kernels(self) -> tuple[FracPoly, FracPoly, FracPoly]:
+        """(K2, K3, K4) = (r^2 BC(P1), r^4 P1 * BC(P1), r^2 BC(P2)); see the module docs."""
+        a = self.r * self.r
+        bc_p1 = beta_convolve(a, self.p1)
+        k3 = convolve(self.p1, bc_p1).scale(self.r**4)
+        return bc_p1.scale(self.r**2), k3, beta_convolve(a, p2_of(self)).scale(self.r**2)
 
 
 @dataclass(frozen=True)
@@ -142,30 +149,20 @@ def p2_of(scheme: CoeffScheme) -> FracPoly:
 
 
 def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
-    """The four denominator components (d1, d2, d31, d32).
+    """The four denominator components, each a pairing with a kernel (module docs):
 
-    With a = r**2, P1c(u) = P1(1-u), P2c(u) = P2(1-u):
-
-      d1  =        int_0^1 (1-u)**(a-1) f1(u)**2 du
-      d2  = 2 r^2  int_0^1 P1c(u) * [int_0^u (u-v)**(a-1) f1(v) f1t(v) dv] du
-      d31 =   r^4  int_0^1 P1c(u) * [int_0^u P1(u-t) F(t) dt] du
-      d32 =   r^2  int_0^1 P2c(u) * F(u) du
-
-    where F = beta_convolve(a, f1t**2).  d31 is the double-P1 region integral
-    after the substitution t = u + v - 1, which turns it into two nested
-    convolutions and keeps the computation exact.
+      d1  = <K1, f1 f1>      d31 = <K3, f1t f1t>
+      d2  = 2 <K2, f1 f1t>   d32 = <K4, f1t f1t>
     """
-    r = scheme.r
-    a = r * r
     f1, f1t = scheme.f1, scheme.f1t
-    p1, p1c, p2c = scheme.p1, scheme.p1c, scheme.p2c
-
-    d1 = integrate_weighted(a, f1.mul(f1))
-    d2 = 2.0 * r**2 * integrate_weighted(1.0, p1c.mul(beta_convolve(a, f1.mul(f1t))))
-    big_f = beta_convolve(a, f1t.mul(f1t))
-    d31 = r**4 * integrate_weighted(1.0, p1c.mul(convolve(p1, big_f)))
-    d32 = r**2 * integrate_weighted(1.0, p2c.mul(big_f))
-    return d1, d2, d31, d32
+    k2, k3, k4 = scheme.kernels
+    f1t_sq = f1t.mul(f1t)
+    return (
+        integrate_weighted(scheme.r * scheme.r, f1.mul(f1)),
+        2.0 * pair(k2, f1.mul(f1t)),
+        pair(k3, f1t_sq),
+        pair(k4, f1t_sq),
+    )
 
 
 def numerator_terms(
@@ -173,19 +170,13 @@ def numerator_terms(
 ) -> tuple[float, float, float, float, float, float, float]:
     """The seven numerator components (n1, n2, n31, n32, n41, n42, n43).
 
-    With a = r**2, S the sinc series sin(pi c v)/v, s = v*S, and
-    conv(g, q)(u) = int_0^u g(v) q(u-v) dv:
+    With kappa = -2r/pi, S the sinc series of sin(pi c v)/v, s = v*S and the
+    kernels of the module docs:
 
-      n1  = -(2r/pi)   int_0^1 (1-u)**(a-1) f1(u) * conv(S, f1)(u) du
-      n2  = -(2r^3/pi) int_0^1 P1c(u) * BC(f1t * conv(S, f1))(u) du
-      n31 = -(2r^3/pi) int_0^1 P1c(u) * BC(f1 * conv(S, f1t))(u) du
-      n32 = -(2r/pi)   int_0^1 (1-u)**(a-1) f1(u) * conv(s*P1, f1t)(u) du
-      n41 = -(2r^5/pi) int_0^1 P1c(u) * conv(P1, G)(u) du
-      n42 = -(2r^3/pi) int_0^1 P2c(u) * G(u) du
-      n43 = -(2r^3/pi) int_0^1 P1c(u) * BC(f1t * conv(s*P1, f1t))(u) du
-
-    where BC = beta_convolve(a, .) and G = BC(f1t * conv(S, f1t)).  n41 uses
-    the same t = u + v - 1 substitution as d31.
+      n1  = kappa <K1, f1 (S * f1)>       n41 = kappa <K3, f1t (S * f1t)>
+      n2  = kappa <K2, f1t (S * f1)>      n42 = kappa <K4, f1t (S * f1t)>
+      n31 = kappa <K2, f1 (S * f1t)>      n43 = kappa <K2, f1t (s P1 * f1t)>
+      n32 = kappa <K1, f1 (s P1 * f1t)>
 
     c must lie strictly inside (0, 1); there the default 24-term sine series
     is certified to better than 1e-18 on [0, 1].  A shorter series that
@@ -200,31 +191,25 @@ def numerator_terms(
             "at this c, above the 1e-18 budget"
         )
 
-    r = scheme.r
-    a = r * r
+    a = scheme.r * scheme.r
     f1, f1t = scheme.f1, scheme.f1t
-    p1, p1c, p2c = scheme.p1, scheme.p1c, scheme.p2c
-
+    k2, k3, k4 = scheme.kernels
     sinc = sinc_series(c, n_sinc_terms)
-    sin_p1 = sin_series(c, n_sinc_terms).mul(p1)
     conv_s_f1 = convolve(sinc, f1)
     conv_s_f1t = convolve(sinc, f1t)
+    conv_sp1_f1t = convolve(sin_series(c, n_sinc_terms).mul(scheme.p1), f1t)
+    g = f1t.mul(conv_s_f1t)
 
-    pref1 = -2.0 * r / math.pi
-    pref3 = -2.0 * r**3 / math.pi
-    pref5 = -2.0 * r**5 / math.pi
-
-    n1 = pref1 * integrate_weighted(a, f1.mul(conv_s_f1))
-    n2 = pref3 * integrate_weighted(1.0, p1c.mul(beta_convolve(a, f1t.mul(conv_s_f1))))
-    n31 = pref3 * integrate_weighted(1.0, p1c.mul(beta_convolve(a, f1.mul(conv_s_f1t))))
-    n32 = pref1 * integrate_weighted(a, f1.mul(convolve(sin_p1, f1t)))
-    big_g = beta_convolve(a, f1t.mul(conv_s_f1t))
-    n41 = pref5 * integrate_weighted(1.0, p1c.mul(convolve(p1, big_g)))
-    n42 = pref3 * integrate_weighted(1.0, p2c.mul(big_g))
-    n43 = pref3 * integrate_weighted(
-        1.0, p1c.mul(beta_convolve(a, f1t.mul(convolve(sin_p1, f1t))))
+    kappa = -2.0 * scheme.r / math.pi
+    return (
+        kappa * integrate_weighted(a, f1.mul(conv_s_f1)),
+        kappa * pair(k2, f1t.mul(conv_s_f1)),
+        kappa * pair(k2, f1.mul(conv_s_f1t)),
+        kappa * integrate_weighted(a, f1.mul(conv_sp1_f1t)),
+        kappa * pair(k3, g),
+        kappa * pair(k4, g),
+        kappa * pair(k2, f1t.mul(conv_sp1_f1t)),
     )
-    return n1, n2, n31, n32, n41, n42, n43
 
 
 def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:

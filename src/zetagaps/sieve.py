@@ -50,10 +50,10 @@ MAX_TABLE_LIMIT = 10**8
 
 @dataclass
 class SieveTable:
-    """Per-integer arithmetic tables up to `limit`, indexed 1..limit.
+    """Per-integer arithmetic tables up to `limit`, indexed 1..limit, and the primes.
 
-    Index 0 of every array is an unused sentinel so that table[n] is the
-    value at the integer n.
+    Index 0 of every per-integer array is an unused sentinel so that
+    table[n] is the value at the integer n.
     """
 
     limit: int
@@ -61,10 +61,10 @@ class SieveTable:
     liouville: np.ndarray  # int8, lambda(k) in {-1, +1}
     dr: np.ndarray  # float64, d_r(k)
     mangoldt: np.ndarray  # float64, log p on prime powers p**a, else 0
-    smallest_prime_factor: np.ndarray  # int32, spf(k); spf(1) = 1
+    primes: np.ndarray  # int64, every prime <= limit, ascending
 
     def __post_init__(self):
-        for arr in (self.liouville, self.dr, self.mangoldt, self.smallest_prime_factor):
+        for arr in (self.liouville, self.dr, self.mangoldt, self.primes):
             arr.setflags(write=False)
 
 
@@ -81,7 +81,7 @@ def _primes_up_to(n: int) -> np.ndarray:
 
 
 def build_tables(r: float, limit: int) -> SieveTable:
-    """Sieve lambda, d_r, Lambda and smallest prime factors up to `limit`.
+    """Sieve the primes and lambda, d_r, Lambda up to `limit`.
 
     lambda and d_r are completely determined by prime-power exponents, so
     both are accumulated with one strided pass per prime power p**j: every
@@ -96,15 +96,6 @@ def build_tables(r: float, limit: int) -> SieveTable:
         raise ValueError("r must be positive")
 
     primes = _primes_up_to(limit)
-
-    spf = np.zeros(limit + 1, dtype=np.int32)  # limit <= 1e8 < 2**31
-    for p in primes[primes * primes <= limit]:
-        view = spf[p * p :: p]
-        view[view == 0] = p
-    untouched = np.flatnonzero(spf == 0)
-    spf[untouched] = untouched  # primes, plus the 0 and 1 sentinels
-    spf[1] = 1
-
     liouville = np.ones(limit + 1, dtype=np.int8)
     dr = np.ones(limit + 1, dtype=np.float64)
     mangoldt = np.zeros(limit + 1, dtype=np.float64)
@@ -130,7 +121,7 @@ def build_tables(r: float, limit: int) -> SieveTable:
         liouville=liouville,
         dr=dr,
         mangoldt=mangoldt,
-        smallest_prime_factor=spf,
+        primes=primes,
     )
 
 
@@ -156,7 +147,7 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
 
     psum = np.zeros(upto + 1)
     if not scheme.P.is_zero:
-        primes = _primes_up_to(upto)
+        primes = tables.primes[tables.primes <= upto]
         p_at_primes = polyval(np.log(primes) / log_up, scheme.P.to_coeffs())
         for p, value in zip(primes.tolist(), p_at_primes.tolist()):
             psum[p::p] += value

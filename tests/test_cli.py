@@ -239,6 +239,26 @@ def test_optimize_without_sign_change_is_math_error(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("value, code", [("2.7", 1), ("0.0", 0)])
+def test_optimize_max_iters_must_be_integral(tmp_path, capsys, value, code):
+    # a fractional count is rejected, not truncated; an integral float is a count
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text(
+        "r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\nP = [0, 0, 1]\n"
+        f"max_iters = {value}\n"
+    )
+    trace = tmp_path / "trace.csv"
+    got, out = run_cli(
+        ["optimize", "--config", str(cfg), "--trace-out", str(trace),
+         "--scheme-out", str(tmp_path / "best.cfg")]
+    )
+    assert got == code
+    if code:
+        assert out == ""
+        assert capsys.readouterr().err == "error: max_iters must be an integer, got 2.7\n"
+    assert trace.exists() == (code == 0)
+
+
 # ---------------------------------------------------------------- oracle / check
 
 

@@ -14,6 +14,7 @@ from zetagaps.fracpoly import (
     convolve,
     integrate_weighted,
     make,
+    pair,
     sin_series,
     sinc_series,
     sinc_truncation_bound,
@@ -264,6 +265,28 @@ def test_integrate_weighted_rejects_nonpositive_a():
         integrate_weighted(-1.0, make([(1.0, 0.0)]))
 
 
+# ---------------------------------------------------------------- pair
+
+
+def test_pair_with_power_kernel_is_integrate_weighted():
+    # <x**(a-1), q> = int_0^1 (1-u)**(a-1) q(u) du
+    a = 1.18**2
+    for shift in (0.0, 0.5):
+        q = make([(c, e + shift) for c, e in ROW1_F1])
+        got = pair(make([(1.0, a - 1.0)]), q)
+        assert got == pytest.approx(integrate_weighted(a, q), rel=1e-15, abs=0)
+
+
+def test_pair_fractional_vs_quadrature():
+    k = make([(1.0, 0.3924), (-0.6, 1.3924)])  # k(1-u) = (1-u)**0.3924 * (1 - 0.6 (1-u))
+    q = make([(0.5, 0.5), (1.2, 2.5)])  # q(u) = u**0.5 * (0.5 + 1.2 u**2)
+    ref, _ = quad(
+        lambda u: (1.0 - 0.6 * (1.0 - u)) * (0.5 + 1.2 * u * u), 0.0, 1.0,
+        weight="alg", wvar=(0.5, 0.3924), epsabs=1e-15, epsrel=1e-14,
+    )
+    assert pair(k, q) == pytest.approx(ref, rel=1e-13)
+
+
 # ---------------------------------------------------------------- sine series
 
 
@@ -345,3 +368,15 @@ def test_compose_one_minus_is_involution(p):
     scale = max(1.0, float(np.max(np.abs(p.coeffs))) if not p.is_zero else 1.0)
     assert np.allclose(_dense(twice, nmax), _dense(p, nmax), rtol=1e-12, atol=1e-12 * scale)
 
+
+def _abs(p):
+    return FracPoly(p.shift, np.abs(p.coeffs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(frac_polys(), frac_polys(), frac_polys())
+def test_pair_moves_a_convolution_factor(p, g, q):
+    # <p, g * q> = <p * g, q>: both are (p * g * q)(1); the same pairing of
+    # absolute values bounds the cancellation
+    lhs, rhs = pair(p, convolve(g, q)), pair(convolve(p, g), q)
+    assert abs(lhs - rhs) <= 1e-13 * pair(_abs(p), convolve(_abs(g), _abs(q)))

@@ -94,5 +94,5 @@ def test_h_value_matches_40_digit_replay(rows, which):
             ref = replay(preset.scheme, c)
         for name in HB_FIELDS:
             rel = abs(getattr(hb, name) - ref[name]) / abs(ref[name])
-            assert rel <= 5e-14, (preset.name, c, name, float(rel))
+            assert rel <= 1e-14, (preset.name, c, name, float(rel))
         assert abs(hb.h - ref["h"]) <= 1e-15, (preset.name, c)

@@ -102,12 +102,10 @@ def test_mangoldt_sum_tracks_prime_number_theorem():
     assert abs(psi / 10**7 - 1.0) < 0.05
 
 
-def test_smallest_prime_factor(tables_r118):
-    spf = tables_r118.smallest_prime_factor
-    assert spf[12] == 2
-    assert spf[97] == 97
-    assert spf[99] == 3
-    assert spf[1] == 1
+def test_primes(tables_r118):
+    primes = tables_r118.primes
+    assert primes[:5].tolist() == [2, 3, 5, 7, 11]
+    assert primes.size == 9592  # pi(10**5)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -233,6 +231,7 @@ def test_prime_powers_are_minor_part_of_numerator(plain_scheme):
     upto = int(t_param / math.log(t_param) ** 2)
     tables = build_tables(1.0, upto)
     a = coeffs_ak(plain_scheme, tables, upto)
+    primes = set(tables.primes.tolist())
     log_t = math.log(t_param)
     num_all = 0.0
     num_primes = 0.0
@@ -242,7 +241,7 @@ def test_prime_powers_are_minor_part_of_numerator(plain_scheme):
         g = 2.0 * math.sin(math.pi * 0.6 * math.log(n) / log_t) / (math.pi * math.log(n))
         term = tables.mangoldt[n] * g / math.sqrt(n) * float(a[1 : m + 1] @ a[n::n][:m])
         num_all += term
-        if tables.smallest_prime_factor[n] == n:
+        if n in primes:
             num_primes += term
     fraction = abs(num_all - num_primes) / abs(num_all)
     assert fraction < 0.15
