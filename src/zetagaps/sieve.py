@@ -21,6 +21,13 @@ rate set by Mertens' constant, sum_{p <= x} log p / p = log x - 1.33...;
 at T = 1e6 (K = 5239, c = 0.6, f1 = 1 - u) the two cost factors of 0.645 and
 0.638, and the finite numerator is 0.411 of the limit one.
 
+Every stage splits its per-prime work at sqrt(K): each k <= K has at most
+one prime factor p > sqrt(K), and that factor has exponent 1.  Primes (and
+prime powers) up to sqrt(K) get one strided pass each; those above sqrt(K)
+are handled by a loop over the cofactor m <= sqrt(K) with one vector update
+over every large p with m p <= K.  The a_k are built blockwise, in place of
+the S_P buffer, so no other K-sized temporary is allocated.
+
 Tables are built once, are read-only afterwards, and can be shared freely.
 """
 
@@ -46,6 +53,9 @@ __all__ = [
 ]
 
 MAX_TABLE_LIMIT = 10**8
+
+# a_k is built in blocks of this many entries, so its temporaries stay small
+AK_BLOCK = 2**16
 
 
 @dataclass
@@ -80,6 +90,27 @@ def _primes_up_to(n: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
+def _above_root(values: np.ndarray, limit: int) -> int:
+    """Index of the first entry of the ascending `values` above isqrt(limit)."""
+    return int(np.searchsorted(values, math.isqrt(limit), side="right"))
+
+
+def _cofactor_walk(large: np.ndarray, limit: int):
+    """Yield (m, n) for m = 1, 2, ...: the first n entries v of the ascending
+    `large` are exactly those with m * v <= limit.
+
+    Stops at the first m with n = 0.  When every entry exceeds isqrt(limit),
+    m never exceeds isqrt(limit), so the walk takes at most that many steps.
+    """
+    m = 1
+    while True:
+        n = int(np.searchsorted(large, limit // m, side="right"))
+        if n == 0:
+            return
+        yield m, n
+        m += 1
+
+
 def build_tables(r: float, limit: int) -> SieveTable:
     """Sieve the primes and lambda, d_r, Lambda up to `limit`.
 
@@ -101,8 +132,8 @@ def build_tables(r: float, limit: int) -> SieveTable:
     mangoldt = np.zeros(limit + 1, dtype=np.float64)
     mangoldt[primes] = np.log(primes.astype(np.float64))
 
-    for p in primes:
-        p = int(p)
+    split = _above_root(primes, limit)
+    for p in primes[:split].tolist():
         pj = p
         j = 1
         while pj <= limit:
@@ -112,6 +143,11 @@ def build_tables(r: float, limit: int) -> SieveTable:
                 mangoldt[pj] = math.log(p)
             pj *= p
             j += 1
+    large = primes[split:]
+    for m, n in _cofactor_walk(large, limit):
+        idx = m * large[:n]
+        liouville[idx] *= -1
+        dr[idx] *= r
 
     liouville[0] = 0
     dr[0] = 0.0
@@ -134,6 +170,12 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     P(log p / log(upto)) over the distinct primes p dividing k.  f1, f1t and
     P are evaluated from their dense coefficients by Horner's rule (numpy's
     polyval), P once at all primes up to `upto`.
+
+    S_P gets one strided pass per prime p <= sqrt(upto) and, for the primes
+    above sqrt(upto), one vector update per cofactor m.  The a_k are then
+    written block by block (AK_BLOCK entries) over the S_P buffer, each
+    block reading S_P(k) before overwriting it, so the result is the only
+    K-sized array allocated.
     """
     upto = int(upto)
     if upto < 2 or upto > tables.limit:
@@ -142,26 +184,28 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
         raise ValueError("tables were built with a different r")
 
     log_up = math.log(upto)
-    k = np.arange(1, upto + 1, dtype=np.float64)
-    x = 1.0 - np.log(k) / log_up
-
-    psum = np.zeros(upto + 1)
+    a = np.zeros(upto + 1)  # S_P(k) first, then a_k
     if not scheme.P.is_zero:
         primes = tables.primes[tables.primes <= upto]
         p_at_primes = polyval(np.log(primes) / log_up, scheme.P.to_coeffs())
-        for p, value in zip(primes.tolist(), p_at_primes.tolist()):
-            psum[p::p] += value
+        split = _above_root(primes, upto)
+        for p, value in zip(primes[:split].tolist(), p_at_primes[:split].tolist()):
+            a[p::p] += value
+        large, p_large = primes[split:], p_at_primes[split:]
+        for m, n in _cofactor_walk(large, upto):
+            a[m * large[:n]] += p_large[:n]
 
-    a = np.zeros(upto + 1)
-    a[1:] = (
-        tables.liouville[1 : upto + 1]
-        * tables.dr[1 : upto + 1]
-        / np.sqrt(k)
-        * (
-            polyval(x, scheme.f1.to_coeffs())
-            + psum[1:] * polyval(x, scheme.f1t.to_coeffs())
+    f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
+    for lo in range(1, upto + 1, AK_BLOCK):
+        hi = min(lo + AK_BLOCK, upto + 1)
+        k = np.arange(lo, hi, dtype=np.float64)
+        x = 1.0 - np.log(k) / log_up
+        a[lo:hi] = (
+            tables.liouville[lo:hi]
+            * tables.dr[lo:hi]
+            / np.sqrt(k)
+            * (polyval(x, f1) + a[lo:hi] * polyval(x, f1t))
         )
-    )
     return a
 
 
@@ -173,21 +217,26 @@ def finite_h_from_coeffs(
     `a` is index-aligned (a[0] ignored) and defines the mollifier length
     K = len(a) - 1.  Split out from finite_h so tests can inject coefficient
     vectors directly.
+
+    The weights w(n) = Lambda(n) g_c(n) / sqrt(n) are one vector over the
+    support of Lambda.  Terms with n <= sqrt(K) are strided dots
+    sum_k a_k a_{nk}; for n > sqrt(K) the order of summation is swapped,
+    sum_{k <= sqrt(K)} a_k * sum_{n <= K/k} w(n) a_{nk}, one dot per k.
     """
     upto = len(a) - 1
     den = float(a[1:] @ a[1:])
-    log_t = math.log(t_param)
+    support = np.flatnonzero(tables.mangoldt[: upto + 1])
+    log_n = np.log(support)
+    g = 2.0 * np.sin(math.pi * c * log_n / math.log(t_param)) / (math.pi * log_n)
+    w = tables.mangoldt[support] * g / np.sqrt(support)
+    split = _above_root(support, upto)
     num = 0.0
-    for n in np.flatnonzero(tables.mangoldt[: upto + 1]):
-        n = int(n)
+    for n, wn in zip(support[:split].tolist(), w[:split].tolist()):
         m = upto // n
-        g = 2.0 * math.sin(math.pi * c * math.log(n) / log_t) / (math.pi * math.log(n))
-        num += (
-            tables.mangoldt[n]
-            * g
-            / math.sqrt(n)
-            * float(a[1 : m + 1] @ a[n :: n][:m])
-        )
+        num += wn * float(a[1 : m + 1] @ a[n::n][:m])
+    large, w_large = support[split:], w[split:]
+    for k, n in _cofactor_walk(large, upto):
+        num += float(a[k]) * float(w_large[:n] @ a[k * large[:n]])
     return c - num / den, num, den
 
 
@@ -200,11 +249,18 @@ def finite_h(
     numerator sum, since Lambda weights them, even though only n = p
     survives in the limit.
     """
+    if not math.isfinite(t_param):
+        raise ValueError(f"T must be finite, got T={t_param}")
     if t_param < 100:
         raise ValueError("T must be at least 100")
     upto = int(t_param / math.log(t_param) ** 2)
     if upto < 100:
         raise ValueError(f"T={t_param:g} gives mollifier length {upto} < 100")
+    if upto > MAX_TABLE_LIMIT:
+        raise ValueError(
+            f"T={t_param:g} gives mollifier length {upto} above "
+            f"MAX_TABLE_LIMIT = {MAX_TABLE_LIMIT}"
+        )
     tables = build_tables(scheme.r, upto)
     a = coeffs_ak(scheme, tables, upto)
     return finite_h_from_coeffs(a, tables, c, t_param)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -273,6 +274,21 @@ def test_oracle_fields(tmp_path):
 def test_oracle_small_t_is_validation_error():
     code, _ = run_cli(["oracle", "--preset", "table1-row1", "--T", "200"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "t_value, pattern",
+    [
+        ("nan", r"error: T must be finite, got T=nan\n"),
+        ("inf", r"error: T must be finite, got T=inf\n"),
+        ("1e30", r"error: T=1e\+30 gives mollifier length \d+ above MAX_TABLE_LIMIT = 100000000\n"),
+    ],
+)
+def test_oracle_bad_t_is_validation_error_naming_t(capsys, t_value, pattern):
+    code, out = run_cli(["oracle", "--preset", "table1-row1", "--T", t_value])
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(pattern, capsys.readouterr().err)
 
 
 def test_check_passes():

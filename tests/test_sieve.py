@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,44 @@ from zetagaps.sieve import (
     finite_h_from_coeffs,
     mertens_deficit,
 )
+
+
+def _factorize(k):
+    """Prime exponents of k by trial division, primes ascending."""
+    out = {}
+    d = 2
+    while d * d <= k:
+        while k % d == 0:
+            out[d] = out.get(d, 0) + 1
+            k //= d
+        d += 1
+    if k > 1:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def _dr_direct(r, k):
+    dr = 1.0
+    for e in _factorize(k).values():
+        for j in range(1, e + 1):
+            dr *= (j - 1 + r) / j
+    return dr
+
+
+def _ak_direct(scheme, upto, k):
+    fac = _factorize(k)
+    lam = (-1) ** sum(fac.values())
+    x = math.log(upto / k) / math.log(upto)
+    ps = sum(scheme.P.eval(math.log(p) / math.log(upto)) for p in fac)
+    return (
+        lam * _dr_direct(scheme.r, k) / math.sqrt(k)
+        * (scheme.f1.eval(x) + ps * scheme.f1t.eval(x))
+    )
+
+
+# K = q**2 - 1, q**2, q**2 + 1: the split at isqrt(K) moves across a prime
+# (7, 31) and a composite (12) square root
+ROOT_BOUNDARY_LIMITS = [q * q + d for q in (7, 12, 31) for d in (-1, 0, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -143,36 +182,10 @@ def test_a2_closed_form(row1):
 
 
 def test_ak_matches_trial_division_reimplementation(row1, tables_r118):
-    def ak_direct(scheme, upto, k):
-        lam, count = 1, 0
-        dr = 1.0
-        primes = set()
-        m = k
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.add(d)
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                count += e
-                for j in range(1, e + 1):
-                    dr *= (j - 1 + scheme.r) / j
-            d += 1
-        if m > 1:
-            primes.add(m)
-            count += 1
-            dr *= scheme.r
-        lam = (-1) ** count
-        x = math.log(upto / k) / math.log(upto)
-        ps = sum(scheme.P.eval(math.log(p) / math.log(upto)) for p in primes)
-        return lam * dr / math.sqrt(k) * (scheme.f1.eval(x) + ps * scheme.f1t.eval(x))
-
     upto = 300
     a = coeffs_ak(row1.scheme, tables_r118, upto)
     for k in range(1, upto + 1):
-        assert a[k] == pytest.approx(ak_direct(row1.scheme, upto, k), rel=1e-12, abs=1e-15)
+        assert a[k] == pytest.approx(_ak_direct(row1.scheme, upto, k), rel=1e-12, abs=1e-15)
 
 
 def test_coeffs_ak_validation(row1, tables_r118):
@@ -201,6 +214,20 @@ def test_finite_h_validation(plain_scheme):
         finite_h(plain_scheme, 0.6, 50.0)
     with pytest.raises(ValueError):
         finite_h(plain_scheme, 0.6, 5000.0)  # mollifier length below 100
+
+
+@pytest.mark.parametrize(
+    "t_param, message",
+    [
+        (math.nan, "T must be finite, got T=nan"),
+        (math.inf, "T must be finite, got T=inf"),
+        (-math.inf, "T must be finite, got T=-inf"),
+        (1e30, r"T=1e\+30 gives mollifier length \d+ above MAX_TABLE_LIMIT = 100000000"),
+    ],
+)
+def test_finite_h_rejects_bad_t_naming_it(plain_scheme, t_param, message):
+    with pytest.raises(ValueError, match=message):
+        finite_h(plain_scheme, 0.6, t_param)
 
 
 def test_finite_h_tracks_limit(plain_scheme):
@@ -246,6 +273,68 @@ def test_prime_powers_are_minor_part_of_numerator(plain_scheme):
     fraction = abs(num_all - num_primes) / abs(num_all)
     assert fraction < 0.15
     assert fraction == pytest.approx(0.08223, abs=5e-4)
+
+
+# ---------------------------------------------------------------- the split at sqrt(K)
+
+
+@pytest.mark.parametrize("limit", ROOT_BOUNDARY_LIMITS)
+def test_tables_match_trial_division_at_root_boundary(limit):
+    r = 1.18
+    tables = build_tables(r, limit)
+    for k in range(1, limit + 1):
+        fac = _factorize(k)
+        assert tables.liouville[k] == (-1) ** sum(fac.values()), k
+        assert tables.dr[k] == _dr_direct(r, k), k
+        expect = math.log(next(iter(fac))) if len(fac) == 1 else 0.0
+        assert tables.mangoldt[k] == pytest.approx(expect, rel=1e-15, abs=0.0), k
+    expect_primes = [k for k in range(2, limit + 1) if _factorize(k) == {k: 1}]
+    assert tables.primes.tolist() == expect_primes
+
+
+@pytest.mark.parametrize("limit", ROOT_BOUNDARY_LIMITS)
+def test_ak_matches_trial_division_at_root_boundary(row1, limit):
+    a = coeffs_ak(row1.scheme, build_tables(row1.scheme.r, limit), limit)
+    assert a[0] == 0.0
+    for k in range(1, limit + 1):
+        assert a[k] == pytest.approx(_ak_direct(row1.scheme, limit, k), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("limit", ROOT_BOUNDARY_LIMITS)
+def test_finite_h_matches_double_sum_at_root_boundary(row1, limit):
+    c, t_param = 0.5154, 1e6
+    tables = build_tables(row1.scheme.r, limit)
+    a = coeffs_ak(row1.scheme, tables, limit)
+    num = 0.0
+    for n in range(2, limit + 1):
+        fac = _factorize(n)
+        if len(fac) != 1:
+            continue
+        log_n = math.log(n)
+        g = 2.0 * math.sin(math.pi * c * log_n / math.log(t_param)) / (math.pi * log_n)
+        weight = math.log(next(iter(fac))) * g / math.sqrt(n)
+        num += weight * sum(a[k] * a[n * k] for k in range(1, limit // n + 1))
+    den = sum(v * v for v in a[1:])
+    h_fin, num_fin, den_fin = finite_h_from_coeffs(a, tables, c, t_param)
+    assert num_fin == pytest.approx(num, rel=1e-13)
+    assert den_fin == pytest.approx(den, rel=1e-13)
+    assert h_fin == pytest.approx(c - num / den, rel=1e-13)
+
+
+def test_coeffs_ak_allocates_one_k_sized_array(row1):
+    # a_k is built blockwise over its own output buffer, so the traced peak
+    # is that buffer plus block-sized temporaries (measured 1.6x 8 (K + 1)
+    # bytes); full-length arrays for k, x, S_P and the polynomials read 9.2x
+    upto = 10**6
+    tables = build_tables(row1.scheme.r, upto)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        coeffs_ak(row1.scheme, tables, upto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * 8 * (upto + 1), f"{(peak - start) / (8 * (upto + 1)):.2f}x"
 
 
 # ---------------------------------------------------------------- prime log sums
