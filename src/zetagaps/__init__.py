@@ -15,8 +15,7 @@ from .fracpoly import (
     convolve,
     integrate_weighted,
     make,
-    pair,
-    sin_series,
+    moments,
     sinc_series,
 )
 from .hfunc import (
@@ -58,9 +57,8 @@ __all__ = [
     "beta_convolve",
     "convolve",
     "integrate_weighted",
-    "pair",
+    "moments",
     "sinc_series",
-    "sin_series",
     "CoeffScheme",
     "HBreakdown",
     "DegenerateSchemeError",

@@ -11,17 +11,19 @@ the denominator and seven in the numerator.  The functional is
 and h(c) > 1 certifies that the liminf of normalized gaps between
 consecutive critical-line zeros is at most c.
 
-Every component is one pairing <K, q> = int_0^1 K(1-u) q(u) du (fracpoly's
-pair) of one of four kernels with a product q of f1, f1t and their sine
-convolutions.  With a = r**2, P1 = P(y)/y, P2 = P(y)**2/y, * the convolution
-on [0, u] and BC(g) = x**(a-1) * g, the kernels depend only on (r, P):
+Every component is one pairing <K, q> = int_0^1 K(1-u) q(u) du of one of
+four kernels with a product q of f1, f1t and their sine convolutions.  With
+a = r**2, P1 = P(y)/y, P2 = P(y)**2/y, * the convolution on [0, u] and
+BC(g) = x**(a-1) * g, the kernels depend only on (r, P):
 
     K1 = x**(a-1)          K3 = r^4 P1 * BC(P1)
     K2 = r^2 BC(P1)        K4 = r^2 BC(P2)
 
-K1 is integrate_weighted(a, .); CoeffScheme.kernels builds K2-K4 once per
-scheme.  <p, g * q> = <p * g, q> moves every P-weight and Beta kernel of the
-paper's nested integrals onto the kernel, so nothing is reflected u -> 1 - u.
+<p, g * q> = <p * g, q> moves every P-weight and Beta kernel of the paper's
+nested integrals onto the kernel, so nothing is reflected u -> 1 - u.  A
+scheme compiles once, into the kernel moments <K, x**m> (CoeffScheme.kernels)
+and, as c enters only through sin(pi c v)/v = sum_j s_j(c) v**(2j), the
+c-free sine moments of the numerator (CoeffScheme.moments).
 
 Every component is normalized by the common prefactor A_r * r^2 * (log T)^(r^2)
 shared by all eleven integrals, which removes the (otherwise unspecified)
@@ -35,19 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
-from .fracpoly import (
-    DomainError,
-    FracPoly,
-    beta_convolve,
-    convolve,
-    integrate_weighted,
-    pair,
-    sin_series,
-    sinc_series,
-    sinc_truncation_bound,
-)
+import numpy as np
+from scipy.special import beta
+
+from .fracpoly import SINE_TERMS, DomainError, FracPoly, moments, sinc_series
+# perfbench traces beta_convolve, convolve and integrate_weighted as attributes of this module
+from .fracpoly import beta_convolve, convolve, integrate_weighted  # noqa: F401
 
 __all__ = [
     "DegenerateSchemeError",
@@ -94,18 +91,47 @@ class CoeffScheme:
         if self.P.to_coeffs()[0] != 0.0:
             raise ValueError("P must vanish at 0 (no constant term)")
 
-    # Built once per scheme: P1(y) = P(y)/y and the kernels K2, K3, K4.
     @cached_property
-    def p1(self) -> FracPoly:
-        return FracPoly(self.P.shift - 1.0, self.P.coeffs)
+    def dense(self) -> np.ndarray:
+        """Rows f1, f1t, P and 1 of dense coefficients, zero-padded to one width."""
+        rows = [p.to_coeffs() for p in (self.f1, self.f1t, self.P)] + [np.ones(1)]
+        width = max(row.size for row in rows)
+        return np.array([np.concatenate([row, np.zeros(width - row.size)]) for row in rows])
 
     @cached_property
-    def kernels(self) -> tuple[FracPoly, FracPoly, FracPoly]:
-        """(K2, K3, K4) = (r^2 BC(P1), r^4 P1 * BC(P1), r^2 BC(P2)); see the module docs."""
-        a = self.r * self.r
-        bc_p1 = beta_convolve(a, self.p1)
-        k3 = convolve(self.p1, bc_p1).scale(self.r**4)
-        return bc_p1.scale(self.r**2), k3, beta_convolve(a, p2_of(self)).scale(self.r**2)
+    def kernels(self) -> np.ndarray:
+        """Rows mu_K(m) = <K, x**m> of K1..K4 (module docs), m up to the top numerator degree."""
+        a, p1 = self.r * self.r, p1_of(self)
+        bc_p1 = beta_convolve(a, p1)
+        k1 = FracPoly(a - 1.0, np.ones(1))
+        m = np.arange(2 * SINE_TERMS + 3 * self.dense.shape[1] - 3)
+        kernels = (k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self)))
+        mu = np.array([moments(k, m) for k in kernels])
+        return mu * np.array([1.0, a, a * a, a])[:, None]  # the r^2, r^4 of K2-K4
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """M[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for the rows n1..n43 of numerator_terms.
+
+        h_i is 1, or x P1 = P for n32 and n43.  As x**p * x**l = B(p+1, l+1) x**(p+l+1),
+        M[i, j] = sum_klm h_k g_l f_m B(2j+k+1, l+1) mu_K(2j+k+l+m+1).
+        """
+        f1, f1t, p, one = self.dense
+        f = np.array([f1, f1t, f1, f1, f1t, f1t, f1t])
+        h = np.array([one, one, one, p, one, one, p])
+        g = np.array([f1, f1, f1t, f1t, f1t, f1t, f1t])
+        mu = self.kernels[[0, 1, 1, 0, 2, 3, 1]]
+        nu = np.array([np.correlate(m, fi, "valid") for m, fi in zip(mu, f)])  # <K_i, f_i x**n>
+        degree, betas = _sine_table(f1.size)
+        return np.einsum("ijkl,ik,il->ij", nu[:, degree] * betas, h, g)
+
+
+@cache
+def _sine_table(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2j+k+l+1, B(2j+k+1, l+1)) for j < SINE_TERMS and k, l < width; shared by every scheme."""
+    j, k, l = np.ogrid[:SINE_TERMS, :width, :width]
+    degree = 2 * j + k + l + 1
+    return degree, beta(degree - l, l + 1.0)
 
 
 @dataclass(frozen=True)
@@ -140,12 +166,12 @@ class HBreakdown:
 
 def p1_of(scheme: CoeffScheme) -> FracPoly:
     """P1(y) = P(y) / y."""
-    return scheme.p1
+    return FracPoly(scheme.P.shift - 1.0, scheme.P.coeffs)
 
 
 def p2_of(scheme: CoeffScheme) -> FracPoly:
     """P2(y) = P(y)**2 / y."""
-    return scheme.p1.mul(scheme.P)
+    return p1_of(scheme).mul(scheme.P)
 
 
 def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
@@ -154,19 +180,19 @@ def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
       d1  = <K1, f1 f1>      d31 = <K3, f1t f1t>
       d2  = 2 <K2, f1 f1t>   d32 = <K4, f1t f1t>
     """
-    f1, f1t = scheme.f1, scheme.f1t
-    k2, k3, k4 = scheme.kernels
-    f1t_sq = f1t.mul(f1t)
+    f1, f1t, _, _ = scheme.dense
+    mu = scheme.kernels[:, : 2 * f1.size - 1]
+    f1t_sq = np.convolve(f1t, f1t)
     return (
-        integrate_weighted(scheme.r * scheme.r, f1.mul(f1)),
-        2.0 * pair(k2, f1.mul(f1t)),
-        pair(k3, f1t_sq),
-        pair(k4, f1t_sq),
+        float(mu[0] @ np.convolve(f1, f1)),
+        2.0 * float(mu[1] @ np.convolve(f1, f1t)),
+        float(mu[2] @ f1t_sq),
+        float(mu[3] @ f1t_sq),
     )
 
 
 def numerator_terms(
-    scheme: CoeffScheme, c: float, n_sinc_terms: int = 24
+    scheme: CoeffScheme, c: float
 ) -> tuple[float, float, float, float, float, float, float]:
     """The seven numerator components (n1, n2, n31, n32, n41, n42, n43).
 
@@ -178,38 +204,14 @@ def numerator_terms(
       n31 = kappa <K2, f1 (S * f1t)>      n43 = kappa <K2, f1t (s P1 * f1t)>
       n32 = kappa <K1, f1 (s P1 * f1t)>
 
-    c must lie strictly inside (0, 1); there the default 24-term sine series
-    is certified to better than 1e-18 on [0, 1].  A shorter series that
-    misses this budget raises DomainError.
+    each kappa * sum_j s_j(c) M_j (scheme.moments).  c must lie strictly inside
+    (0, 1), where the SINE_TERMS-term series is certified to 1e-18 on [0, 1].
     """
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
-    bound = sinc_truncation_bound(c, n_sinc_terms)
-    if not bound < 1e-18:
-        raise DomainError(
-            f"{n_sinc_terms} sine-series terms leave a truncation error of {bound:.1e} "
-            "at this c, above the 1e-18 budget"
-        )
-
-    a = scheme.r * scheme.r
-    f1, f1t = scheme.f1, scheme.f1t
-    k2, k3, k4 = scheme.kernels
-    sinc = sinc_series(c, n_sinc_terms)
-    conv_s_f1 = convolve(sinc, f1)
-    conv_s_f1t = convolve(sinc, f1t)
-    conv_sp1_f1t = convolve(sin_series(c, n_sinc_terms).mul(scheme.p1), f1t)
-    g = f1t.mul(conv_s_f1t)
-
+    s = sinc_series(c).coeffs[::2]
     kappa = -2.0 * scheme.r / math.pi
-    return (
-        kappa * integrate_weighted(a, f1.mul(conv_s_f1)),
-        kappa * pair(k2, f1t.mul(conv_s_f1)),
-        kappa * pair(k2, f1.mul(conv_s_f1t)),
-        kappa * integrate_weighted(a, f1.mul(conv_sp1_f1t)),
-        kappa * pair(k3, g),
-        kappa * pair(k4, g),
-        kappa * pair(k2, f1t.mul(conv_sp1_f1t)),
-    )
+    return tuple((kappa * (scheme.moments[:, : s.size] @ s)).tolist())
 
 
 def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:

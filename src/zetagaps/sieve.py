@@ -60,7 +60,7 @@ AK_BLOCK = 2**16
 
 @dataclass
 class SieveTable:
-    """Per-integer arithmetic tables up to `limit`, indexed 1..limit, and the primes.
+    """Per-integer tables up to `limit` (indexed 1..limit), the primes, Lambda on its support.
 
     Index 0 of every per-integer array is an unused sentinel so that
     table[n] is the value at the integer n.
@@ -70,11 +70,12 @@ class SieveTable:
     r: float
     liouville: np.ndarray  # int8, lambda(k) in {-1, +1}
     dr: np.ndarray  # float64, d_r(k)
-    mangoldt: np.ndarray  # float64, log p on prime powers p**a, else 0
     primes: np.ndarray  # int64, every prime <= limit, ascending
+    prime_powers: np.ndarray  # int64, every p**a <= limit (a >= 1), ascending
+    mangoldt: np.ndarray  # float64, Lambda(prime_powers) = log p
 
     def __post_init__(self):
-        for arr in (self.liouville, self.dr, self.mangoldt, self.primes):
+        for arr in (self.liouville, self.dr, self.primes, self.prime_powers, self.mangoldt):
             arr.setflags(write=False)
 
 
@@ -118,7 +119,8 @@ def build_tables(r: float, limit: int) -> SieveTable:
     both are accumulated with one strided pass per prime power p**j: every
     multiple of p**j picks up a factor -1 (for lambda) respectively
     (j - 1 + r)/j (for d_r, the Gamma-ratio recurrence
-    d_r(p**j) = d_r(p**(j-1)) * (j - 1 + r) / j).
+    d_r(p**j) = d_r(p**(j-1)) * (j - 1 + r) / j).  The same walk lists the
+    higher prime powers, the rest of Lambda's support.
     """
     limit = int(limit)
     if not (2 <= limit <= MAX_TABLE_LIMIT):
@@ -129,8 +131,7 @@ def build_tables(r: float, limit: int) -> SieveTable:
     primes = _primes_up_to(limit)
     liouville = np.ones(limit + 1, dtype=np.int8)
     dr = np.ones(limit + 1, dtype=np.float64)
-    mangoldt = np.zeros(limit + 1, dtype=np.float64)
-    mangoldt[primes] = np.log(primes.astype(np.float64))
+    powers, logs = [], []  # p**j and log p for j >= 2
 
     split = _above_root(primes, limit)
     for p in primes[:split].tolist():
@@ -140,7 +141,8 @@ def build_tables(r: float, limit: int) -> SieveTable:
             liouville[pj::pj] *= -1
             dr[pj::pj] *= (j - 1 + r) / j
             if j > 1:
-                mangoldt[pj] = math.log(p)
+                powers.append(pj)
+                logs.append(math.log(p))
             pj *= p
             j += 1
     large = primes[split:]
@@ -151,13 +153,16 @@ def build_tables(r: float, limit: int) -> SieveTable:
 
     liouville[0] = 0
     dr[0] = 0.0
+    prime_powers = np.concatenate([primes, np.array(powers, dtype=np.int64)])
+    order = np.argsort(prime_powers, kind="stable")
     return SieveTable(
         limit=limit,
         r=r,
         liouville=liouville,
         dr=dr,
-        mangoldt=mangoldt,
         primes=primes,
+        prime_powers=prime_powers[order],
+        mangoldt=np.concatenate([np.log(primes.astype(np.float64)), logs])[order],
     )
 
 
@@ -225,10 +230,10 @@ def finite_h_from_coeffs(
     """
     upto = len(a) - 1
     den = float(a[1:] @ a[1:])
-    support = np.flatnonzero(tables.mangoldt[: upto + 1])
+    support = tables.prime_powers[tables.prime_powers <= upto]
     log_n = np.log(support)
     g = 2.0 * np.sin(math.pi * c * log_n / math.log(t_param)) / (math.pi * log_n)
-    w = tables.mangoldt[support] * g / np.sqrt(support)
+    w = tables.mangoldt[: support.size] * g / np.sqrt(support)
     split = _above_root(support, upto)
     num = 0.0
     for n, wn in zip(support[:split].tolist(), w[:split].tolist()):

@@ -14,8 +14,7 @@ from zetagaps.fracpoly import (
     convolve,
     integrate_weighted,
     make,
-    pair,
-    sin_series,
+    moments,
     sinc_series,
     sinc_truncation_bound,
 )
@@ -265,7 +264,12 @@ def test_integrate_weighted_rejects_nonpositive_a():
         integrate_weighted(-1.0, make([(1.0, 0.0)]))
 
 
-# ---------------------------------------------------------------- pair
+# ---------------------------------------------------------------- moments
+
+
+def _pair(k, q):
+    """<k, q> = int_0^1 k(1 - u) q(u) du through the moments of k."""
+    return float(moments(k, q.exponents) @ q.coeffs)
 
 
 def test_pair_with_power_kernel_is_integrate_weighted():
@@ -273,7 +277,7 @@ def test_pair_with_power_kernel_is_integrate_weighted():
     a = 1.18**2
     for shift in (0.0, 0.5):
         q = make([(c, e + shift) for c, e in ROW1_F1])
-        got = pair(make([(1.0, a - 1.0)]), q)
+        got = _pair(make([(1.0, a - 1.0)]), q)
         assert got == pytest.approx(integrate_weighted(a, q), rel=1e-15, abs=0)
 
 
@@ -284,7 +288,18 @@ def test_pair_fractional_vs_quadrature():
         lambda u: (1.0 - 0.6 * (1.0 - u)) * (0.5 + 1.2 * u * u), 0.0, 1.0,
         weight="alg", wvar=(0.5, 0.3924), epsabs=1e-15, epsrel=1e-14,
     )
-    assert pair(k, q) == pytest.approx(ref, rel=1e-13)
+    assert _pair(k, q) == pytest.approx(ref, rel=1e-13)
+
+
+def test_moments_and_convolve_stay_finite_past_gamma_overflow():
+    # exponents near 180 are past where Gamma itself overflows a float; the
+    # log-Gamma Beta matrix behind moments and convolve must stay finite there
+    k = make([(1.0, 150.3924), (-0.5, 151.3924)])
+    exps = np.array([170.0, 180.0])
+    expect = [scipy_beta(151.3924, e + 1.0) - 0.5 * scipy_beta(152.3924, e + 1.0) for e in exps]
+    np.testing.assert_allclose(moments(k, exps), expect, rtol=1e-12, atol=0)
+    conv = convolve(make([(1.0, 175.0)]), make([(2.0, 3.0)]))
+    assert conv.terms == [(pytest.approx(2.0 * scipy_beta(176.0, 4.0), rel=1e-12), 179.0)]
 
 
 # ---------------------------------------------------------------- sine series
@@ -299,18 +314,6 @@ def test_sinc_series_at_origin():
 def test_sinc_series_at_one():
     # sin(pi/2)/1 = 1
     assert sinc_series(0.5).eval(1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_sin_series_endpoints():
-    assert sin_series(0.5).eval(0.0) == 0.0
-    assert sin_series(0.5).eval(1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_sin_series_is_shifted_sinc():
-    c = 0.52
-    s, base = sin_series(c), sinc_series(c)
-    assert np.array_equal(s.coeffs, base.coeffs)
-    assert np.array_equal(s.exponents, base.exponents + 1.0)
 
 
 def test_sinc_truncation_bound_default():
@@ -378,5 +381,5 @@ def _abs(p):
 def test_pair_moves_a_convolution_factor(p, g, q):
     # <p, g * q> = <p * g, q>: both are (p * g * q)(1); the same pairing of
     # absolute values bounds the cancellation
-    lhs, rhs = pair(p, convolve(g, q)), pair(convolve(p, g), q)
-    assert abs(lhs - rhs) <= 1e-13 * pair(_abs(p), convolve(_abs(g), _abs(q)))
+    lhs, rhs = _pair(p, convolve(g, q)), _pair(convolve(p, g), q)
+    assert abs(lhs - rhs) <= 1e-13 * _pair(_abs(p), convolve(_abs(g), _abs(q)))

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from zetagaps.fracpoly import FracPoly, beta_convolve, convolve, integrate_weighted, make
+import zetagaps.fracpoly
+import zetagaps.hfunc
+from zetagaps.fracpoly import (
+    SINE_TERMS,
+    FracPoly,
+    beta_convolve,
+    convolve,
+    integrate_weighted,
+    make,
+    sinc_truncation_bound,
+)
 from zetagaps.hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
@@ -123,20 +133,25 @@ def test_numerator_rejects_c_outside_unit_interval(row1):
             numerator_terms(row1.scheme, c)
 
 
-def test_numerator_rejects_short_sine_series(row1):
-    # four terms leave a truncation error far above the 1e-18 budget; this
-    # must raise even under python -O, so it cannot be an assert
-    from zetagaps.fracpoly import DomainError
-
-    with pytest.raises(DomainError):
-        numerator_terms(row1.scheme, 0.5154, n_sinc_terms=4)
+def test_sine_series_meets_budget_on_unit_interval():
+    # numerator_terms accepts every c in (0, 1); the first omitted sine term
+    # is largest at c = 1
+    assert sinc_truncation_bound(1.0, SINE_TERMS) < 1e-18
 
 
-def test_numerator_long_sine_series_matches_default(row1):
-    # 90 terms put exponents near 180 into convolve, past where Gamma itself
-    # overflows a float; the log-Gamma Beta matrix must stay finite there
-    long = numerator_terms(row1.scheme, 0.5154, n_sinc_terms=90)
-    np.testing.assert_allclose(long, numerator_terms(row1.scheme, 0.5154), rtol=1e-13, atol=0)
+def test_second_c_reuses_the_compiled_scheme(row3, monkeypatch):
+    scheme = CoeffScheme(r=row3.scheme.r, f1=row3.scheme.f1, f1t=row3.scheme.f1t, P=row3.scheme.P)
+    first = h_value(scheme, 0.45)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-scheme work redone at a second c")
+
+    monkeypatch.setattr(zetagaps.hfunc, "beta_convolve", forbidden)
+    monkeypatch.setattr(zetagaps.hfunc, "convolve", forbidden)
+    monkeypatch.setattr(zetagaps.fracpoly, "_beta_matrix", forbidden)
+    second = h_value(scheme, 0.6)
+    assert (second.d1, second.d2, second.d31, second.d32) == (first.d1, first.d2, first.d31, first.d32)
+    assert second.h != first.h
 
 
 # ---------------------------------------------------------------- h assembly

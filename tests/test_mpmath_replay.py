@@ -9,7 +9,7 @@ coefficients are read from the library.
 import mpmath as mp
 import pytest
 
-from zetagaps.hfunc import h_value
+from zetagaps.hfunc import CoeffScheme, h_value
 
 from conftest import HB_FIELDS
 
@@ -85,14 +85,24 @@ def replay(scheme, c, n_sinc_terms=24):
     return out
 
 
+def _check(name, scheme, cs):
+    for c in cs:
+        hb = h_value(scheme, c)
+        with mp.workdps(40):
+            ref = replay(scheme, c)
+        for field in HB_FIELDS:
+            rel = abs(getattr(hb, field) - ref[field]) / abs(ref[field])
+            assert rel <= 1e-14, (name, c, field, float(rel))
+        assert abs(hb.h - ref["h"]) <= 1e-15, (name, c)
+
+
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_h_value_matches_40_digit_replay(rows, which):
     preset = rows[which]
-    for c in (preset.c, 0.45, 0.6):
-        hb = h_value(preset.scheme, c)
-        with mp.workdps(40):
-            ref = replay(preset.scheme, c)
-        for name in HB_FIELDS:
-            rel = abs(getattr(hb, name) - ref[name]) / abs(ref[name])
-            assert rel <= 1e-14, (preset.name, c, name, float(rel))
-        assert abs(hb.h - ref["h"]) <= 1e-15, (preset.name, c)
+    _check(preset.name, preset.scheme, (preset.c, 0.01, 0.45, 0.6, 0.99))
+
+
+def test_h_value_matches_40_digit_replay_at_r_one(row1):
+    # r = 1 makes K1 = 1 and every kernel exponent an integer
+    scheme = CoeffScheme(r=1.0, f1=row1.scheme.f1, f1t=row1.scheme.f1t, P=row1.scheme.P)
+    _check("r=1", scheme, (0.01, 0.45, row1.c, 0.99))

@@ -126,13 +126,18 @@ def test_dr_multiplicative_on_coprime_pairs(tables_r118):
         checked += 1
 
 
+def _lambda(tables):
+    """{n: Lambda(n)} over the stored support of Lambda."""
+    return dict(zip(tables.prime_powers.tolist(), tables.mangoldt.tolist()))
+
+
 def test_mangoldt_values(tables_r118):
-    lam = tables_r118.mangoldt
+    lam = _lambda(tables_r118)
     assert lam[2] == pytest.approx(math.log(2), rel=1e-15)
     assert lam[8] == pytest.approx(math.log(2), rel=1e-15)
     assert lam[9] == pytest.approx(math.log(3), rel=1e-15)
-    assert lam[6] == 0.0
-    assert lam[1] == 0.0
+    assert lam.get(6, 0.0) == 0.0
+    assert lam.get(1, 0.0) == 0.0
 
 
 def test_mangoldt_sum_tracks_prime_number_theorem():
@@ -262,11 +267,10 @@ def test_prime_powers_are_minor_part_of_numerator(plain_scheme):
     log_t = math.log(t_param)
     num_all = 0.0
     num_primes = 0.0
-    for n in np.flatnonzero(tables.mangoldt[: upto + 1]):
-        n = int(n)
+    for n, lam_n in _lambda(tables).items():
         m = upto // n
         g = 2.0 * math.sin(math.pi * 0.6 * math.log(n) / log_t) / (math.pi * math.log(n))
-        term = tables.mangoldt[n] * g / math.sqrt(n) * float(a[1 : m + 1] @ a[n::n][:m])
+        term = lam_n * g / math.sqrt(n) * float(a[1 : m + 1] @ a[n::n][:m])
         num_all += term
         if n in primes:
             num_primes += term
@@ -282,12 +286,14 @@ def test_prime_powers_are_minor_part_of_numerator(plain_scheme):
 def test_tables_match_trial_division_at_root_boundary(limit):
     r = 1.18
     tables = build_tables(r, limit)
+    lam = _lambda(tables)
     for k in range(1, limit + 1):
         fac = _factorize(k)
         assert tables.liouville[k] == (-1) ** sum(fac.values()), k
         assert tables.dr[k] == _dr_direct(r, k), k
         expect = math.log(next(iter(fac))) if len(fac) == 1 else 0.0
-        assert tables.mangoldt[k] == pytest.approx(expect, rel=1e-15, abs=0.0), k
+        assert lam.get(k, 0.0) == pytest.approx(expect, rel=1e-15, abs=0.0), k
+    assert list(lam) == [k for k in range(2, limit + 1) if len(_factorize(k)) == 1]
     expect_primes = [k for k in range(2, limit + 1) if _factorize(k) == {k: 1}]
     assert tables.primes.tolist() == expect_primes
 
