@@ -16,7 +16,7 @@ from .fracpoly import (
     integrate_weighted,
     make,
     moments,
-    sinc_series,
+    sinc_coeffs,
 )
 from .hfunc import (
     CoeffScheme,
@@ -58,7 +58,7 @@ __all__ = [
     "convolve",
     "integrate_weighted",
     "moments",
-    "sinc_series",
+    "sinc_coeffs",
     "CoeffScheme",
     "HBreakdown",
     "DegenerateSchemeError",

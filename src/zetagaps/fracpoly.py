@@ -10,11 +10,12 @@ termwise over the exponents s + k:
     int_0^u v**p * (u - v)**q       dv = B(p+1, q+1) * u**(p+q+1)   (convolve)
     int_0^1 (1 - u)**p * u**q       du = B(p+1, q+1)                (moments)
 
-so the whole evaluation pipeline stays closed-form.  The pairing <k, q> =
-int_0^1 k(1 - u) q(u) du is (k * q)(1), so <p, g * q> = <p * g, q> for the
-convolution *, beta_convolve(a, q) = x**(a-1) * q, and
-<k, q> = moments(k, q.exponents) @ q.coeffs.  The sine kernel sin(pi*c*v)/v
-enters as its alternating power series, truncated after SINE_TERMS terms;
+so the whole evaluation pipeline stays closed-form, and one Beta ladder,
+B(x, y+1) = B(x, y) y/(x+y), serves all three (_beta_grid).  The pairing
+<k, q> = int_0^1 k(1 - u) q(u) du is (k * q)(1), so <p, g * q> = <p * g, q>
+for the convolution *, beta_convolve(a, q) = x**(a-1) * q, and <k, q> =
+moments([k], q.exponents)[0] @ q.coeffs.  sin(pi*c*v)/v enters as its
+alternating series in v**2 (sinc_coeffs), truncated after SINE_TERMS terms;
 on [0, 1] the truncation error is bounded by the first omitted term.
 
 Instances are immutable after construction and every operation is a pure
@@ -29,7 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln
 
 __all__ = [
     "DomainError",
@@ -39,18 +39,19 @@ __all__ = [
     "convolve",
     "integrate_weighted",
     "moments",
-    "sinc_series",
+    "sinc_coeffs",
     "sinc_truncation_bound",
     "SINE_TERMS",
 ]
 
-# make() accepts exponents whose differences are within this of integers.
+# make() and moments() accept exponents whose differences are within this of integers.
 # In this application every polynomial is one power of x (0, r**2, ...)
 # times an ordinary polynomial, so the tolerance only absorbs input noise.
 MERGE_TOL = 1e-9
 
 # Terms of the sine series; the first omitted one is 3.8e-39 at c = 1.
 SINE_TERMS = 24
+_SINE_TAYLOR = np.array([(-1) ** j / math.factorial(2 * j + 1) for j in range(SINE_TERMS)])
 
 
 class DomainError(ValueError):
@@ -165,26 +166,39 @@ def make(terms: Iterable[tuple[float, float]]) -> FracPoly:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a sequence of (coefficient, exponent) pairs")
-    coeffs, exps = arr[:, 0], arr[:, 1]
-    shift = exps.min()
+    shift, offsets = _integer_offsets(arr[:, 1])
     if shift < 0:
         raise DomainError("exponents must be nonnegative")
-    offsets = np.rint(exps - shift)
-    if np.any(np.abs(exps - shift - offsets) > MERGE_TOL):
+    return FracPoly(shift, np.bincount(offsets, weights=arr[:, 0]))
+
+
+def _integer_offsets(values) -> tuple[float, np.ndarray]:
+    """(min, integer offsets from it) of values an integer apart (MERGE_TOL), else DomainError."""
+    v = np.asarray(values, dtype=float)
+    start = float(v.min()) if v.size else 0.0
+    offsets = (v - start).round()
+    if (abs(v - start - offsets) > MERGE_TOL).any():
         raise DomainError("exponents must differ from each other by integers")
-    return FracPoly(shift, np.bincount(offsets.astype(int), weights=coeffs))
+    return start, offsets.astype(int)
 
 
-def _beta(a: float, b) -> np.ndarray:
-    """Euler Beta B(a, b) via log-Gamma, vectorized in b.
+def _beta_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euler Beta B(x_i, y_j) for x = x0 + 0, 1, ... and y = y0 + 0, 1, ..., x0, y0 > 0.
 
-    a == 1 or b == 1 short-circuit to the exact reciprocals so that plain
-    integrals come out termwise exact.
+    Rows climb y by cumprods of the ratios y/(x+y) < 1, so nothing overflows where Gamma would:
+    from B(x, 1) = 1/x exactly with the lower integer side on y, else from one lgamma.
     """
-    b = np.asarray(b, dtype=float)
-    if a == 1.0:
-        return 1.0 / b
-    return np.where(b == 1.0, 1.0 / a, np.exp(gammaln(a) + gammaln(b) - gammaln(a + b)))
+    if not (x.size and y.size):
+        return np.zeros((x.size, y.size))
+    x0, y0 = float(x[0]), float(y[0])
+    if x0.is_integer() and not (y0.is_integer() and y0 <= x0):
+        return _beta_grid(y, x).T
+    if y0.is_integer():  # ratios 1/x, 1/(x+1), 2/(x+2), ...
+        j = np.arange(y0 + y.size - 1.0)
+        return (np.maximum(j, 1.0) / (x[:, None] + j)).cumprod(axis=1)[:, int(y0) - 1 :]
+    head = math.exp(math.lgamma(x0) + math.lgamma(y0) - math.lgamma(x0 + y0))
+    first = head * np.cumprod(np.concatenate(([1.0], x[:-1] / (x[:-1] + y0))))
+    return np.cumprod(np.column_stack((first, y[:-1] / (x[:, None] + y[:-1]))), axis=1)
 
 
 def beta_convolve(a: float, p: FracPoly) -> FracPoly:
@@ -194,13 +208,7 @@ def beta_convolve(a: float, p: FracPoly) -> FracPoly:
     """
     if a <= 0:
         raise DomainError("beta kernel exponent a must be positive")
-    return FracPoly(p.shift + a, p.coeffs * _beta(a, p.exponents + 1.0))
-
-
-def _beta_matrix(bp: np.ndarray, bq: np.ndarray) -> np.ndarray:
-    """B(bp_i + 1, bq_j + 1) for all i, j, via log-Gamma (Gamma overflows past 171)."""
-    lg_sum = gammaln(bp[:, None] + bq[None, :] + 2.0)
-    return np.exp(gammaln(bp + 1.0)[:, None] + gammaln(bq + 1.0)[None, :] - lg_sum)
+    return FracPoly(p.shift + a, p.coeffs * _beta_grid(np.array([a]), p.exponents + 1.0)[0])
 
 
 def convolve(p: FracPoly, q: FracPoly) -> FracPoly:
@@ -208,49 +216,43 @@ def convolve(p: FracPoly, q: FracPoly) -> FracPoly:
 
     Each anti-diagonal of the termwise Beta matrix is one power of u.
     """
-    c = np.multiply.outer(p.coeffs, q.coeffs) * _beta_matrix(p.exponents, q.exponents)
+    c = np.multiply.outer(p.coeffs, q.coeffs) * _beta_grid(p.exponents + 1.0, q.exponents + 1.0)
     diag = np.add.outer(np.arange(p.coeffs.size), np.arange(q.coeffs.size))
     return FracPoly(p.shift + q.shift + 1.0, np.bincount(diag.ravel(), weights=c.ravel()))
 
 
-def moments(k: FracPoly, exponents) -> np.ndarray:
-    """<k, x**e> = int_0^1 k(1 - u) u**e du = sum_i k_i B(e_i + 1, e + 1) for each e.
+def moments(kernels: Sequence[FracPoly], exponents) -> np.ndarray:
+    """One row <k, x**e> = int_0^1 k(1 - u) u**e du = sum_i k_i B(e_i + 1, e + 1) per kernel k.
 
-    <k, q> = moments(k, q.exponents) @ q.coeffs, without building k * q.
+    The nonzero kernels' shifts must differ by integers, and so must the
+    exponents (else DomainError), so that one Beta grid serves every kernel.
+    <k, q> = moments([k], q.exponents)[0] @ q.coeffs, without building k * q.
     """
-    return k.coeffs @ _beta_matrix(k.exponents, np.asarray(exponents, dtype=float))
+    live = [(i, k) for i, k in enumerate(kernels) if not k.is_zero]
+    base, starts = _integer_offsets([k.shift for _, k in live])
+    e0, cols = _integer_offsets(exponents)
+    width = max((s + k.coeffs.size for s, (_, k) in zip(starts, live)), default=0)
+    coeffs = np.zeros((len(kernels), width))
+    for s, (i, k) in zip(starts, live):
+        coeffs[i, s : s + k.coeffs.size] = k.coeffs
+    x, y = base + 1.0 + np.arange(width), e0 + 1.0 + np.arange(cols.max(initial=-1) + 1)
+    return coeffs @ _beta_grid(x, y)[:, cols]
 
 
 def integrate_weighted(a: float, p: FracPoly) -> float:
-    """int_0^1 (1 - u)**(a-1) p(u) du = sum_i c_i * B(a, e_i + 1), a > 0.
+    """int_0^1 (1 - u)**(a-1) p(u) du = sum_i c_i B(a, e_i + 1), a > 0: beta_convolve(a, p)(1)."""
+    return float(np.sum(beta_convolve(a, p).coeffs))
 
-    a == 1 is the plain integral, computed termwise as c_i / (e_i + 1).
+
+def sinc_coeffs(c: float) -> np.ndarray:
+    """s_j(c) = (-1)^j (pi c)^(2j+1) / (2j+1)! for j < SINE_TERMS, c > 0.
+
+    sin(pi c v)/v = sum_j s_j(c) v**(2j) + tail; on [0, 1] the terms alternate and
+    decrease once 2j+2 > pi*c, so the tail is below sinc_truncation_bound(c, SINE_TERMS).
     """
-    if a <= 0:
-        raise DomainError("weight exponent a must be positive")
-    if a == 1.0:
-        return float(np.sum(p.coeffs / (p.exponents + 1.0)))
-    return float(np.sum(p.coeffs * _beta(a, p.exponents + 1.0)))
-
-
-def sinc_series(c: float, n_terms: int = SINE_TERMS) -> FracPoly:
-    """Truncated series of sin(pi*c*v)/v: sum_j (-1)^j (pi c)^(2j+1) v^(2j) / (2j+1)!.
-
-    The series alternates with decreasing terms on [0, 1] once 2j+2 > pi*c,
-    so the truncation error there is bounded by the first omitted term; see
-    sinc_truncation_bound.
-    """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
     if c <= 0:
         raise DomainError("c must be positive")
-    x = math.pi * c
-    coeffs = np.zeros(2 * n_terms - 1)
-    term = x
-    for j in range(n_terms):
-        coeffs[2 * j] = term
-        term *= -(x * x) / ((2 * j + 2) * (2 * j + 3))
-    return FracPoly(0.0, coeffs)
+    return _SINE_TAYLOR * (math.pi * c) ** np.arange(1.0, 2.0 * SINE_TERMS, 2.0)
 
 
 def sinc_truncation_bound(c: float, n_terms: int) -> float:

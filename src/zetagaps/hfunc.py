@@ -40,9 +40,8 @@ from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import beta
 
-from .fracpoly import SINE_TERMS, DomainError, FracPoly, moments, sinc_series
+from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, moments, sinc_coeffs
 # perfbench traces beta_convolve, convolve and integrate_weighted as attributes of this module
 from .fracpoly import beta_convolve, convolve, integrate_weighted  # noqa: F401
 
@@ -105,8 +104,7 @@ class CoeffScheme:
         bc_p1 = beta_convolve(a, p1)
         k1 = FracPoly(a - 1.0, np.ones(1))
         m = np.arange(2 * SINE_TERMS + 3 * self.dense.shape[1] - 3)
-        kernels = (k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self)))
-        mu = np.array([moments(k, m) for k in kernels])
+        mu = moments([k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self))], m)
         return mu * np.array([1.0, a, a * a, a])[:, None]  # the r^2, r^4 of K2-K4
 
     @cached_property
@@ -130,8 +128,8 @@ class CoeffScheme:
 def _sine_table(width: int) -> tuple[np.ndarray, np.ndarray]:
     """(2j+k+l+1, B(2j+k+1, l+1)) for j < SINE_TERMS and k, l < width; shared by every scheme."""
     j, k, l = np.ogrid[:SINE_TERMS, :width, :width]
-    degree = 2 * j + k + l + 1
-    return degree, beta(degree - l, l + 1.0)
+    grid = _beta_grid(np.arange(1.0, 2 * SINE_TERMS + width - 1), np.arange(1.0, width + 1))
+    return 2 * j + k + l + 1, grid[2 * j + k, l]
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def numerator_terms(
 ) -> tuple[float, float, float, float, float, float, float]:
     """The seven numerator components (n1, n2, n31, n32, n41, n42, n43).
 
-    With kappa = -2r/pi, S the sinc series of sin(pi c v)/v, s = v*S and the
+    With kappa = -2r/pi, S the sine series of sin(pi c v)/v, s = v*S and the
     kernels of the module docs:
 
       n1  = kappa <K1, f1 (S * f1)>       n41 = kappa <K3, f1t (S * f1t)>
@@ -204,14 +202,13 @@ def numerator_terms(
       n31 = kappa <K2, f1 (S * f1t)>      n43 = kappa <K2, f1t (s P1 * f1t)>
       n32 = kappa <K1, f1 (s P1 * f1t)>
 
-    each kappa * sum_j s_j(c) M_j (scheme.moments).  c must lie strictly inside
+    each kappa * sum_j s_j(c) M_j (scheme.moments, sinc_coeffs).  c must lie strictly inside
     (0, 1), where the SINE_TERMS-term series is certified to 1e-18 on [0, 1].
     """
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
-    s = sinc_series(c).coeffs[::2]
     kappa = -2.0 * scheme.r / math.pi
-    return tuple((kappa * (scheme.moments[:, : s.size] @ s)).tolist())
+    return tuple((kappa * (scheme.moments @ sinc_coeffs(c))).tolist())
 
 
 def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -337,3 +338,16 @@ def test_import_loads_no_heavy_scipy_subpackage():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_path_imports_no_scipy():
+    # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid);
+    # scipy stays with the independent oracles
+    import zetagaps
+
+    root = pathlib.Path(zetagaps.__file__).parent
+    for name in ("fracpoly.py", "hfunc.py"):
+        tree = ast.parse((root / name).read_text())
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], (name, modules)

@@ -1,23 +1,29 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.special import beta as scipy_beta
 
 from zetagaps.fracpoly import (
+    SINE_TERMS,
     DomainError,
     FracPoly,
+    _beta_grid,
     beta_convolve,
     convolve,
     integrate_weighted,
     make,
     moments,
-    sinc_series,
+    sinc_coeffs,
     sinc_truncation_bound,
 )
+from zetagaps.hfunc import _sine_table
 
 ROW1_F1 = [(1.95, 0.0), (1.47, 1.0), (-1.07, 2.0), (-0.29, 3.0)]
 
@@ -269,7 +275,7 @@ def test_integrate_weighted_rejects_nonpositive_a():
 
 def _pair(k, q):
     """<k, q> = int_0^1 k(1 - u) q(u) du through the moments of k."""
-    return float(moments(k, q.exponents) @ q.coeffs)
+    return float(moments([k], q.exponents)[0] @ q.coeffs)
 
 
 def test_pair_with_power_kernel_is_integrate_weighted():
@@ -293,11 +299,11 @@ def test_pair_fractional_vs_quadrature():
 
 def test_moments_and_convolve_stay_finite_past_gamma_overflow():
     # exponents near 180 are past where Gamma itself overflows a float; the
-    # log-Gamma Beta matrix behind moments and convolve must stay finite there
+    # Beta ladder behind moments and convolve must stay finite there
     k = make([(1.0, 150.3924), (-0.5, 151.3924)])
     exps = np.array([170.0, 180.0])
     expect = [scipy_beta(151.3924, e + 1.0) - 0.5 * scipy_beta(152.3924, e + 1.0) for e in exps]
-    np.testing.assert_allclose(moments(k, exps), expect, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(moments([k], exps)[0], expect, rtol=1e-12, atol=0)
     conv = convolve(make([(1.0, 175.0)]), make([(2.0, 3.0)]))
     assert conv.terms == [(pytest.approx(2.0 * scipy_beta(176.0, 4.0), rel=1e-12), 179.0)]
 
@@ -307,13 +313,13 @@ def test_moments_and_convolve_stay_finite_past_gamma_overflow():
 
 def test_sinc_series_at_origin():
     c = 0.515398
-    assert sinc_series(c).eval(0.0) == pytest.approx(math.pi * c, rel=1e-15)
-    assert sinc_series(c).eval(0.0) == pytest.approx(1.61917, abs=5e-6)
+    assert polyval(0.0, sinc_coeffs(c)) == pytest.approx(math.pi * c, rel=1e-15)
+    assert polyval(0.0, sinc_coeffs(c)) == pytest.approx(1.61917, abs=5e-6)
 
 
 def test_sinc_series_at_one():
     # sin(pi/2)/1 = 1
-    assert sinc_series(0.5).eval(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert polyval(1.0, sinc_coeffs(0.5)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sinc_truncation_bound_default():
@@ -324,16 +330,73 @@ def test_sinc_truncation_bound_default():
 def test_sinc_series_matches_sine_on_grid():
     v = np.linspace(0.01, 1.0, 100)
     for c in (0.4, 0.515398, 0.6):
-        series = sinc_series(c, 24)
+        series = polyval(v * v, sinc_coeffs(c))
         exact = np.sin(math.pi * c * v) / v
-        assert np.max(np.abs(series.eval(v) - exact)) < 1e-15
+        assert np.max(np.abs(series - exact)) < 1e-15
 
 
 def test_sinc_series_validation():
+    assert sinc_coeffs(0.5).shape == (SINE_TERMS,)
+    for c in (-0.5, 0.0):
+        with pytest.raises(DomainError):
+            sinc_coeffs(c)
+
+
+# ---------------------------------------------------------------- Beta ladder
+
+
+@pytest.mark.parametrize("a", [1.18**2, 1.0])
+def test_beta_grid_matches_40_digit_beta_at_kernel_shifts(a):
+    # the grid moments reads for kernels x**(a-1+i): B(a+i, q+1), i < 12, q < 70;
+    # a = 1 is the r = 1 edge, where every argument is an integer
+    x, y = (a - 1.0) + 1.0 + np.arange(12), 1.0 + np.arange(70)
+    got = _beta_grid(x, y)
+    with mp.workdps(40):
+        ref = np.array([[float(mp.beta(mp.mpf(xi), mp.mpf(yj))) for yj in y] for xi in x])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+
+def test_sine_table_is_exact_integer_beta():
+    # B(m, n) = (m-1)! (n-1)! / (m+n-1)! for the integer factors B(2j+k+1, l+1)
+    width = 6
+    degree, betas = _sine_table(width)
+    for j in range(SINE_TERMS):
+        for k in range(width):
+            for l in range(width):
+                m, n = 2 * j + k + 1, l + 1
+                exact = Fraction(
+                    math.factorial(m - 1) * math.factorial(n - 1), math.factorial(m + n - 1)
+                )
+                assert degree[j, k, l] == m + n - 1
+                assert abs(betas[j, k, l] / float(exact) - 1.0) <= 1e-15
+
+
+def test_beta_grid_plain_integrals_are_exact_reciprocals():
+    # B(x, 1) = B(1, x) = 1/x whichever side holds the 1
+    x = 0.3924 + np.arange(1.0, 9.0)
+    assert np.array_equal(_beta_grid(x, np.ones(1))[:, 0], 1.0 / x)
+    assert np.array_equal(_beta_grid(np.ones(1), x)[0], 1.0 / x)
+
+
+def test_moments_share_one_grid_across_kernels():
+    # kernels whose shifts differ by integers give the rows of separate pairings
+    a = 1.18**2
+    ks = [make([(1.0, a - 1.0)]), FracPoly.zero(), make([(0.5, a + 1.0), (-2.0, a + 3.0)])]
+    exps = np.array([0.0, 3.0, 7.0])
+    rows = moments(ks, exps)
+    assert rows.shape == (3, 3)
+    assert np.array_equal(rows[1], np.zeros(3))
+    for k, row in zip(ks, rows):
+        single = [_pair(k, make([(1.0, e)])) for e in exps]
+        np.testing.assert_allclose(row, single, rtol=1e-15, atol=0)
+
+
+def test_moments_reject_exponents_not_an_integer_apart():
+    a = 1.18**2
     with pytest.raises(DomainError):
-        sinc_series(-0.5)
+        moments([make([(1.0, a - 1.0)]), make([(1.0, 0.5)])], np.arange(3.0))
     with pytest.raises(DomainError):
-        sinc_series(0.5, 0)
+        moments([make([(1.0, a - 1.0)])], np.array([0.0, 0.5]))
 
 
 # ---------------------------------------------------------------- algebra properties

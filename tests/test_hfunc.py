@@ -148,7 +148,8 @@ def test_second_c_reuses_the_compiled_scheme(row3, monkeypatch):
 
     monkeypatch.setattr(zetagaps.hfunc, "beta_convolve", forbidden)
     monkeypatch.setattr(zetagaps.hfunc, "convolve", forbidden)
-    monkeypatch.setattr(zetagaps.fracpoly, "_beta_matrix", forbidden)
+    monkeypatch.setattr(zetagaps.fracpoly, "_beta_grid", forbidden)
+    monkeypatch.setattr(zetagaps.hfunc, "_beta_grid", forbidden)
     second = h_value(scheme, 0.6)
     assert (second.d1, second.d2, second.d31, second.d32) == (first.d1, first.d2, first.d31, first.d32)
     assert second.h != first.h
