@@ -1,29 +1,40 @@
 """Independent numeric oracle for the component integrals of h(c).
 
 Everything in hfunc is closed-form Beta algebra; this module re-evaluates
-the same eleven components by nested Gauss quadrature over their original
-1- to 4-dimensional regions, with the polynomials and the sine kernel
-evaluated pointwise.  Agreement between the two routes validates both.
+the same eleven components by Gauss quadrature over their original 1- to
+4-dimensional regions, with the polynomials and sin(pi c z) evaluated
+pointwise.  Agreement between the two routes validates both.
 
-The singular Beta kernels (u - v)**(a-1) are the only non-smooth factors.
-All kernel integrals reduce to the unit-interval weight functional
-int_0^1 (1-t)**(a-1) phi(t) dt, which Gauss-Jacobi nodes integrate with the
-weight built in, so polynomial integrands are exact and entire ones
-converge spectrally.
+h_value_numeric is one table of rows (kernel, scale, f, h, g), each worth
+scale * <K, f * inner> with <K, q> = int_0^1 K(1-u) q(u) du.  inner is g
+for the denominator (h None), else the sine convolution
 
-Inner integrals over v in [0, u] are rescaled to v = u*t, which multiplies
-the value by u**a; the outer Gauss-Jacobi rules absorb that monomial factor
-the same way.  All evaluations are pure and embarrassingly parallel.
+    inner(x) = int_0^x sin(pi c z)/z * h(z) * g(x - z) dz,    h = 1 or P.
+
+With a = r**2, P1 = P(y)/y and P2 = P(y)**2/y, each kernel is one flattened
+Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
+
+    K1  the weight (1-t)**(a-1) on [0, 1];
+    K2  r^2 int_0^1 P1(1-u) int_0^u (u-v)**(a-1) phi(v) dv du, v = u*t;
+    K4  the same with P2 for P1;
+    K3  r^4 times the double-P1 region v = 1 - u + s*u, Beta kernel at scale s*u.
+
+Jacobi weights absorb the singular factors (u-v)**(a-1) and the monomials
+u**a, s**a that the rescalings leave, so polynomial integrands are exact and
+entire ones converge spectrally.  inner is entire too: each row computes it
+at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre in z = x*zeta
+and reads it at the kernel nodes off the degree-`order` interpolant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from numbers import Integral
+from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial import Chebyshev
 
 from .fracpoly import DomainError, FracPoly
 from .hfunc import CoeffScheme, HBreakdown, assemble_h
@@ -55,6 +66,8 @@ class QuadRule:
 
 def gauss_legendre(order: int) -> QuadRule:
     """Standard rule on [-1, 1] (scipy's roots_legendre, symmetric about 0)."""
+    from scipy.special import roots_legendre  # imported on use: `import zetagaps` loads no scipy
+
     if not (2 <= order <= 128):
         raise ValueError("order must lie in [2, 128]")
     nodes, weights = roots_legendre(order)
@@ -67,111 +80,91 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (rule.nodes + 1.0) / 2.0, rule.weights / 2.0
 
 
+def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for int_0^1 (1-x)**alpha x**beta phi(x) dx with alpha, beta > -1."""
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(order, alpha, beta)
+    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + beta + 1.0)
+
+
 def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (t_i, w_i) with int_0^1 (1-t)**(a-1) phi(t) dt ~ sum w_i phi(t_i)."""
     if a <= 0:
         raise ValueError("a must be positive")
-    x, w = roots_jacobi(order, a - 1.0, 0.0)
-    return (x + 1.0) / 2.0, w / 2.0**a
+    return _jacobi_rule(a - 1.0, 0.0, order)
 
 
-def _monomial_rule(gamma: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for int_0^1 x**gamma phi(x) dx with gamma > -1."""
-    x, w = roots_jacobi(order, 0.0, gamma)
-    return (x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0)
+def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flattened (x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs)."""
+    a, p = scheme.r * scheme.r, scheme.P.eval
+    t, wt = beta_kernel_rule(a, order)  # (1-t)**(a-1): every inner Beta kernel
+    u, wu = _jacobi_rule(0.0, a, order)  # u**a of v = u*t; s**a in the double-P1 region
+    u3, wu3 = _jacobi_rule(0.0, a + 1.0, order)  # u**(a+1) in the double-P1 region
+    w1 = wu * p(1.0 - u) / (1.0 - u)  # outer weight P1(1-u) of the two-level rules
+    us = np.outer(u3, 1.0 - u)  # P1's second argument u*(1-s) in the double-P1 region
+    w3 = (wu3 * p(1.0 - u3) / (1.0 - u3))[:, None] * wu * p(us) / us
+    x2 = np.outer(u, t).ravel()
+    x3 = np.multiply.outer(np.outer(u3, u), t).ravel()
+    return [
+        (t, wt),
+        (x2, a * np.outer(w1, wt).ravel()),
+        (x3, a * a * np.multiply.outer(w3, wt).ravel()),
+        (x2, a * np.outer(w1 * p(1.0 - u), wt).ravel()),  # P2 = P1 * P
+    ]
 
 
-def h_value_numeric(
-    scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER
-) -> HBreakdown:
-    """Recompute the full h(c) breakdown by tensor-product nested quadrature.
+def _sine_convolution(c: float, h: FracPoly, g: FracPoly, zeta, w_zeta) -> Chebyshev:
+    """Degree-zeta.size interpolant on [0, 1] of x -> int_0^x sin(pi c z)/z h(z) g(x - z) dz.
 
-    Each component is integrated over its original region: the double-P1
-    components map v = 1 - u + s*u onto the unit square, every inner Beta
-    kernel becomes a unit-interval weight rule at scale u (or s*u), and the
-    innermost sine integrals use plain Gauss-Legendre after z = v*zeta.  The
-    sine kernel is evaluated with np.sin, not the series, so the route is
-    independent of hfunc's term algebra.
+    (zeta, w_zeta) is Gauss-Legendre on [0, 1]; z = x*zeta turns sin(pi c z)/z dz
+    into sin(pi c x zeta)/zeta dzeta.
     """
-    if order < 16:
-        raise ValueError("order must be at least 16")
+
+    def inner(x):
+        z = x[:, None] * zeta
+        g_rest = g.eval(x[:, None] * (1.0 - zeta))
+        return (np.sin(math.pi * c * z) / zeta * h.eval(z) * g_rest) @ w_zeta
+
+    return Chebyshev.interpolate(inner, zeta.size, domain=[0.0, 1.0])
+
+
+def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -> HBreakdown:
+    """Recompute the full h(c) breakdown by Gauss quadrature (module docs).
+
+    order, an integer in [16, 128], is the node count of every one-dimensional
+    rule and the Chebyshev degree of the sine convolutions.  The sine kernel
+    is evaluated with np.sin, not the series, so the route is independent of
+    hfunc's term algebra.
+    """
+    if isinstance(order, bool) or not isinstance(order, Integral) or not 16 <= order <= 128:
+        raise ValueError(f"order must be an integer in [16, 128], got {order!r}")
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
 
-    r = scheme.r
-    a = r * r
     f1, f1t, big_p = scheme.f1, scheme.f1t, scheme.P
-    pi_c = math.pi * c
-
-    def p1v(y):
-        return big_p.eval(y) / y
-
-    def p2v(y):
-        py = big_p.eval(y)
-        return py * py / y
-
-    zeta, w_zeta = _unit_rule(order)  # smooth inner sine direction
-    tb, wb = beta_kernel_rule(a, order)  # (1-t)**(a-1) weight
-    ua, wua = _monomial_rule(a, order)  # u**a weight
-    ub, wub = _monomial_rule(a + 1.0, order)  # u**(a+1) weight
-    sa, wsa = _monomial_rule(a, order)  # s**a weight
-
-    def sinc_conv(g: FracPoly, v: np.ndarray) -> np.ndarray:
-        # int_0^v sin(pi c z)/z * g(v - z) dz  with z = v*zeta
-        vz = v[..., None] * zeta
-        return (np.sin(pi_c * vz) / zeta * g.eval(v[..., None] * (1.0 - zeta))) @ w_zeta
-
-    def sinp_conv(g: FracPoly, v: np.ndarray) -> np.ndarray:
-        # int_0^v sin(pi c w) P1(w) g(v - w) dw  with w = v*zeta
-        vz = v[..., None] * zeta
-        inner = (np.sin(pi_c * vz) * p1v(vz) * g.eval(v[..., None] * (1.0 - zeta))) @ w_zeta
-        return v * inner
-
-    def one_level(values: np.ndarray) -> float:
-        return float(wb @ values)
-
-    def two_level(outer: Callable, inner: Callable) -> float:
-        # int_0^1 outer(u) u**a [ int_0^u (u-v)**(a-1) inner(v) dv / u**a ] du
-        grid = ua[:, None] * tb[None, :]
-        return float(np.sum(wua[:, None] * outer(ua)[:, None] * wb[None, :] * inner(grid)))
-
-    def three_level(inner: Callable) -> float:
-        # double-P1 region: v = 1 - u + s*u, inner kernel at scale s*u
-        total = 0.0
-        for uj, wj in zip(ub, wub):
-            grid = uj * sa[:, None] * tb[None, :]
-            mid = (wb[None, :] * inner(grid)).sum(axis=1)
-            total += wj * p1v(1.0 - uj) * float(np.sum(wsa * p1v(uj * (1.0 - sa)) * mid))
-        return total
-
-    pref1 = -2.0 * r / math.pi
-    pref3 = -2.0 * r**3 / math.pi
-    pref5 = -2.0 * r**5 / math.pi
-
-    d1 = one_level(f1.eval(tb) ** 2)
-    d2 = 2.0 * r**2 * two_level(
-        lambda u: p1v(1.0 - u), lambda g: f1.eval(g) * f1t.eval(g)
+    one = FracPoly.from_coeffs([1.0])
+    kappa = -2.0 * scheme.r / math.pi
+    k1, k2, k3, k4 = _kernel_rules(scheme, order)
+    zeta, w_zeta = _unit_rule(order)
+    table = (  # kernel, scale, f, h, g
+        (k1, 1.0, f1, None, f1),  # d1
+        (k2, 2.0, f1, None, f1t),  # d2
+        (k3, 1.0, f1t, None, f1t),  # d31
+        (k4, 1.0, f1t, None, f1t),  # d32
+        (k1, kappa, f1, one, f1),  # n1
+        (k2, kappa, f1t, one, f1),  # n2
+        (k2, kappa, f1, one, f1t),  # n31
+        (k1, kappa, f1, big_p, f1t),  # n32
+        (k3, kappa, f1t, one, f1t),  # n41
+        (k4, kappa, f1t, one, f1t),  # n42
+        (k2, kappa, f1t, big_p, f1t),  # n43
     )
-    d31 = r**4 * three_level(lambda g: f1t.eval(g) ** 2)
-    d32 = r**2 * two_level(lambda u: p2v(1.0 - u), lambda g: f1t.eval(g) ** 2)
-
-    n1 = pref1 * one_level(f1.eval(tb) * sinc_conv(f1, tb))
-    n2 = pref3 * two_level(
-        lambda u: p1v(1.0 - u), lambda g: f1t.eval(g) * sinc_conv(f1, g)
-    )
-    n31 = pref3 * two_level(
-        lambda u: p1v(1.0 - u), lambda g: f1.eval(g) * sinc_conv(f1t, g)
-    )
-    n32 = pref1 * one_level(f1.eval(tb) * sinp_conv(f1t, tb))
-    n41 = pref5 * three_level(lambda g: f1t.eval(g) * sinc_conv(f1t, g))
-    n42 = pref3 * two_level(
-        lambda u: p2v(1.0 - u), lambda g: f1t.eval(g) * sinc_conv(f1t, g)
-    )
-    n43 = pref3 * two_level(
-        lambda u: p1v(1.0 - u), lambda g: f1t.eval(g) * sinp_conv(f1t, g)
-    )
-
-    return assemble_h(c, (d1, d2, d31, d32), (n1, n2, n31, n32, n41, n42, n43))
+    values = []
+    for (x, w), scale, f, h, g in table:
+        inner = g.eval(x) if h is None else _sine_convolution(c, h, g, zeta, w_zeta)(x)
+        values.append(scale * float(w @ (f.eval(x) * inner)))
+    return assemble_h(c, values[:4], values[4:])
 
 
 def dimreduct_check(

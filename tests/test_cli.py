@@ -326,7 +326,8 @@ def test_import_loads_no_heavy_scipy_subpackage():
     src = str(pathlib.Path(zetagaps.__file__).resolve().parents[1])
     code = (
         "import sys, zetagaps, zetagaps.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
+        "print(sorted(m for m in "
+        "('scipy.optimize', 'scipy.integrate', 'scipy.linalg', 'scipy.special') "
         "if m in sys.modules))"
     )
     proc = subprocess.run(

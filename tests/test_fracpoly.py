@@ -261,7 +261,7 @@ def test_integrate_weighted_a2():
 def test_integrate_weighted_a1_is_exact_termwise():
     rng = np.random.default_rng(9)
     p = make([(float(rng.uniform(-5, 5)), float(k) + 0.3924) for k in range(8)])
-    termwise = float(np.sum(p.coeffs / (p.exponents + 1.0)))
+    termwise = float(np.sum(p.coeffs * (1.0 / (p.exponents + 1.0))))
     assert integrate_weighted(1.0, p) == termwise
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -66,13 +68,20 @@ def test_beta_kernel_rule_integrates_cubic():
 
 
 def test_components_match_exact_on_reference_rows(rows):
-    for preset in rows:
-        exact = h_value(preset.scheme, preset.c)
-        numeric = h_value_numeric(preset.scheme, preset.c, order=48)
+    # to perfbench's cross-check tolerance, at c near both ends of (0, 1) and at
+    # r = 1 (r^2 an integer) and r = 1.3 with row1's polynomials
+    cases = [(p.name, p.scheme, c) for p in rows for c in (0.01, p.c, 0.99)]
+    base = rows[0]
+    for r in (1.0, 1.3):
+        scheme = CoeffScheme(r=r, f1=base.scheme.f1, f1t=base.scheme.f1t, P=base.scheme.P)
+        cases.append((f"{base.name} r={r}", scheme, base.c))
+    for name, scheme, c in cases:
+        exact = h_value(scheme, c)
+        numeric = h_value_numeric(scheme, c, order=48)
         for f in HB_FIELDS:
             assert getattr(exact, f) == pytest.approx(
-                getattr(numeric, f), rel=1e-7
-            ), f"{preset.name}: {f}"
+                getattr(numeric, f), rel=1e-12
+            ), f"{name} c={c}: {f}"
         assert exact.h == pytest.approx(numeric.h, abs=1e-9)
 
 
@@ -102,10 +111,26 @@ def test_unit_scheme_d1_both_paths(plain_scheme):
 
 
 def test_h_value_numeric_validation(row1):
-    with pytest.raises(ValueError):
-        h_value_numeric(row1.scheme, row1.c, order=8)
+    for order in (8, 48.5, 129, True):
+        with pytest.raises(ValueError, match="order"):
+            h_value_numeric(row1.scheme, row1.c, order=order)
     with pytest.raises(DomainError):
         h_value_numeric(row1.scheme, 1.2)
+
+
+def test_quadcheck_stays_independent_of_the_exact_route():
+    # the oracle re-derives every component from the paper's definitions, so it may not
+    # reach for hfunc's Beta ladder, series or compiled per-scheme arrays
+    import zetagaps
+
+    tree = ast.parse((pathlib.Path(zetagaps.__file__).parent / "quadcheck.py").read_text())
+    imports = (ast.Import, ast.ImportFrom)
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, imports) for a in n.names}
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    exact = {"_beta_grid", "moments", "beta_convolve", "convolve", "sinc_coeffs", "SINE_TERMS"}
+    assert not imported & exact, imported & exact
+    compiled = {"kernels", "moments", "dense"}
+    assert not read & compiled, read & compiled
 
 
 # ---------------------------------------------------------------- reduction identity
