@@ -120,9 +120,6 @@ class FracPoly:
             out = np.power(xs, self.shift) * polyval(xs, self.coeffs)
         return float(out) if xs.ndim == 0 else out
 
-    def scale(self, s: float) -> "FracPoly":
-        return FracPoly(self.shift, self.coeffs * float(s))
-
     def mul(self, other: "FracPoly") -> "FracPoly":
         if self.is_zero or other.is_zero:
             return FracPoly.zero()

@@ -109,19 +109,38 @@ class CoeffScheme:
 
     @cached_property
     def moments(self) -> np.ndarray:
-        """M[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for the rows n1..n43 of numerator_terms.
+        """M[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for the rows n1..n43 of numerator_terms."""
+        d, mu = self.dense, self.kernels[_NUM_K]
+        return _pairings(mu, d[_NUM_F, None], d[_NUM_H], d[_NUM_G, None])[..., 0, 0]
 
-        h_i is 1, or x P1 = P for n32 and n43.  As x**p * x**l = B(p+1, l+1) x**(p+l+1),
-        M[i, j] = sum_klm h_k g_l f_m B(2j+k+1, l+1) mu_K(2j+k+l+m+1).
-        """
-        f1, f1t, p, one = self.dense
-        f = np.array([f1, f1t, f1, f1, f1t, f1t, f1t])
-        h = np.array([one, one, one, p, one, one, p])
-        g = np.array([f1, f1, f1t, f1t, f1t, f1t, f1t])
-        mu = self.kernels[[0, 1, 1, 0, 2, 3, 1]]
-        nu = np.array([np.correlate(m, fi, "valid") for m, fi in zip(mu, f)])  # <K_i, f_i x**n>
-        degree, betas = _sine_table(f1.size)
-        return np.einsum("ijkl,ik,il->ij", nu[:, degree] * betas, h, g)
+    @cached_property
+    def forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric (A, B), d_i = x A[i] x and M[i, j] = x B[i, j] x, x the dense f1 | f1t.
+
+        Built on first use, from (r, P) and the width alone: A from Hankel blocks of kernels,
+        B as moments with f and g the unit rows of x.  h_value never builds them."""
+        w = self.dense.shape[1]
+        unit = np.eye(2 * w).reshape(2 * w, 2, w).transpose(1, 0, 2)  # unit x -> (f1, f1t) rows
+        hankel = self.kernels[:, np.add.outer(np.arange(w), np.arange(w))]
+        hankel[1] *= 2.0  # d2 = 2 <K2, f1 f1t>
+        a = np.einsum("iam,iml,ibl->iab", unit[[0, 0, 1, 1]], hankel, unit[[0, 1, 1, 1]])
+        b = _pairings(self.kernels[_NUM_K], unit[_NUM_F], self.dense[_NUM_H], unit[_NUM_G])
+        return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
+
+
+# Rows n1..n43 of numerator_terms: the kernel, and the dense rows (f1, f1t, P, 1) of f, h, g.
+_NUM_K, _NUM_F, _NUM_H, _NUM_G = np.array(
+    [[0, 1, 1, 0, 2, 3, 1], [0, 1, 0, 0, 1, 1, 1], [3, 3, 3, 2, 3, 3, 2], [0, 0, 1, 1, 1, 1, 1]]
+)
+
+
+def _pairings(mu: np.ndarray, f: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """T[i, j, a, b] = <K_i, f_ia ((x**(2j) h_i) * g_ib)> for kernel moments mu[i] = mu_K_i:
+    sum_klm h_ik g_ibl f_iam B(2j+k+1, l+1) mu_i(2j+k+l+m+1), as x**p * x**l = B(p+1, l+1)
+    x**(p+l+1)."""
+    nu = np.array([[np.correlate(m, fa, "valid") for fa in fi] for m, fi in zip(mu, f)])
+    degree, betas = _sine_table(h.shape[1])
+    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, degree] * betas, h, g)
 
 
 @cache

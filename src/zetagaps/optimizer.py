@@ -1,10 +1,12 @@
 """Search over coefficient schemes for the smallest certified threshold c*.
 
-h(c) - 1 changes sign once on the working range, so certifying a bound is a
-two-part job: locate a sign change on a grid (bracket_scan), sharpen it by
-bisection (threshold_c), and in between improve the scheme itself by
-maximizing h at a probe value of c just below the current threshold with a
-derivative-free simplex search.
+h(c) - 1 changes sign once on the working range, so a bound is certified by
+locating a sign change on a grid (bracket_scan) and bisecting it (threshold_c).
+At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
+x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
+the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
+with the eigenvector as coefficients (_best_threshold).  A simplex search
+over r and P alone lowers that root (optimize_scheme).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracpoly import DomainError, FracPoly
+from .fracpoly import SINE_TERMS, DomainError, FracPoly, sinc_coeffs
 from .hfunc import CoeffScheme, DegenerateSchemeError, h_value
 from .presets import PRESETS
 
@@ -34,14 +36,20 @@ __all__ = [
 R_MIN, R_MAX = 1.0, 1.5
 # The simplex search stops once its diameter (max norm) drops below this.
 DIAMETER_TOL = 1e-7
+# Newton steps on c - lambda_min(c) = 1 from the start's threshold.
+NEWTON_STEPS = 5
+# Eigenvalues of the unit-diagonal denominator form at or below this are null directions.
+NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Knobs for the alternating threshold/coefficient search.
+    """Knobs for the threshold certification and the search over r and P.
 
     degrees fixes the parameterization (deg f1, deg f1t, deg P); c_grid is
-    the (lo, hi, step) scan window for the initial bracket.
+    the (lo, hi, step) scan window and bisection_tol the bisection width of
+    every certification; max_iters and simplex_scale steer the Nelder-Mead
+    search over r and P's coefficients below its top one.
     """
 
     degrees: tuple[int, int, int] = (3, 1, 2)
@@ -60,6 +68,8 @@ class OptimizeConfig:
             raise ValueError("bisection_tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if min(self.degrees) < 0 or self.degrees[2] < 1:
+            raise ValueError("degrees need deg f1, deg f1t >= 0 and deg P >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,12 +81,12 @@ class OptimizeReport:
 
 
 def grid_points(c_lo, c_hi, step) -> list[float]:
-    """The scan grid c_lo, c_lo + step, ... up to c_hi inclusive."""
+    """The scan grid c_lo, c_lo + step, ..., ending at c_hi itself."""
     if not (0.0 < c_lo < c_hi < 1.0):
         raise ValueError("need 0 < c_lo < c_hi < 1")
     if step <= 0:
         raise ValueError("step must be positive")
-    n_steps = int((c_hi - c_lo) / step + 1e-9)
+    n_steps = math.ceil((c_hi - c_lo) / step - 1e-9)
     return [min(c_lo + i * step, c_hi) for i in range(n_steps + 1)]
 
 
@@ -133,23 +143,11 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
         raise ValueError("objective is not finite at the start vector")
 
     n = x0.size
-    simplex = [x0]
-    values = [f0]
-    for i in range(n):
-        step = cfg.simplex_scale * (abs(x0[i]) if x0[i] != 0.0 else 1.0)
-        xi = x0.copy()
-        xi[i] += step
-        simplex.append(xi)
-        values.append(float(objective(xi)))
+    simplex = [x0] + [x0 + cfg.simplex_scale * (abs(x0[i]) or 1.0) * np.eye(n)[i] for i in range(n)]
+    values = [f0] + [float(objective(x)) for x in simplex[1:]]
 
     best_x, best_f = x0.copy(), f0
     trace = [(0, best_f)]
-
-    def diameter() -> float:
-        return max(
-            float(np.max(np.abs(p - simplex[0]))) for p in simplex[1:]
-        ) if n else 0.0
-
     for it in range(1, cfg.max_iters + 1):
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
@@ -165,17 +163,11 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
         if f_r < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
             f_e = float(objective(expanded))
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
+            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
         elif f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
         else:
-            if f_r < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid - 0.5 * (centroid - worst)
+            contracted = centroid + 0.5 * ((reflected if f_r < values[-1] else worst) - centroid)
             f_c = float(objective(contracted))
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
@@ -189,36 +181,49 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
             i_best = values.index(cur_best)
             best_x, best_f = simplex[i_best].copy(), cur_best
         trace.append((it, best_f))
-        if diameter() < DIAMETER_TOL:
+        if n == 0 or np.max(np.abs(np.array(simplex[1:]) - simplex[0])) < DIAMETER_TOL:
             break
 
     return best_x, best_f, trace
 
 
-def _pack_scheme(scheme: CoeffScheme, degrees) -> np.ndarray:
-    """Flatten a scheme into the search vector [f1 | f1t | P(x^1..) | r]."""
-    parts = []
-    for p, deg in zip((scheme.f1, scheme.f1t, scheme.P), degrees):
-        dense = p.to_coeffs()
-        if dense.size > deg + 1:
-            raise ValueError("start scheme exceeds the configured degrees")
-        parts.append(np.pad(dense, (0, deg + 1 - dense.size)))
-    return np.concatenate([parts[0], parts[1], parts[2][1:], [scheme.r]])
+def _denominator_basis(a: np.ndarray) -> np.ndarray:
+    """Z with Z^T A Z = I over A's directions with eigenvalue > NULL_TOL at unit diagonal."""
+    d = np.diag(a)
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))
+    lam, v = np.linalg.eigh(a * np.outer(s, s))
+    live = lam > NULL_TOL
+    if not live.any():
+        raise DegenerateSchemeError("the denominator form is zero")
+    return s[:, None] * v[:, live] / np.sqrt(lam[live])
 
 
-def _unpack_scheme(vec: np.ndarray, degrees) -> CoeffScheme:
-    d1, d2, d3 = degrees
-    n1, n2 = d1 + 1, d2 + 1
-    f1 = FracPoly.from_coeffs(vec[:n1])
-    f1t = FracPoly.from_coeffs(vec[n1 : n1 + n2])
-    p = FracPoly.from_coeffs(np.concatenate([[0.0], vec[n1 + n2 : n1 + n2 + d3]]))
-    r = float(np.clip(vec[-1], R_MIN, R_MAX))
-    return CoeffScheme(r=r, f1=f1, f1t=f1t, P=p)
+def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, CoeffScheme]:
+    """(root, scheme) minimizing the threshold over f1, f1t of the given degrees at (r, P).
+
+    r is clipped to [R_MIN, R_MAX].  NEWTON_STEPS from c solve c - lambda_min(c) = 1, with
+    lambda'(c) = v B'(c) v (Hellmann-Feynman) for the A-normalised eigenvector v = (f1, f1t).
+    """
+    d1, d2, _ = degrees
+    r = float(np.clip(r, R_MIN, R_MAX))
+    a, b = CoeffScheme(r, *(FracPoly.from_coeffs(np.ones(d + 1)) for d in (d1, d2)), P).forms
+    w = a.shape[1] // 2
+    keep = np.r_[: d1 + 1, w : w + d2 + 1]
+    z = _denominator_basis(a.sum(axis=0)[np.ix_(keep, keep)])
+    b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, keep[:, None], keep]) @ z
+    powers = np.arange(1.0, 2.0 * SINE_TERMS, 2.0)  # s_j(c) is a multiple of c**(2j+1)
+    for _ in range(NEWTON_STEPS):
+        s = sinc_coeffs(c)
+        lam, vecs = np.linalg.eigh(np.tensordot(s, b, 1))
+        v = vecs[:, 0]
+        c -= (c - lam[0] - 1.0) / (1.0 - (powers * s / c) @ (b @ v @ v))
+    f1, f1t = (FracPoly.from_coeffs(part) for part in np.split(z @ v, [d1 + 1]))
+    return c, CoeffScheme(r, f1, f1t, P)
 
 
-def _certify(scheme, config: OptimizeConfig, hi: float) -> float:
-    """Smallest grid-certified c with h > 1 at or below `hi`, sharpened by bisection."""
-    lo, _, step = config.c_grid
+def _certify(scheme, config: OptimizeConfig) -> float:
+    """Smallest grid-certified c with h > 1 on config.c_grid, sharpened by bisection."""
+    lo, hi, step = config.c_grid
     bracket = bracket_scan(scheme, lo, hi, step)
     if bracket is None:
         if h_value(scheme, lo).h > 1.0:
@@ -228,48 +233,29 @@ def _certify(scheme, config: OptimizeConfig, hi: float) -> float:
 
 
 def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeReport:
-    """Alternate coefficient improvement at a probe c with re-bisection of c*.
+    """Minimize _best_threshold's root over r and P, then certify its scheme.
 
-    Each round maximizes h at probe = c* - offset over the polynomial
-    coefficients and r (Nelder-Mead on the packed vector); a successful
-    round (h(probe) > 1) re-certifies a smaller c*, a failed one halves the
-    offset.  Deterministic for a fixed config.
+    P -> sP with f1t -> f1t/s leaves h unchanged, so P's top coefficient is fixed to 1
+    and Nelder-Mead moves r and P's lower coefficients from the start's.  The result is
+    certified like the start, and the start is kept if it certifies lower.
     """
-    lo, hi, step = config.c_grid
-    scheme = start
-    c_star = _certify(scheme, config, hi)
+    c_start = _certify(start, config)
+    p = start.P.to_coeffs()
+    if p.size > config.degrees[2] + 1:
+        raise ValueError("start scheme exceeds the configured degrees")
+    p = np.pad(p, (0, config.degrees[2] + 1 - p.size))
 
-    trace: list[tuple[int, float]] = []
-    offset = step
-    vec = _pack_scheme(scheme, config.degrees)
+    def best(v):  # r = v[0] and P = v[1] x + v[2] x**2 + ... + x**deg P
+        p_v = FracPoly.from_coeffs(np.r_[0.0, v[1:], 1.0])
+        return _best_threshold(v[0], p_v, config.degrees, c_start)
 
-    for _ in range(8):
-        if offset < config.bisection_tol:
-            break
-        probe = c_star - offset
-        if probe <= lo:
-            offset /= 2.0
-            continue
-
-        def objective(v):
-            try:
-                return -h_value(_unpack_scheme(v, config.degrees), probe).h
-            except DegenerateSchemeError:
-                return math.inf
-
-        vec_new, neg_h, nm_trace = nelder_mead(objective, vec, config)
-        base = trace[-1][0] + 1 if trace else 0
-        trace.extend((base + i, v) for i, v in nm_trace)
-
-        if -neg_h > 1.0:
-            vec = vec_new
-            scheme = _unpack_scheme(vec, config.degrees)
-            c_star = _certify(scheme, config, probe)
-        else:
-            offset /= 2.0
-
-    margin = h_value(scheme, c_star).h - 1.0
-    return OptimizeReport(best_scheme=scheme, c_star=c_star, margin=margin, trace=trace)
+    v0 = np.r_[start.r, p[1:-1] / (p[-1] or 1.0)]
+    v, _, trace = nelder_mead(lambda v: best(v)[0], v0, config)
+    scheme = best(v)[1]
+    c_star = _certify(scheme, config)
+    if c_start <= c_star:
+        scheme, c_star = start, c_start
+    return OptimizeReport(scheme, c_star, margin=h_value(scheme, c_star).h - 1.0, trace=trace)
 
 
 @dataclass(frozen=True)

@@ -66,12 +66,17 @@ class QuadRule:
 
 def gauss_legendre(order: int) -> QuadRule:
     """Standard rule on [-1, 1] (scipy's roots_legendre, symmetric about 0)."""
+    _check_order(order)
     from scipy.special import roots_legendre  # imported on use: `import zetagaps` loads no scipy
 
-    if not (2 <= order <= 128):
-        raise ValueError("order must lie in [2, 128]")
     nodes, weights = roots_legendre(order)
     return QuadRule(nodes, weights, order)
+
+
+def _check_order(order, lowest: int = 2) -> None:
+    """Raise ValueError naming order unless it is an int (not a bool) in [lowest, 128]."""
+    if isinstance(order, bool) or not isinstance(order, Integral) or not lowest <= order <= 128:
+        raise ValueError(f"order must be an integer in [{lowest}, 128], got {order!r}")
 
 
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,6 +97,7 @@ def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (t_i, w_i) with int_0^1 (1-t)**(a-1) phi(t) dt ~ sum w_i phi(t_i)."""
     if a <= 0:
         raise ValueError("a must be positive")
+    _check_order(order)
     return _jacobi_rule(a - 1.0, 0.0, order)
 
 
@@ -137,8 +143,7 @@ def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -
     is evaluated with np.sin, not the series, so the route is independent of
     hfunc's term algebra.
     """
-    if isinstance(order, bool) or not isinstance(order, Integral) or not 16 <= order <= 128:
-        raise ValueError(f"order must be an integer in [16, 128], got {order!r}")
+    _check_order(order, 16)
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
 

@@ -204,8 +204,8 @@ def test_criterion_8_property_bundle(capsys, rows):
         for s in (2.0, -0.5):
             scaled = CoeffScheme(
                 r=preset.scheme.r,
-                f1=preset.scheme.f1.scale(s),
-                f1t=preset.scheme.f1t.scale(s),
+                f1=FracPoly(preset.scheme.f1.shift, preset.scheme.f1.coeffs * s),
+                f1t=FracPoly(preset.scheme.f1t.shift, preset.scheme.f1t.coeffs * s),
                 P=preset.scheme.P,
             )
             worst = max(worst, abs(h_value(scaled, preset.c).h - base))

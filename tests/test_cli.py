@@ -181,6 +181,16 @@ def test_scan_csv_shape():
     assert float(last[1]) > 1.0
 
 
+def test_scan_ends_at_chi():
+    code, out = run_cli(
+        ["scan", "--preset", "table1-row1", "--clo", "0.5", "--chi", "0.5154", "--step", "0.001"]
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 17
+    assert [float(row.split(",")[0]) for row in rows[-2:]] == [0.515, 0.5154]
+
+
 def test_scan_validation():
     code, _ = run_cli(
         ["scan", "--preset", "table1-row1", "--clo", "0.6", "--chi", "0.5", "--step", "0.01"]
@@ -222,6 +232,25 @@ def test_optimize_roundtrip(tmp_path):
     assert code2 == 0
     h = json.loads(out2.strip().splitlines()[-1])["h"]
     assert abs((h - 1.0) - margin) < 1e-12
+
+
+def test_optimize_from_p_equal_x(tmp_path):
+    # P = x makes the denominator form singular at degrees (3, 1); its threshold lies
+    # between two points of the default scan grid
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text("r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\nP = [0, 1]\n")
+    best = tmp_path / "best.cfg"
+    code, out = run_cli(
+        ["optimize", "--config", str(cfg), "--trace-out", str(tmp_path / "trace.csv"),
+         "--scheme-out", str(best)]
+    )
+    assert code == 0
+    reported = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+    assert float(reported["margin"]) > 0.0
+    code2, out2 = run_cli(["eval", "--config", str(best)])
+    assert code2 == 0
+    h = json.loads(out2.strip().splitlines()[-1])["h"]
+    assert abs((h - 1.0) - float(reported["margin"])) < 1e-12
 
 
 def test_optimize_without_sign_change_is_math_error(tmp_path, capsys):
@@ -342,12 +371,12 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_exact_path_imports_no_scipy():
-    # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid);
-    # scipy stays with the independent oracles
+    # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid), and
+    # the optimizer's eigen search uses numpy.linalg; scipy stays with the independent oracles
     import zetagaps
 
     root = pathlib.Path(zetagaps.__file__).parent
-    for name in ("fracpoly.py", "hfunc.py"):
+    for name in ("fracpoly.py", "hfunc.py", "optimizer.py"):
         tree = ast.parse((root / name).read_text())
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]

@@ -112,11 +112,7 @@ def test_to_coeffs_rejects_fractional_exponents():
         make([(1.0, 0.5)]).to_coeffs()
 
 
-# ---------------------------------------------------------------- add / scale / mul
-
-
-def test_scale_simple():
-    assert make([(1.0, 2.0)]).scale(2.0).eval(1.0) == 2.0
+# ---------------------------------------------------------------- mul
 
 
 def test_mul_difference_of_squares():

@@ -13,6 +13,7 @@ from zetagaps.fracpoly import (
     convolve,
     integrate_weighted,
     make,
+    sinc_coeffs,
     sinc_truncation_bound,
 )
 from zetagaps.hfunc import (
@@ -155,6 +156,32 @@ def test_second_c_reuses_the_compiled_scheme(row3, monkeypatch):
     assert second.h != first.h
 
 
+# ---------------------------------------------------------------- quadratic forms
+
+
+@pytest.mark.parametrize("r", [None, 1.0, 1.3])
+def test_forms_reproduce_every_component(rows, r):
+    # d_i = x A[i] x and n_i = kappa sum_j s_j(c) x B[i, j] x for x = (f1 | f1t)
+    for preset in rows:
+        s = preset.scheme
+        scheme = CoeffScheme(r or s.r, s.f1, s.f1t, s.P)
+        a, b = scheme.forms
+        assert np.array_equal(a, a.swapaxes(1, 2)) and np.array_equal(b, b.swapaxes(2, 3))
+        x = scheme.dense[:2].ravel()
+        for c in (0.01, preset.c, 0.99):
+            exact = h_value(scheme, c)
+            kappa = -2.0 * scheme.r / math.pi
+            forms = [*(x @ a @ x), *(kappa * (x @ b @ x) @ sinc_coeffs(c))]
+            for f, value in zip(HB_FIELDS, forms):
+                assert value == pytest.approx(getattr(exact, f), rel=1e-14, abs=0.0), (f, c)
+
+
+def test_h_value_leaves_the_forms_unbuilt(row1):
+    scheme = CoeffScheme(row1.scheme.r, row1.scheme.f1, row1.scheme.f1t, row1.scheme.P)
+    h_value(scheme, row1.c)
+    assert "forms" not in vars(scheme)
+
+
 # ---------------------------------------------------------------- h assembly
 
 
@@ -193,8 +220,8 @@ def test_scaling_invariance(rows):
         for s in (2.0, -3.0, 0.25):
             scaled = CoeffScheme(
                 r=preset.scheme.r,
-                f1=preset.scheme.f1.scale(s),
-                f1t=preset.scheme.f1t.scale(s),
+                f1=FracPoly(preset.scheme.f1.shift, preset.scheme.f1.coeffs * s),
+                f1t=FracPoly(preset.scheme.f1t.shift, preset.scheme.f1t.coeffs * s),
                 P=preset.scheme.P,
             )
             hb = h_value(scaled, preset.c)

@@ -6,13 +6,32 @@ from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_value
 from zetagaps.optimizer import (
     OptimizeConfig,
     bracket_scan,
+    grid_points,
     nelder_mead,
     optimize_scheme,
     threshold_c,
     verify_table,
-    _pack_scheme,
-    _unpack_scheme,
+    _best_threshold,
+    _denominator_basis,
 )
+
+
+def _scheme(r, f1, f1t, p):
+    return CoeffScheme(
+        r=r, f1=FracPoly.from_coeffs(f1), f1t=FracPoly.from_coeffs(f1t), P=FracPoly.from_coeffs(p)
+    )
+
+
+# ---------------------------------------------------------------- grid_points
+
+
+def test_grid_points_end_at_c_hi():
+    assert grid_points(0.5, 0.5154, 0.001)[-2:] == [0.515, 0.5154]
+    # a span that is a multiple of step gets no duplicate end point
+    for lo, hi, step, n in ((0.50, 0.53, 0.001, 31), (0.45, 0.60, 0.002, 76)):
+        grid = grid_points(lo, hi, step)
+        assert len(grid) == n and grid[-1] == hi
+        assert all(b - a > 0.5 * step for a, b in zip(grid, grid[1:]))
 
 
 # ---------------------------------------------------------------- bracket_scan
@@ -111,18 +130,16 @@ def test_nelder_mead_never_worse_than_start():
 
 
 def test_nelder_mead_monotone_on_h(row1):
-    degrees = (3, 1, 2)
-    start_vec = _pack_scheme(row1.scheme, degrees)
+    # f1 (4 coefficients) | f1t (2) | P's x and x**2 coefficients (2) | r
+    s = row1.scheme
+    start_vec = np.concatenate([s.f1.to_coeffs(), s.f1t.to_coeffs(), [0.0, 1.0], [s.r]])
     c = row1.c
 
     def objective(v):
-        try:
-            return -h_value(_unpack_scheme(v, degrees), c).h
-        except DegenerateSchemeError:
-            return float("inf")
+        return -h_value(_scheme(np.clip(v[8], 1.0, 1.5), v[:4], v[4:6], [0.0, *v[6:8]]), c).h
 
     start_h = -objective(start_vec)
-    cfg = OptimizeConfig(degrees=degrees, max_iters=120)
+    cfg = OptimizeConfig(max_iters=120)
     _, neg_h, _ = nelder_mead(objective, start_vec, cfg)
     assert -neg_h >= start_h
 
@@ -132,23 +149,49 @@ def test_nelder_mead_rejects_nonfinite_start():
         nelder_mead(lambda v: float("nan"), np.zeros(2), OptimizeConfig(max_iters=5))
 
 
-# ---------------------------------------------------------------- pack / unpack
+# ---------------------------------------------------------------- the eigen threshold
 
 
-def test_pack_unpack_roundtrip(row2):
-    degrees = (3, 1, 3)
-    vec = _pack_scheme(row2.scheme, degrees)
-    scheme = _unpack_scheme(vec, degrees)
-    assert scheme.r == row2.scheme.r
-    assert scheme.f1.terms == row2.scheme.f1.terms
-    assert scheme.f1t.terms == row2.scheme.f1t.terms
-    assert scheme.P.terms == row2.scheme.P.terms
+def _degrees(scheme):
+    return tuple(p.to_coeffs().size - 1 for p in (scheme.f1, scheme.f1t, scheme.P))
 
 
-def test_unpack_clamps_r():
-    vec = np.array([1.0, 0.0, 9.0])  # f1 deg 0, f1t deg 0, no P, r = 9
-    scheme = _unpack_scheme(vec, (0, 0, 0))
-    assert scheme.r == 1.5
+def test_best_threshold_beats_each_preset_at_its_root(rows):
+    # at fixed (r, P, c) the eigenvector maximizes h over f1, f1t of the preset's degrees
+    for preset in rows:
+        s = preset.scheme
+        root, best = _best_threshold(s.r, s.P, _degrees(s), preset.c)
+        assert root < preset.c
+        assert h_value(best, root).h == pytest.approx(1.0, abs=1e-12)
+        assert h_value(best, root).h > h_value(s, root).h
+        assert (best.r, best.P) == (s.r, s.P)
+
+
+@pytest.mark.parametrize("scale", [-2.0, 0.5, 3.0])
+def test_gauge_p_times_s_with_f1t_over_s(rows, scale):
+    for preset in rows:
+        s = preset.scheme
+        p_s = FracPoly.from_coeffs(scale * s.P.to_coeffs())
+        gauged = CoeffScheme(s.r, s.f1, FracPoly.from_coeffs(s.f1t.to_coeffs() / scale), p_s)
+        assert h_value(gauged, preset.c).h == pytest.approx(h_value(s, preset.c).h, abs=1e-14)
+        root = _best_threshold(s.r, s.P, _degrees(s), preset.c)[0]
+        assert _best_threshold(s.r, p_s, _degrees(s), preset.c)[0] == pytest.approx(root, abs=1e-12)
+
+
+def test_best_threshold_clamps_r(row1):
+    for r, clamped in ((9.0, 1.5), (0.5, 1.0)):
+        assert _best_threshold(r, row1.scheme.P, (3, 1, 2), row1.c)[1].r == clamped
+
+
+def test_denominator_basis_drops_null_directions():
+    with pytest.raises(DegenerateSchemeError):
+        _denominator_basis(np.zeros((3, 3)))
+    # P = x makes the denominator form singular at degrees (3, 1)
+    a = _scheme(1.18, np.ones(4), np.ones(2), [0.0, 1.0]).forms[0].sum(axis=0)
+    keep = np.r_[:4, 4:6]
+    z = _denominator_basis(a[np.ix_(keep, keep)])
+    assert z.shape == (6, 4)
+    assert np.allclose(z.T @ a[np.ix_(keep, keep)] @ z, np.eye(4), atol=1e-10)
 
 
 # ---------------------------------------------------------------- optimize_scheme
@@ -174,15 +217,40 @@ def test_optimize_deterministic(row1):
     assert rep1.trace == rep2.trace
 
 
+def test_optimize_searches_r_and_p_only(row1, monkeypatch):
+    # the simplex sees r and P's coefficients below its top one, never f1 or f1t
+    import zetagaps.optimizer as optimizer
+
+    sizes = []
+
+    def spy(objective, start_vector, config=None):
+        sizes.append(len(start_vector))
+        return nelder_mead(objective, start_vector, config)
+
+    monkeypatch.setattr(optimizer, "nelder_mead", spy)
+    for degrees in ((3, 1, 2), (6, 2, 3)):
+        optimize_scheme(OptimizeConfig(degrees=degrees, max_iters=3), row1.scheme)
+    assert sizes == [2, 3]
+
+
+def test_optimize_default_config_beats_row1(row1):
+    report = optimize_scheme(OptimizeConfig(), row1.scheme)
+    assert report.c_star <= 0.515397
+    assert report.margin > 0.0
+
+
 def test_optimize_recovers_from_perturbed_start(row1):
     perturbation_seed = 42
     cfg = OptimizeConfig(degrees=(3, 1, 2), max_iters=150)
     baseline = optimize_scheme(cfg, row1.scheme)
 
     rng = np.random.default_rng(perturbation_seed)
-    vec = _pack_scheme(row1.scheme, cfg.degrees)
-    vec[:-1] *= 1.0 + rng.uniform(-0.01, 0.01, size=vec.size - 1)
-    perturbed = optimize_scheme(cfg, _unpack_scheme(vec, cfg.degrees))
+    s = row1.scheme
+    jitter = 1.0 + rng.uniform(-0.01, 0.01, size=8)  # f1 (4), f1t (2), P's x and x**2 (2)
+    start = _scheme(
+        s.r, s.f1.to_coeffs() * jitter[:4], s.f1t.to_coeffs() * jitter[4:6], [0.0, 0.0, jitter[7]]
+    )
+    perturbed = optimize_scheme(cfg, start)
     assert abs(perturbed.c_star - baseline.c_star) <= 1e-4
 
 
@@ -201,6 +269,8 @@ def test_optimize_config_validation():
         OptimizeConfig(c_grid=(0.5, 0.6, -0.1))
     with pytest.raises(ValueError):
         OptimizeConfig(bisection_tol=0.0)
+    with pytest.raises(ValueError):
+        OptimizeConfig(degrees=(3, 1, 0))
 
 
 # ---------------------------------------------------------------- verify_table

@@ -50,9 +50,13 @@ def test_degree_of_exactness():
 
 
 def test_order_bounds():
-    for order in (0, 1, 129):
-        with pytest.raises(ValueError):
+    for order in (0, 1, 129, 48.5, True):
+        with pytest.raises(ValueError, match="order"):
             gauss_legendre(order)
+        with pytest.raises(ValueError, match="order"):
+            beta_kernel_rule(1.2, order)
+    with pytest.raises(ValueError, match="order"):
+        beta_kernel_rule(1.2, 500)
 
 
 def test_beta_kernel_rule_integrates_cubic():
