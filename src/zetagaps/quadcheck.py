@@ -24,6 +24,10 @@ u**a, s**a that the rescalings leave, so polynomial integrands are exact and
 entire ones converge spectrally.  inner is entire too: each row computes it
 at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre in z = x*zeta
 and reads it at the kernel nodes off the degree-`order` interpolant.
+
+Every rule comes from numpy: Gauss-Legendre from leggauss, each Gauss-Jacobi
+rule by Golub-Welsch (the eigenvalues of the Jacobi matrix), so the oracle
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -65,11 +69,9 @@ class QuadRule:
 
 
 def gauss_legendre(order: int) -> QuadRule:
-    """Standard rule on [-1, 1] (scipy's roots_legendre, symmetric about 0)."""
+    """Standard rule on [-1, 1] (numpy's leggauss, symmetric about 0)."""
     _check_order(order)
-    from scipy.special import roots_legendre  # imported on use: `import zetagaps` loads no scipy
-
-    nodes, weights = roots_legendre(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     return QuadRule(nodes, weights, order)
 
 
@@ -86,11 +88,28 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for int_0^1 (1-x)**alpha x**beta phi(x) dx with alpha, beta > -1."""
-    from scipy.special import roots_jacobi
+    """Nodes/weights for int_0^1 (1-x)**alpha x**beta phi(x) dx with alpha, beta > -1.
 
-    x, w = roots_jacobi(order, alpha, beta)
-    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + beta + 1.0)
+    Golub-Welsch: with the monic Jacobi recurrence x p_n = p_(n+1) + a_n p_n + b_n p_(n-1)
+    on [-1, 1], the nodes are the eigenvalues of the symmetric tridiagonal matrix with
+    diagonal a_n and off-diagonal sqrt(b_n), mapped to [0, 1], and the weights are
+    B(alpha+1, beta+1) times the squared first components of the eigenvectors.  a_0 and
+    b_1 are written cancelled, so alpha + beta in {0, -1} stays finite.
+    """
+    if not (alpha > -1.0 and beta > -1.0):
+        raise ValueError(f"alpha and beta must exceed -1, got {alpha!r}, {beta!r}")
+    ab = alpha + beta
+    n = np.arange(1.0, order)
+    s = 2.0 * n + ab
+    a_n = np.append((beta - alpha) / (ab + 2.0), (beta - alpha) * (beta + alpha) / (s * (s + 2.0)))
+    n, s = n[1:], s[1:]  # b_n from n = 2 on
+    b_n = np.append(
+        4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab)),
+        4.0 * n * (n + alpha) * (n + beta) * (n + ab) / (s * s * (s * s - 1.0)),
+    )
+    x, v = np.linalg.eigh(np.diag(a_n) + np.diag(np.sqrt(b_n), -1))  # eigh reads the lower half
+    beta_fn = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
+    return (x + 1.0) / 2.0, beta_fn * v[0] ** 2
 
 
 def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -371,13 +371,39 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_exact_path_imports_no_scipy():
-    # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid), and
-    # the optimizer's eigen search uses numpy.linalg; scipy stays with the independent oracles
+    # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid), the
+    # optimizer's eigen search uses numpy.linalg and quadcheck builds its Gauss rules with
+    # numpy; scipy stays with `zetagaps check`'s scipy.integrate.quad reference
     import zetagaps
 
     root = pathlib.Path(zetagaps.__file__).parent
-    for name in ("fracpoly.py", "hfunc.py", "optimizer.py"):
+    for name in ("fracpoly.py", "hfunc.py", "optimizer.py", "quadcheck.py"):
         tree = ast.parse((root / name).read_text())
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         assert not [m for m in modules if m.split(".")[0] == "scipy"], (name, modules)
+
+
+def test_quadrature_oracle_loads_no_scipy():
+    # import scipy.special alone takes 0.25-0.30 s and scipy.linalg another 0.07-0.12 s
+    import zetagaps
+
+    src = str(pathlib.Path(zetagaps.__file__).resolve().parents[1])
+    code = (
+        "import sys, math; "
+        "from zetagaps import PRESETS; "
+        "from zetagaps.fracpoly import make; "
+        "from zetagaps.quadcheck import dimreduct_check, h_value_numeric; "
+        "row1 = PRESETS[0]; h_value_numeric(row1.scheme, row1.c); "
+        "dimreduct_check(2, (1, 2), make([(1.0, 0.0), (0.5, 2.0)]), math.e**3); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

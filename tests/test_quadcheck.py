@@ -8,6 +8,7 @@ import pytest
 from zetagaps.fracpoly import DomainError, FracPoly, make
 from zetagaps.hfunc import CoeffScheme, h_value
 from zetagaps.quadcheck import (
+    _jacobi_rule,
     beta_kernel_rule,
     dimreduct_check,
     gauss_legendre,
@@ -68,6 +69,87 @@ def test_beta_kernel_rule_integrates_cubic():
     assert float(w @ t**3) == pytest.approx(scipy_beta(a, 4.0), rel=1e-14)
 
 
+# ---------------------------------------------------------------- Gauss-Jacobi
+
+# (alpha, beta) of the kernels K1..K3, (a-1, 0), (0, a) and (0, a+1), at a = r**2 for
+# r = 1 (alpha + beta = 0 in K1), the presets' r = 1.18 and the r = 1.3 used below
+JACOBI_CASES = [
+    (alpha, beta)
+    for a in (1.0, 1.3924, 1.69)
+    for alpha, beta in ((a - 1.0, 0.0), (0.0, a), (0.0, a + 1.0))
+]
+
+
+@pytest.mark.parametrize("order", (2, 16, 48, 128))
+def test_jacobi_rule_matches_scipy(order):
+    # scipy only as the external reference; its endpoint weights are off by up to
+    # 2.3e-14 * sum(w) against 30 digits (next test), so weights compare to 5e-14
+    from scipy.special import roots_jacobi
+
+    for alpha, beta in JACOBI_CASES:
+        with np.errstate(all="raise"):
+            x, w = _jacobi_rule(alpha, beta, order)
+        xr, wr = roots_jacobi(order, alpha, beta)
+        wr = wr / 2.0 ** (alpha + beta + 1.0)
+        assert np.max(np.abs(x - (xr + 1.0) / 2.0)) <= 1e-14, (alpha, beta)
+        assert np.max(np.abs(w - wr)) <= 5e-14 * wr.sum(), (alpha, beta)
+
+
+def test_jacobi_rule_matches_30_digits():
+    # K1 at the presets' a = 1.3924, order 128, where scipy's weights are furthest off:
+    # Newton on P_n from t = 2x - 1, then the [0, 1] weight C_n / ((1 - t^2) P_n'(t)^2)
+    import mpmath as mp
+
+    n, alpha, beta = 128, 0.3924, 0.0
+    x, w = _jacobi_rule(alpha, beta, n)
+    with mp.workdps(30):
+        al, be = mp.mpf(alpha), mp.mpf(beta)
+        cn = mp.gamma(n + al + 1) * mp.gamma(n + be + 1)
+        cn /= mp.gamma(n + al + be + 1) * mp.factorial(n)
+
+        def dp(t):
+            return (n + al + be + 1) / 2 * mp.jacobi(n - 1, al + 1, be + 1, t)
+
+        xt, wt = [], []
+        for xi in x:
+            t = mp.mpf(2.0 * xi - 1.0)
+            for _ in range(3):
+                t -= mp.jacobi(n, al, be, t) / dp(t)
+            xt.append(float((t + 1) / 2))
+            wt.append(float(cn / ((1 - t * t) * dp(t) ** 2)))
+    assert np.max(np.abs(x - xt)) <= 1e-15
+    assert np.max(np.abs(w - wt)) <= 2e-15 * sum(wt)
+
+
+def test_jacobi_rule_exact_on_monomials():
+    # int_0^1 (1-x)**alpha x**(k+beta) dx = B(k+beta+1, alpha+1) for k <= 2*order - 1
+    from scipy.special import beta as scipy_beta
+
+    for order in (2, 16, 48):
+        for alpha, beta in JACOBI_CASES:
+            x, w = _jacobi_rule(alpha, beta, order)
+            for k in range(min(2 * order - 1, 40) + 1):
+                assert float(w @ x**k) == pytest.approx(
+                    scipy_beta(k + beta + 1.0, alpha + 1.0), rel=1e-13
+                ), (order, alpha, beta, k)
+
+
+def test_jacobi_rule_chebyshev_closed_form():
+    # alpha = beta = -1/2 (alpha + beta = -1): x_j = (1 + cos((2j-1) pi / 2n)) / 2, w_j = pi/n
+    for order in (2, 7, 48, 128):
+        with np.errstate(all="raise"):
+            x, w = _jacobi_rule(-0.5, -0.5, order)
+        j = np.arange(order, 0, -1)
+        assert np.max(np.abs(x - (1.0 + np.cos((2 * j - 1) * np.pi / (2 * order))) / 2.0)) <= 1e-15
+        assert np.max(np.abs(w - np.pi / order)) <= 1e-14 * np.pi
+
+
+def test_jacobi_rule_rejects_non_integrable_weights():
+    for alpha, beta in ((-1.0, 0.0), (0.0, -1.5), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="exceed -1"):
+            _jacobi_rule(alpha, beta, 16)
+
+
 # ---------------------------------------------------------------- h agreement
 
 
@@ -84,7 +166,7 @@ def test_components_match_exact_on_reference_rows(rows):
         numeric = h_value_numeric(scheme, c, order=48)
         for f in HB_FIELDS:
             assert getattr(exact, f) == pytest.approx(
-                getattr(numeric, f), rel=1e-12
+                getattr(numeric, f), rel=1e-13
             ), f"{name} c={c}: {f}"
         assert exact.h == pytest.approx(numeric.h, abs=1e-9)
 
