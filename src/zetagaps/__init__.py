@@ -29,7 +29,7 @@ from .hfunc import (
     p2_of,
 )
 from .presets import PRESETS, Preset, get_preset, preset_names
-from .quadcheck import QuadRule, dimreduct_check, gauss_legendre, h_value_numeric
+from .quadcheck import dimreduct_check, gauss_legendre, h_value_numeric
 from .sieve import (
     SieveTable,
     build_tables,
@@ -67,7 +67,6 @@ __all__ = [
     "denominator_terms",
     "numerator_terms",
     "h_value",
-    "QuadRule",
     "gauss_legendre",
     "h_value_numeric",
     "dimreduct_check",

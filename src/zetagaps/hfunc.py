@@ -69,9 +69,9 @@ class DegenerateSchemeError(ArithmeticError):
 class CoeffScheme:
     """Coefficient scheme (r, f1, f1t, P) defining the mollified weights.
 
-    Invariants enforced at construction: r >= 1, all three polynomials have
-    integer exponents, and P has no constant term (so P(y)/y is again a
-    polynomial).
+    Invariants enforced at construction: r finite and >= 1, all three
+    polynomials have integer exponents, and P has no constant term (so P(y)/y
+    is again a polynomial).
     """
 
     r: float
@@ -80,8 +80,8 @@ class CoeffScheme:
     P: FracPoly
 
     def __post_init__(self):
-        if not (self.r >= 1.0):
-            raise ValueError("r must be >= 1")
+        if not 1.0 <= self.r < math.inf:
+            raise ValueError(f"r must be finite and >= 1, got {self.r!r}")
         for name in ("f1", "f1t", "P"):
             try:
                 getattr(self, name).to_coeffs()

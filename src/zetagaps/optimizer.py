@@ -6,7 +6,8 @@ At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
 x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
 the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
 with the eigenvector as coefficients (_best_threshold).  A simplex search
-over r and P alone lowers that root (optimize_scheme).
+over r and the coefficients of P that no gauge of h fixes lowers that root
+(optimize_scheme).
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class OptimizeConfig:
     degrees fixes the parameterization (deg f1, deg f1t, deg P); c_grid is
     the (lo, hi, step) scan window and bisection_tol the bisection width of
     every certification; max_iters and simplex_scale steer the Nelder-Mead
-    search over r and P's coefficients below its top one.
+    search over r and P's coefficients below its top one, from x**2 up when
+    deg f1 > deg f1t (optimize_scheme), so (3, 1, 2) searches r alone.
     """
 
     degrees: tuple[int, int, int] = (3, 1, 2)
@@ -62,10 +64,12 @@ class OptimizeConfig:
         lo, hi, step = self.c_grid
         if not (0.0 < lo < hi < 1.0):
             raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
-        if step <= 0:
+        if not step > 0:
             raise ValueError("c_grid step must be positive")
-        if self.bisection_tol <= 0:
+        if not self.bisection_tol > 0:
             raise ValueError("bisection_tol must be positive")
+        if not 0 < abs(self.simplex_scale) < math.inf:
+            raise ValueError("simplex_scale must be nonzero and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if min(self.degrees) < 0 or self.degrees[2] < 1:
@@ -84,7 +88,7 @@ def grid_points(c_lo, c_hi, step) -> list[float]:
     """The scan grid c_lo, c_lo + step, ..., ending at c_hi itself."""
     if not (0.0 < c_lo < c_hi < 1.0):
         raise ValueError("need 0 < c_lo < c_hi < 1")
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     n_steps = math.ceil((c_hi - c_lo) / step - 1e-9)
     return [min(c_lo + i * step, c_hi) for i in range(n_steps + 1)]
@@ -105,7 +109,7 @@ def bracket_scan(scheme, c_lo, c_hi, step):
 
 def threshold_c(scheme, bracket, tol=1e-6):
     """Bisect h(c) = 1 inside `bracket` to width tol; return the h > 1 endpoint."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = bracket
     if not lo < hi:
@@ -138,6 +142,8 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
     """
     cfg = config if config is not None else OptimizeConfig()
     x0 = np.asarray(start_vector, dtype=float).copy()
+    if x0.size == 0:
+        raise ValueError("start vector is empty")
     f0 = float(objective(x0))
     if not math.isfinite(f0):
         raise ValueError("objective is not finite at the start vector")
@@ -181,7 +187,7 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
             i_best = values.index(cur_best)
             best_x, best_f = simplex[i_best].copy(), cur_best
         trace.append((it, best_f))
-        if n == 0 or np.max(np.abs(np.array(simplex[1:]) - simplex[0])) < DIAMETER_TOL:
+        if np.max(np.abs(np.array(simplex[1:]) - simplex[0])) < DIAMETER_TOL:
             break
 
     return best_x, best_f, trace
@@ -235,21 +241,26 @@ def _certify(scheme, config: OptimizeConfig) -> float:
 def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeReport:
     """Minimize _best_threshold's root over r and P, then certify its scheme.
 
-    P -> sP with f1t -> f1t/s leaves h unchanged, so P's top coefficient is fixed to 1
-    and Nelder-Mead moves r and P's lower coefficients from the start's.  The result is
-    certified like the start, and the start is kept if it certifies lower.
+    Two gauges of h fix P's coefficients that the eigenvector already covers:
+    P -> sP with f1t -> f1t/s, so P's top coefficient is 1, and P -> P + e x with
+    f1 -> f1 + e (1 - x) f1t, so P's x coefficient is 0 when deg f1 > deg f1t.
+    Nelder-Mead moves r and P's remaining coefficients from the start's.  The result
+    is certified like the start, and the start is kept if it certifies lower.
     """
     c_start = _certify(start, config)
+    d1, d2, d_p = config.degrees
     p = start.P.to_coeffs()
-    if p.size > config.degrees[2] + 1:
+    if p.size > d_p + 1:
         raise ValueError("start scheme exceeds the configured degrees")
-    p = np.pad(p, (0, config.degrees[2] + 1 - p.size))
+    p = np.pad(p, (0, d_p + 1 - p.size))
+    free = slice(2 if d1 > d2 else 1, d_p)  # P's searched coefficients
 
-    def best(v):  # r = v[0] and P = v[1] x + v[2] x**2 + ... + x**deg P
-        p_v = FracPoly.from_coeffs(np.r_[0.0, v[1:], 1.0])
-        return _best_threshold(v[0], p_v, config.degrees, c_start)
+    def best(v):  # r = v[0], P's free coefficients v[1:], top coefficient 1
+        p_v = np.zeros(d_p + 1)
+        p_v[free], p_v[-1] = v[1:], 1.0
+        return _best_threshold(v[0], FracPoly.from_coeffs(p_v), config.degrees, c_start)
 
-    v0 = np.r_[start.r, p[1:-1] / (p[-1] or 1.0)]
+    v0 = np.r_[start.r, p[free] / (p[-1] or 1.0)]
     v, _, trace = nelder_mead(lambda v: best(v)[0], v0, config)
     scheme = best(v)[1]
     c_star = _certify(scheme, config)

@@ -33,7 +33,6 @@ loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
 
@@ -44,7 +43,6 @@ from .fracpoly import DomainError, FracPoly
 from .hfunc import CoeffScheme, HBreakdown, assemble_h
 
 __all__ = [
-    "QuadRule",
     "gauss_legendre",
     "beta_kernel_rule",
     "h_value_numeric",
@@ -55,24 +53,10 @@ __all__ = [
 DEFAULT_ORDER = 48
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Gauss-Legendre nodes and weights on (-1, 1)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-
-def gauss_legendre(order: int) -> QuadRule:
-    """Standard rule on [-1, 1] (numpy's leggauss, symmetric about 0)."""
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights of the standard rule on [-1, 1] (numpy's leggauss, symmetric about 0)."""
     _check_order(order)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return QuadRule(nodes, weights, order)
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _check_order(order, lowest: int = 2) -> None:
@@ -83,8 +67,8 @@ def _check_order(order, lowest: int = 2) -> None:
 
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre mapped to [0, 1]."""
-    rule = gauss_legendre(order)
-    return (rule.nodes + 1.0) / 2.0, rule.weights / 2.0
+    nodes, weights = gauss_legendre(order)
+    return (nodes + 1.0) / 2.0, weights / 2.0
 
 
 def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.ndarray]:

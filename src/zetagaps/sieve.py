@@ -289,6 +289,8 @@ def dr_mean_square_trend(
     mean-square sum empirically.
     """
     xs = [int(x) for x in x_list]
+    if not xs:
+        raise ValueError("x_list must not be empty")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("x_list must be strictly increasing")
     if xs[0] < 2:

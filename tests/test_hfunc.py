@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyadd, polymul
 from scipy.integrate import dblquad
 
 import zetagaps.fracpoly
@@ -44,6 +45,8 @@ def _scheme(r, f1, f1t, p):
 def test_scheme_rejects_small_r():
     with pytest.raises(ValueError):
         _scheme(0.9, [1.0], [], [])
+    with pytest.raises(ValueError, match="finite"):
+        _scheme(math.inf, [1.0], [], [0.0, 1.0])
 
 
 def test_scheme_rejects_constant_in_p():
@@ -228,6 +231,18 @@ def test_scaling_invariance(rows):
             assert hb.h == pytest.approx(base.h, abs=1e-10)
             for f in HB_FIELDS:
                 assert getattr(hb, f) == pytest.approx(s * s * getattr(base, f), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.3, 2.0])
+def test_gauge_p_plus_x_with_f1_plus_one_minus_x_f1t(rows, eps):
+    # S_P(k) = 1 - x_k for P(t) = t at squarefree k, so P's x coefficient trades with f1
+    for preset in rows:
+        f1, f1t, p = (q.to_coeffs() for q in (preset.scheme.f1, preset.scheme.f1t, preset.scheme.P))
+        for r in (preset.scheme.r, 1.0):
+            moved_p = _scheme(r, f1, f1t, polyadd(p, [0.0, eps]))
+            moved_f1 = _scheme(r, polyadd(f1, eps * polymul([1.0, -1.0], f1t)), f1t, p)
+            for c in (0.01, preset.c, 0.99):
+                assert h_value(moved_p, c).h == pytest.approx(h_value(moved_f1, c).h, abs=1e-13)
 
 
 def test_d31_weight_interchange_symmetry(rows):

@@ -64,6 +64,8 @@ def test_bracket_scan_validation(row1):
         bracket_scan(row1.scheme, 0.53, 0.50, 0.001)
     with pytest.raises(ValueError):
         bracket_scan(row1.scheme, 0.50, 0.53, -0.001)
+    with pytest.raises(ValueError, match="step"):
+        bracket_scan(row1.scheme, 0.50, 0.53, float("nan"))
 
 
 # ---------------------------------------------------------------- threshold_c
@@ -95,6 +97,8 @@ def test_threshold_halving_tol_moves_little(row1):
 def test_threshold_rejects_invalid_bracket(row1):
     with pytest.raises(ValueError):
         threshold_c(row1.scheme, (0.52, 0.53), 1e-6)  # h > 1 at both ends
+    with pytest.raises(ValueError, match="tol"):
+        threshold_c(row1.scheme, (0.515, 0.516), float("nan"))
 
 
 # ---------------------------------------------------------------- nelder_mead
@@ -147,6 +151,8 @@ def test_nelder_mead_monotone_on_h(row1):
 def test_nelder_mead_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         nelder_mead(lambda v: float("nan"), np.zeros(2), OptimizeConfig(max_iters=5))
+    with pytest.raises(ValueError, match="empty"):
+        nelder_mead(lambda v: 0.0, [], OptimizeConfig(max_iters=5))
 
 
 # ---------------------------------------------------------------- the eigen threshold
@@ -176,6 +182,18 @@ def test_gauge_p_times_s_with_f1t_over_s(rows, scale):
         assert h_value(gauged, preset.c).h == pytest.approx(h_value(s, preset.c).h, abs=1e-14)
         root = _best_threshold(s.r, s.P, _degrees(s), preset.c)[0]
         assert _best_threshold(s.r, p_s, _degrees(s), preset.c)[0] == pytest.approx(root, abs=1e-12)
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, 2), (5, 3, 2), (6, 2, 3)])
+def test_best_threshold_ignores_p_x_coefficient(row1, degrees):
+    # P -> P + e x is f1 -> f1 + e (1 - x) f1t, which f1 absorbs when deg f1 > deg f1t
+    p = np.zeros(degrees[2] + 1)
+    p[-1] = 1.0
+    root = _best_threshold(row1.scheme.r, FracPoly.from_coeffs(p), degrees, row1.c)[0]
+    for eps in (-1.0, 0.5, 2.0):
+        p[1] = eps
+        moved = _best_threshold(row1.scheme.r, FracPoly.from_coeffs(p), degrees, row1.c)[0]
+        assert moved == pytest.approx(root, abs=1e-12)
 
 
 def test_best_threshold_clamps_r(row1):
@@ -218,7 +236,8 @@ def test_optimize_deterministic(row1):
 
 
 def test_optimize_searches_r_and_p_only(row1, monkeypatch):
-    # the simplex sees r and P's coefficients below its top one, never f1 or f1t
+    # the simplex sees r and P's coefficients between x**2 (x when deg f1 <= deg f1t)
+    # and the top one, never f1 or f1t
     import zetagaps.optimizer as optimizer
 
     sizes = []
@@ -228,15 +247,18 @@ def test_optimize_searches_r_and_p_only(row1, monkeypatch):
         return nelder_mead(objective, start_vector, config)
 
     monkeypatch.setattr(optimizer, "nelder_mead", spy)
-    for degrees in ((3, 1, 2), (6, 2, 3)):
+    for degrees in ((3, 1, 2), (6, 2, 3), (1, 1, 2)):
         optimize_scheme(OptimizeConfig(degrees=degrees, max_iters=3), row1.scheme)
-    assert sizes == [2, 3]
+    assert sizes == [1, 2, 2]
 
 
 def test_optimize_default_config_beats_row1(row1):
     report = optimize_scheme(OptimizeConfig(), row1.scheme)
     assert report.c_star <= 0.515397
     assert report.margin > 0.0
+    # at (3, 1, 2) both gauges fix P, so the search moves r alone and P stays x**2
+    assert report.best_scheme is not row1.scheme
+    assert report.best_scheme.P.to_coeffs().tolist() == [0.0, 0.0, 1.0]
 
 
 def test_optimize_recovers_from_perturbed_start(row1):
@@ -271,6 +293,16 @@ def test_optimize_config_validation():
         OptimizeConfig(bisection_tol=0.0)
     with pytest.raises(ValueError):
         OptimizeConfig(degrees=(3, 1, 0))
+    nan = float("nan")
+    for bad in (
+        dict(bisection_tol=nan),
+        dict(c_grid=(0.5, 0.6, nan)),
+        dict(simplex_scale=0.0),
+        dict(simplex_scale=nan),
+        dict(simplex_scale=float("inf")),
+    ):
+        with pytest.raises(ValueError):
+            OptimizeConfig(**bad)
 
 
 # ---------------------------------------------------------------- verify_table

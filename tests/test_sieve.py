@@ -392,3 +392,5 @@ def test_trend_validation(tables_r1):
         dr_mean_square_trend(1.0, [100, 50], tables=tables_r1)
     with pytest.raises(ValueError):
         dr_mean_square_trend(1.0, [10**6 + 1], tables=tables_r1)
+    with pytest.raises(ValueError):
+        dr_mean_square_trend(1.0, [], tables=tables_r1)
