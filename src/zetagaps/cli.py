@@ -35,7 +35,7 @@ from .fracpoly import DomainError, FracPoly, beta_convolve, make
 from .hfunc import CoeffScheme, DegenerateSchemeError, HBreakdown, h_value
 from .optimizer import OptimizeConfig, grid_points, optimize_scheme, verify_table
 from .presets import get_preset, preset_names
-from .quadcheck import dimreduct_check, h_value_numeric
+from .quadcheck import beta_kernel_rule, dimreduct_check, h_value_numeric
 from .sieve import finite_h, mertens_deficit
 from . import presets as _presets
 
@@ -222,7 +222,10 @@ def _cmd_optimize(args, out) -> int:
     scheme, config = _resolve_scheme(args)
     d1, d2, d3 = (p.to_coeffs().size - 1 for p in (scheme.f1, scheme.f1t, scheme.P))
     cfg_kwargs = {"degrees": (d1, d2, max(d3, 1))}
-    if {"c_lo", "c_hi", "c_step"} <= config.keys():
+    missing = [key for key in ("c_lo", "c_hi", "c_step") if key not in config]
+    if 0 < len(missing) < 3:
+        raise CliError(f"a scan grid needs c_lo, c_hi and c_step; missing {', '.join(missing)}")
+    if not missing:
         cfg_kwargs["c_grid"] = (config["c_lo"], config["c_hi"], config["c_step"])
     for key in ("bisection_tol", "max_iters", "simplex_scale"):
         if key in config:
@@ -272,8 +275,8 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_scan(args, out) -> int:
     scheme, _ = _resolve_scheme(args)
-    if not (0.0 < args.clo < args.chi < 1.0) or args.step <= 0:
-        raise CliError("need 0 < --clo < --chi < 1 and --step > 0")
+    if not (0.0 < args.clo < args.chi < 1.0) or not 0 < args.step < math.inf:
+        raise CliError("need 0 < --clo < --chi < 1 and a finite --step > 0")
     print("c,h", file=out)
     for c in grid_points(args.clo, args.chi, args.step):
         print(f"{_fmt(c)},{_fmt(h_value(scheme, c).h)}", file=out)
@@ -283,8 +286,6 @@ def _cmd_scan(args, out) -> int:
 def _cmd_check(args, out) -> int:
     """Quick self-check suite: Beta identities, the nested-integral reduction,
     the prime-log-sum bound, and quadrature-vs-exact agreement."""
-    from scipy.integrate import quad
-
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -293,19 +294,17 @@ def _cmd_check(args, out) -> int:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})", file=out)
 
-    # Beta-kernel convolutions against adaptive quadrature
+    # Beta-kernel convolutions against the oracle's Gauss-Jacobi rule, which is exact on
+    # these quartics: int_0^u (u-v)**(a-1) p(v) dv = u**a int_0^1 (1-t)**(a-1) p(u t) dt
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(5):
         a = float(rng.uniform(0.6, 2.8))
         poly = make([(float(rng.uniform(-2, 2)), k) for k in range(5)])
         conv = beta_convolve(a, poly)
+        t, w = beta_kernel_rule(a, 8)
         for u in (0.3, 1.0):
-            ref, _ = quad(
-                lambda v: poly.eval(v), 0.0, u,
-                weight="alg", wvar=(0.0, a - 1.0),
-                epsabs=1e-13, epsrel=1e-12,
-            )
+            ref = u**a * float(w @ poly.eval(u * t))
             worst = max(worst, abs(conv.eval(u) - ref) / max(abs(ref), 1e-30))
     report("beta-convolution vs quadrature", worst < 1e-10, f"max rel err {worst:.2e}")
 

@@ -64,8 +64,8 @@ class OptimizeConfig:
         lo, hi, step = self.c_grid
         if not (0.0 < lo < hi < 1.0):
             raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
-        if not step > 0:
-            raise ValueError("c_grid step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError("c_grid step must be positive and finite")
         if not self.bisection_tol > 0:
             raise ValueError("bisection_tol must be positive")
         if not 0 < abs(self.simplex_scale) < math.inf:
@@ -88,8 +88,8 @@ def grid_points(c_lo, c_hi, step) -> list[float]:
     """The scan grid c_lo, c_lo + step, ..., ending at c_hi itself."""
     if not (0.0 < c_lo < c_hi < 1.0):
         raise ValueError("need 0 < c_lo < c_hi < 1")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     n_steps = math.ceil((c_hi - c_lo) / step - 1e-9)
     return [min(c_lo + i * step, c_hi) for i in range(n_steps + 1)]
 

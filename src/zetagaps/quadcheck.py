@@ -1,9 +1,9 @@
 """Independent numeric oracle for the component integrals of h(c).
 
 Everything in hfunc is closed-form Beta algebra; this module re-evaluates
-the same eleven components by Gauss quadrature over their original 1- to
-4-dimensional regions, with the polynomials and sin(pi c z) evaluated
-pointwise.  Agreement between the two routes validates both.
+the same eleven components by nested Gauss quadrature, with the polynomials
+and sin(pi c z) evaluated pointwise.  Agreement between the two routes
+validates both.
 
 h_value_numeric is one table of rows (kernel, scale, f, h, g), each worth
 scale * <K, f * inner> with <K, q> = int_0^1 K(1-u) q(u) du.  inner is g
@@ -11,19 +11,22 @@ for the denominator (h None), else the sine convolution
 
     inner(x) = int_0^x sin(pi c z)/z * h(z) * g(x - z) dz,    h = 1 or P.
 
-With a = r**2, P1 = P(y)/y and P2 = P(y)**2/y, each kernel is one flattened
-Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
+With a = r**2, P1 = P(y)/y and BC(g) = x**(a-1) * g the Beta-kernel convolution,
+each kernel is one flattened Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
 
     K1  the weight (1-t)**(a-1) on [0, 1];
     K2  r^2 int_0^1 P1(1-u) int_0^u (u-v)**(a-1) phi(v) dv du, v = u*t;
-    K4  the same with P2 for P1;
-    K3  r^4 times the double-P1 region v = 1 - u + s*u, Beta kernel at scale s*u.
+    K3  the same with the outer weight r^4 (P1 * P1)(1-u);
+    K4  the same with r^2 P1(1-u) P(1-u).
 
-Jacobi weights absorb the singular factors (u-v)**(a-1) and the monomials
-u**a, s**a that the rescalings leave, so polynomial integrands are exact and
-entire ones converge spectrally.  inner is entire too: each row computes it
-at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre in z = x*zeta
-and reads it at the kernel nodes off the degree-`order` interpolant.
+K3 is r^4 P1 * BC(P1) on the paper's double-P1 region; convolution commutes
+and associates, so it equals r^4 BC(P1 * P1) and shares K2's nodes.  The outer
+weight (P1 * P1)(y) = y int_0^1 P1(ys) P1(y(1-s)) ds is one Gauss-Legendre sum
+per node, exact while deg P1 < order.  Jacobi weights absorb the singular
+factor (u-v)**(a-1) and the u**a that v = u*t leaves, so polynomial integrands
+are exact and entire ones converge spectrally.  inner is entire too: each row
+computes it at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre in
+z = x*zeta and reads it at the kernel nodes off the degree-`order` interpolant.
 
 Every rule comes from numpy: Gauss-Legendre from leggauss, each Gauss-Jacobi
 rule by Golub-Welsch (the eigenvalues of the Jacobi matrix), so the oracle
@@ -98,7 +101,7 @@ def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.
 
 def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (t_i, w_i) with int_0^1 (1-t)**(a-1) phi(t) dt ~ sum w_i phi(t_i)."""
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be positive")
     _check_order(order)
     return _jacobi_rule(a - 1.0, 0.0, order)
@@ -108,19 +111,14 @@ def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.
     """Flattened (x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs)."""
     a, p = scheme.r * scheme.r, scheme.P.eval
     t, wt = beta_kernel_rule(a, order)  # (1-t)**(a-1): every inner Beta kernel
-    u, wu = _jacobi_rule(0.0, a, order)  # u**a of v = u*t; s**a in the double-P1 region
-    u3, wu3 = _jacobi_rule(0.0, a + 1.0, order)  # u**(a+1) in the double-P1 region
-    w1 = wu * p(1.0 - u) / (1.0 - u)  # outer weight P1(1-u) of the two-level rules
-    us = np.outer(u3, 1.0 - u)  # P1's second argument u*(1-s) in the double-P1 region
-    w3 = (wu3 * p(1.0 - u3) / (1.0 - u3))[:, None] * wu * p(us) / us
-    x2 = np.outer(u, t).ravel()
-    x3 = np.multiply.outer(np.outer(u3, u), t).ravel()
-    return [
-        (t, wt),
-        (x2, a * np.outer(w1, wt).ravel()),
-        (x3, a * a * np.multiply.outer(w3, wt).ravel()),
-        (x2, a * np.outer(w1 * p(1.0 - u), wt).ravel()),  # P2 = P1 * P
-    ]
+    u, wu = _jacobi_rule(0.0, a, order)  # u**a of v = u*t
+    s, ws = _unit_rule(order)
+    y = 1.0 - u
+    ys, y_rest = np.outer(y, s), np.outer(y, 1.0 - s)
+    p1, p1p1 = p(y) / y, y * ((p(ys) / ys * p(y_rest) / y_rest) @ ws)  # P1(y), (P1 * P1)(y)
+    x = np.outer(u, t).ravel()
+    outer = (a * wu * p1, a * a * wu * p1p1, a * wu * p1 * p(y))  # K2, K3, K4 (P2 = P1 * P)
+    return [(t, wt)] + [(x, np.outer(w, wt).ravel()) for w in outer]
 
 
 def _sine_convolution(c: float, h: FracPoly, g: FracPoly, zeta, w_zeta) -> Chebyshev:
@@ -201,7 +199,7 @@ def dimreduct_check(
         raise ValueError("m must be >= 1 and match len(a)")
     if any(int(ai) != ai or ai < 1 for ai in a):
         raise ValueError("entries of a must be positive integers")
-    if d_limit <= 1.0:
+    if not d_limit > 1.0:
         raise ValueError("the upper limit must exceed 1")
 
     big_l = math.log(d_limit)

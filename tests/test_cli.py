@@ -191,11 +191,16 @@ def test_scan_ends_at_chi():
     assert [float(row.split(",")[0]) for row in rows[-2:]] == [0.515, 0.5154]
 
 
-def test_scan_validation():
-    code, _ = run_cli(
-        ["scan", "--preset", "table1-row1", "--clo", "0.6", "--chi", "0.5", "--step", "0.01"]
-    )
-    assert code == 1
+def test_scan_validation(capsys):
+    for clo, chi, step in (("0.6", "0.5", "0.01"), ("0.5", "0.52", "nan"), ("0.5", "0.52", "inf")):
+        code, out = run_cli(
+            ["scan", "--preset", "table1-row1", "--clo", clo, "--chi", chi, "--step", step]
+        )
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: need 0 < --clo < --chi < 1 and a finite --step > 0\n"
+        )
 
 
 # ---------------------------------------------------------------- optimize
@@ -290,6 +295,26 @@ def test_optimize_max_iters_must_be_integral(tmp_path, capsys, value, code):
     assert trace.exists() == (code == 0)
 
 
+@pytest.mark.parametrize(
+    "grid, missing", [("c_lo = 0.2\n", "c_hi, c_step"), ("c_hi = 0.6\nc_step = 0.01\n", "c_lo")]
+)
+def test_optimize_rejects_partial_scan_grid(tmp_path, capsys, grid, missing):
+    # a partial grid is an error, not a request for the default grid
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text("r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\n" + grid)
+    trace = tmp_path / "trace.csv"
+    code, out = run_cli(
+        ["optimize", "--config", str(cfg), "--trace-out", str(trace),
+         "--scheme-out", str(tmp_path / "best.cfg")]
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: a scan grid needs c_lo, c_hi and c_step; missing {missing}\n"
+    )
+    assert not trace.exists()
+
+
 # ---------------------------------------------------------------- oracle / check
 
 
@@ -372,12 +397,13 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 def test_exact_path_imports_no_scipy():
     # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid), the
-    # optimizer's eigen search uses numpy.linalg and quadcheck builds its Gauss rules with
-    # numpy; scipy stays with `zetagaps check`'s scipy.integrate.quad reference
+    # optimizer's eigen search uses numpy.linalg, quadcheck builds its Gauss rules with
+    # numpy and `zetagaps check` takes its Beta-convolution reference from quadcheck;
+    # scipy is a test dependency only
     import zetagaps
 
     root = pathlib.Path(zetagaps.__file__).parent
-    for name in ("fracpoly.py", "hfunc.py", "optimizer.py", "quadcheck.py"):
+    for name in ("fracpoly.py", "hfunc.py", "optimizer.py", "quadcheck.py", "cli.py"):
         tree = ast.parse((root / name).read_text())
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
@@ -385,17 +411,21 @@ def test_exact_path_imports_no_scipy():
 
 
 def test_quadrature_oracle_loads_no_scipy():
-    # import scipy.special alone takes 0.25-0.30 s and scipy.linalg another 0.07-0.12 s
+    # import scipy.special alone takes 0.25-0.30 s, scipy.linalg another 0.07-0.12 s and
+    # scipy.integrate 0.63 s and 49 MB.  The check call runs all four self-checks, the
+    # Beta convolutions against quadcheck's Gauss-Jacobi rule.
     import zetagaps
 
     src = str(pathlib.Path(zetagaps.__file__).resolve().parents[1])
     code = (
-        "import sys, math; "
+        "import io, sys, math; "
         "from zetagaps import PRESETS; "
+        "from zetagaps.cli import main; "
         "from zetagaps.fracpoly import make; "
         "from zetagaps.quadcheck import dimreduct_check, h_value_numeric; "
         "row1 = PRESETS[0]; h_value_numeric(row1.scheme, row1.c); "
         "dimreduct_check(2, (1, 2), make([(1.0, 0.0), (0.5, 2.0)]), math.e**3); "
+        "assert main(['check'], io.StringIO()) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(

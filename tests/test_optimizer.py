@@ -64,8 +64,9 @@ def test_bracket_scan_validation(row1):
         bracket_scan(row1.scheme, 0.53, 0.50, 0.001)
     with pytest.raises(ValueError):
         bracket_scan(row1.scheme, 0.50, 0.53, -0.001)
-    with pytest.raises(ValueError, match="step"):
-        bracket_scan(row1.scheme, 0.50, 0.53, float("nan"))
+    for step in (float("nan"), float("inf")):  # inf would give the grid [c_lo + 0 * inf]
+        with pytest.raises(ValueError, match="step"):
+            bracket_scan(row1.scheme, 0.50, 0.53, step)
 
 
 # ---------------------------------------------------------------- threshold_c
@@ -297,6 +298,7 @@ def test_optimize_config_validation():
     for bad in (
         dict(bisection_tol=nan),
         dict(c_grid=(0.5, 0.6, nan)),
+        dict(c_grid=(0.5, 0.6, float("inf"))),
         dict(simplex_scale=0.0),
         dict(simplex_scale=nan),
         dict(simplex_scale=float("inf")),

@@ -9,6 +9,7 @@ from zetagaps.fracpoly import DomainError, FracPoly, make
 from zetagaps.hfunc import CoeffScheme, h_value
 from zetagaps.quadcheck import (
     _jacobi_rule,
+    _kernel_rules,
     beta_kernel_rule,
     dimreduct_check,
     gauss_legendre,
@@ -69,10 +70,16 @@ def test_beta_kernel_rule_integrates_cubic():
     assert float(w @ t**3) == pytest.approx(scipy_beta(a, 4.0), rel=1e-14)
 
 
+def test_beta_kernel_rule_rejects_nan():
+    with pytest.raises(ValueError, match="a must be positive"):
+        beta_kernel_rule(math.nan, 8)
+
+
 # ---------------------------------------------------------------- Gauss-Jacobi
 
-# (alpha, beta) of the kernels K1..K3, (a-1, 0), (0, a) and (0, a+1), at a = r**2 for
-# r = 1 (alpha + beta = 0 in K1), the presets' r = 1.18 and the r = 1.3 used below
+# (alpha, beta) of the rules: (a-1, 0) for K1 and every inner Beta kernel, (0, a) for the
+# outer u of K2-K4 and (0, a+1) for that of the test-local double-P1 rule below, at
+# a = r**2 for r = 1 (alpha + beta = 0 in K1), the presets' r = 1.18 and the r = 1.3 below
 JACOBI_CASES = [
     (alpha, beta)
     for a in (1.0, 1.3924, 1.69)
@@ -150,17 +157,61 @@ def test_jacobi_rule_rejects_non_integrable_weights():
             _jacobi_rule(alpha, beta, 16)
 
 
+# ---------------------------------------------------------------- K3 on K2's nodes
+
+# P = x, x + x^2, 0.3x - 0.5x^2 + x^3 and x^4, as ascending coefficients
+P_SHAPES = ([0, 1], [0, 1, 1], [0, 0.3, -0.5, 1], [0, 0, 0, 0, 1])
+
+
+def _double_p1_rule(scheme, order):
+    # K3 = r^4 P1 * BC(P1) taken literally on the double-P1 region: an order^3 tensor of
+    # u^(a+1) outer, u^a middle and (1-t)^(a-1) inner Gauss-Jacobi nodes
+    a, p = scheme.r * scheme.r, scheme.P.eval
+    t, wt = beta_kernel_rule(a, order)
+    u, wu = _jacobi_rule(0.0, a, order)
+    u3, wu3 = _jacobi_rule(0.0, a + 1.0, order)
+    us = np.outer(u3, 1.0 - u)
+    w3 = (wu3 * p(1.0 - u3) / (1.0 - u3))[:, None] * wu * p(us) / us
+    x3 = np.multiply.outer(np.outer(u3, u), t).ravel()
+    return x3, a * a * np.multiply.outer(w3, wt).ravel()
+
+
+def test_k3_shares_k2_nodes_and_matches_the_double_p1_rule(rows):
+    # convolution commutes and associates, so r^4 P1 * BC(P1) = r^4 BC(P1 * P1): the
+    # order^2 rule on K2's nodes has the moments of the literal order^3 one
+    schemes = [p.scheme for p in rows]
+    schemes += [
+        CoeffScheme(r=r, f1=rows[0].scheme.f1, f1t=rows[0].scheme.f1t, P=FracPoly.from_coeffs(q))
+        for r in (1.0, 1.3)
+        for q in P_SHAPES
+    ]
+    for scheme in schemes:
+        (_, _), (x2, _), (x, w), (x4, _) = _kernel_rules(scheme, 24)
+        assert x.size == 24 * 24 and x2 is x and x4 is x
+        xr, wr = _double_p1_rule(scheme, 24)
+        for m in range(21):
+            assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14), (scheme, m)
+
+
 # ---------------------------------------------------------------- h agreement
 
 
 def test_components_match_exact_on_reference_rows(rows):
-    # to perfbench's cross-check tolerance, at c near both ends of (0, 1) and at
-    # r = 1 (r^2 an integer) and r = 1.3 with row1's polynomials
+    # to perfbench's cross-check tolerance, at c near both ends of (0, 1), at
+    # r = 1 (r^2 an integer) and r = 1.3 with row1's polynomials, and for P of
+    # degree 1 to 4 with row3's f1 and f1t
     cases = [(p.name, p.scheme, c) for p in rows for c in (0.01, p.c, 0.99)]
     base = rows[0]
     for r in (1.0, 1.3):
         scheme = CoeffScheme(r=r, f1=base.scheme.f1, f1t=base.scheme.f1t, P=base.scheme.P)
         cases.append((f"{base.name} r={r}", scheme, base.c))
+    row3 = rows[2]
+    for big_p in P_SHAPES:
+        for r in (1.0, 1.18, 1.5):
+            scheme = CoeffScheme(
+                r=r, f1=row3.scheme.f1, f1t=row3.scheme.f1t, P=FracPoly.from_coeffs(big_p)
+            )
+            cases.append((f"{row3.name} r={r} P={big_p}", scheme, row3.c))
     for name, scheme, c in cases:
         exact = h_value(scheme, c)
         numeric = h_value_numeric(scheme, c, order=48)
@@ -256,5 +307,6 @@ def test_dimreduct_validation():
         dimreduct_check(0, (), one, math.e)
     with pytest.raises(ValueError):
         dimreduct_check(2, (1,), one, math.e)
-    with pytest.raises(ValueError):
-        dimreduct_check(1, (1,), one, 0.5)
+    for d_limit in (0.5, math.nan):
+        with pytest.raises(ValueError, match="upper limit"):
+            dimreduct_check(1, (1,), one, d_limit)
