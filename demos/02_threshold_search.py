@@ -6,18 +6,18 @@ returned endpoint always satisfies h > 1, so it is a certified bound.  On
 the strongest built-in scheme this lands just below 0.515396.
 """
 
-from zetagaps import bracket_scan, get_preset, h_value, threshold_c
+from zetagaps import bracket_scan, get_preset, h_grid, h_value, threshold_c
+from zetagaps.optimizer import grid_points
 
 preset = get_preset("table1-row3")
 scheme = preset.scheme
 
 print("grid scan of h(c) on [0.512, 0.520]:")
-c = 0.512
-while c <= 0.520 + 1e-12:
-    h = h_value(scheme, c).h
-    marker = " <-- first h > 1" if h > 1 and h_value(scheme, c - 0.001).h <= 1 else ""
+grid = grid_points(0.512, 0.520, 0.001)
+hs = h_grid(scheme, grid)  # the whole grid in one call
+for i, (c, h) in enumerate(zip(grid, hs)):
+    marker = " <-- first h > 1" if h > 1 and i and hs[i - 1] <= 1 else ""
     print(f"  c = {c:.3f}   h = {h:.8f}{marker}")
-    c += 0.001
 
 bracket = bracket_scan(scheme, 0.50, 0.53, 0.001)
 print(f"\nsign-change bracket: {bracket}")

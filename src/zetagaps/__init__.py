@@ -23,6 +23,7 @@ from .hfunc import (
     DegenerateSchemeError,
     HBreakdown,
     denominator_terms,
+    h_grid,
     h_value,
     numerator_terms,
     p1_of,
@@ -67,6 +68,7 @@ __all__ = [
     "denominator_terms",
     "numerator_terms",
     "h_value",
+    "h_grid",
     "gauss_legendre",
     "h_value_numeric",
     "dimreduct_check",

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .fracpoly import DomainError, FracPoly, beta_convolve, make
-from .hfunc import CoeffScheme, DegenerateSchemeError, HBreakdown, h_value
+from .hfunc import CoeffScheme, DegenerateSchemeError, HBreakdown, h_grid, h_value
 from .optimizer import OptimizeConfig, grid_points, optimize_scheme, verify_table
 from .presets import get_preset, preset_names
 from .quadcheck import beta_kernel_rule, dimreduct_check, h_value_numeric
@@ -277,9 +277,10 @@ def _cmd_scan(args, out) -> int:
     scheme, _ = _resolve_scheme(args)
     if not (0.0 < args.clo < args.chi < 1.0) or not 0 < args.step < math.inf:
         raise CliError("need 0 < --clo < --chi < 1 and a finite --step > 0")
+    grid = grid_points(args.clo, args.chi, args.step)
     print("c,h", file=out)
-    for c in grid_points(args.clo, args.chi, args.step):
-        print(f"{_fmt(c)},{_fmt(h_value(scheme, c).h)}", file=out)
+    for c, h in zip(grid, h_grid(scheme, grid).tolist()):
+        print(f"{_fmt(c)},{_fmt(h)}", file=out)
     return 0
 
 

@@ -52,6 +52,7 @@ MERGE_TOL = 1e-9
 # Terms of the sine series; the first omitted one is 3.8e-39 at c = 1.
 SINE_TERMS = 24
 _SINE_TAYLOR = np.array([(-1) ** j / math.factorial(2 * j + 1) for j in range(SINE_TERMS)])
+_SINE_POWERS = np.arange(1.0, 2.0 * SINE_TERMS, 2.0)
 
 
 class DomainError(ValueError):
@@ -241,19 +242,31 @@ def integrate_weighted(a: float, p: FracPoly) -> float:
     return float(np.sum(beta_convolve(a, p).coeffs))
 
 
-def sinc_coeffs(c: float) -> np.ndarray:
-    """s_j(c) = (-1)^j (pi c)^(2j+1) / (2j+1)! for j < SINE_TERMS, c > 0.
+def sinc_coeffs(c) -> np.ndarray:
+    """s_j(c) = (-1)^j (pi c)^(2j+1) / (2j+1)! for j < SINE_TERMS, c finite and > 0.
 
+    A scalar c gives the SINE_TERMS coefficients, a 1-d array of n values the
+    (SINE_TERMS, n) matrix of their columns; each entry is the same as at a scalar c.
     sin(pi c v)/v = sum_j s_j(c) v**(2j) + tail; on [0, 1] the terms alternate and
     decrease once 2j+2 > pi*c, so the tail is below sinc_truncation_bound(c, SINE_TERMS).
     """
-    if c <= 0:
-        raise DomainError("c must be positive")
-    return _SINE_TAYLOR * (math.pi * c) ** np.arange(1.0, 2.0 * SINE_TERMS, 2.0)
+    cs = np.asarray(c, dtype=float)
+    ok = np.isfinite(cs) & (cs > 0)
+    if not ok.all():
+        raise DomainError(f"c must be finite and positive, got {float(cs[~ok].flat[0])!r}")
+    return _sinc_rows(cs).T
+
+
+def _sinc_rows(cs: np.ndarray) -> np.ndarray:
+    """sinc_coeffs unchecked, coefficients on the last axis: (SINE_TERMS,) or (n, SINE_TERMS)."""
+    return _SINE_TAYLOR * np.power.outer(math.pi * cs, _SINE_POWERS)
 
 
 def sinc_truncation_bound(c: float, n_terms: int) -> float:
-    """Magnitude of the first omitted series term, (pi c)^(2n+1) / (2n+1)!."""
-    x = math.pi * c
+    """Magnitude of the first omitted series term, (pi c)^(2n+1) / (2n+1)!, c finite and > 0."""
+    if not 0 < c < math.inf:
+        raise DomainError(f"c must be finite and positive, got {c!r}")
+    if n_terms < 0:
+        raise DomainError(f"n_terms must be nonnegative, got {n_terms!r}")
     k = 2 * n_terms + 1
-    return math.exp(k * math.log(x) - math.lgamma(k + 1))
+    return math.exp(k * math.log(math.pi * c) - math.lgamma(k + 1))

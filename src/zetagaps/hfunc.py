@@ -21,9 +21,11 @@ BC(g) = x**(a-1) * g, the kernels depend only on (r, P):
 
 <p, g * q> = <p * g, q> moves every P-weight and Beta kernel of the paper's
 nested integrals onto the kernel, so nothing is reflected u -> 1 - u.  A
-scheme compiles once, into the kernel moments <K, x**m> (CoeffScheme.kernels)
-and, as c enters only through sin(pi c v)/v = sum_j s_j(c) v**(2j), the
-c-free sine moments of the numerator (CoeffScheme.moments).
+scheme compiles once, into the kernel moments <K, x**m> (CoeffScheme.kernels),
+the four denominator components (CoeffScheme.den_terms) and, as c enters only
+through sin(pi c v)/v = sum_j s_j(c) v**(2j), the c-free sine moments of the
+numerator (CoeffScheme.moments).  h_grid evaluates h on a whole array of c in
+one call, each value the same float that h_value gives at that c.
 
 Every component is normalized by the common prefactor A_r * r^2 * (log T)^(r^2)
 shared by all eleven integrals, which removes the (otherwise unspecified)
@@ -41,7 +43,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, moments, sinc_coeffs
+from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, _sinc_rows, moments
 # perfbench traces beta_convolve, convolve and integrate_weighted as attributes of this module
 from .fracpoly import beta_convolve, convolve, integrate_weighted  # noqa: F401
 
@@ -55,6 +57,7 @@ __all__ = [
     "numerator_terms",
     "assemble_h",
     "h_value",
+    "h_grid",
 ]
 
 # Denominators smaller than this mean the scheme carries no usable mass.
@@ -106,6 +109,11 @@ class CoeffScheme:
         m = np.arange(2 * SINE_TERMS + 3 * self.dense.shape[1] - 3)
         mu = moments([k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self))], m)
         return mu * np.array([1.0, a, a * a, a])[:, None]  # the r^2, r^4 of K2-K4
+
+    @cached_property
+    def den_terms(self) -> tuple[float, float, float, float]:
+        """(d1, d2, d31, d32) of denominator_terms, which do not depend on c."""
+        return denominator_terms(self)
 
     @cached_property
     def moments(self) -> np.ndarray:
@@ -208,10 +216,11 @@ def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
     )
 
 
-def numerator_terms(
-    scheme: CoeffScheme, c: float
-) -> tuple[float, float, float, float, float, float, float]:
-    """The seven numerator components (n1, n2, n31, n32, n41, n42, n43).
+def numerator_terms(scheme: CoeffScheme, c: float | np.ndarray):
+    """The seven numerator components (n1, n2, n31, n32, n41, n42, n43) as a tuple.
+
+    For a 1-d array of n values of c, the (7, n) array whose column k holds the
+    components at c[k], bit for bit the same floats as at the scalar c[k].
 
     With kappa = -2r/pi, S the sine series of sin(pi c v)/v, s = v*S and the
     kernels of the module docs:
@@ -224,10 +233,16 @@ def numerator_terms(
     each kappa * sum_j s_j(c) M_j (scheme.moments, sinc_coeffs).  c must lie strictly inside
     (0, 1), where the SINE_TERMS-term series is certified to 1e-18 on [0, 1].
     """
-    if not (0.0 < c < 1.0):
-        raise DomainError("c must lie strictly between 0 and 1")
+    cs = np.asarray(c, dtype=float)
+    ok = (0.0 < cs) & (cs < 1.0)
+    if not ok.all():
+        raise DomainError(f"c must lie strictly between 0 and 1, got {float(cs[~ok].flat[0])!r}")
     kappa = -2.0 * scheme.r / math.pi
-    return tuple((kappa * (scheme.moments @ sinc_coeffs(c))).tolist())
+    s = _sinc_rows(cs.reshape(-1))[:, :, None]  # sinc_coeffs as a contiguous column per c
+    # one matrix-vector product per c, as at a scalar c: in one matrix product over all
+    # columns (BLAS gemm, or einsum's loops) a column's rounding can depend on their number
+    terms = (kappa * (scheme.moments @ s))[:, :, 0].T
+    return terms if cs.ndim else tuple(terms[:, 0].tolist())
 
 
 def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:
@@ -237,14 +252,27 @@ def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:
     n42, n43).  Raises DegenerateSchemeError when the denominator sum is
     below DENOMINATOR_FLOOR in magnitude.
     """
+    return HBreakdown(c, *den_terms, *num_terms, h=_ratio(c, den_terms, num_terms))
+
+
+def _ratio(c, den_terms, num_terms):
+    """c - sum(num_terms) / sum(den_terms), elementwise for an array c and rows num_terms."""
     den = sum(den_terms)
     if abs(den) <= DENOMINATOR_FLOOR:
         raise DegenerateSchemeError(
             f"denominator {den:.3e} is below the floor {DENOMINATOR_FLOOR:.0e}"
         )
-    return HBreakdown(c, *den_terms, *num_terms, h=c - sum(num_terms) / den)
+    return c - sum(num_terms) / den
 
 
 def h_value(scheme: CoeffScheme, c: float) -> HBreakdown:
     """Full component breakdown and h(c) = c - numerator/denominator (see assemble_h)."""
-    return assemble_h(c, denominator_terms(scheme), numerator_terms(scheme, c))
+    return assemble_h(c, scheme.den_terms, numerator_terms(scheme, float(c)))
+
+
+def h_grid(scheme: CoeffScheme, cs) -> np.ndarray:
+    """h at every c of the 1-d array cs, each entry equal to h_value(scheme, c).h."""
+    cs = np.asarray(cs, dtype=float)
+    if cs.ndim != 1:
+        raise ValueError("cs must be a 1-d array of c values")
+    return _ratio(cs, scheme.den_terms, numerator_terms(scheme, cs))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracpoly import SINE_TERMS, DomainError, FracPoly, sinc_coeffs
-from .hfunc import CoeffScheme, DegenerateSchemeError, h_value
+from .hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
 from .presets import PRESETS
 
 __all__ = [
@@ -95,16 +95,11 @@ def grid_points(c_lo, c_hi, step) -> list[float]:
 
 
 def bracket_scan(scheme, c_lo, c_hi, step):
-    """First adjacent pair of grid_points where h - 1 changes sign, or None."""
+    """First adjacent pair of grid_points where h - 1 changes sign, or None (one h_grid call)."""
     grid = grid_points(c_lo, c_hi, step)
-    prev_c = grid[0]
-    prev_v = h_value(scheme, prev_c).h - 1.0
-    for cur_c in grid[1:]:
-        cur_v = h_value(scheme, cur_c).h - 1.0
-        if prev_v * cur_v < 0.0:
-            return prev_c, cur_c
-        prev_c, prev_v = cur_c, cur_v
-    return None
+    v = h_grid(scheme, grid) - 1.0
+    changes = np.flatnonzero(v[:-1] * v[1:] < 0.0)
+    return (grid[changes[0]], grid[changes[0] + 1]) if changes.size else None
 
 
 def threshold_c(scheme, bracket, tol=1e-6):

@@ -9,7 +9,10 @@ import sys
 
 import pytest
 
-from zetagaps.cli import main, parse_config_text, CliError
+from zetagaps.cli import main, parse_config_text, CliError, _fmt
+from zetagaps.hfunc import h_value
+from zetagaps.optimizer import grid_points
+from zetagaps.presets import get_preset
 
 
 def run_cli(argv):
@@ -179,6 +182,31 @@ def test_scan_csv_shape():
     last = lines[-1].split(",")
     assert float(last[0]) == 0.53
     assert float(last[1]) > 1.0
+
+
+# the README's scan, as printed when every row was its own h_value call
+README_SCAN_CSV = """\
+c,h
+0.5,0.971572126858686
+0.505,0.980817546598969
+0.51,0.99004969756531
+0.515,0.999268485203139
+0.52,1.00847381595836
+0.525,1.01766559728306
+0.53,1.02684373764104
+"""
+
+
+def test_scan_rows_equal_h_value():
+    code, out = run_cli(
+        ["scan", "--preset", "table1-row1", "--clo", "0.50", "--chi", "0.53", "--step", "0.005"]
+    )
+    assert code == 0
+    assert out == README_SCAN_CSV
+    scheme = get_preset("table1-row1").scheme
+    rows = out.splitlines()[1:]
+    grid = grid_points(0.50, 0.53, 0.005)
+    assert [row.split(",")[1] for row in rows] == [_fmt(h_value(scheme, c).h) for c in grid]
 
 
 def test_scan_ends_at_chi():

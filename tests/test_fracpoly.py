@@ -333,9 +333,32 @@ def test_sinc_series_matches_sine_on_grid():
 
 def test_sinc_series_validation():
     assert sinc_coeffs(0.5).shape == (SINE_TERMS,)
-    for c in (-0.5, 0.0):
-        with pytest.raises(DomainError):
+    nan, inf = float("nan"), float("inf")
+    for c, shown in ((-0.5, "-0.5"), (0.0, "0.0"), (nan, "nan"), (inf, "inf"), (-inf, "-inf")):
+        with pytest.raises(DomainError, match=f"got {shown}$"):
             sinc_coeffs(c)
+    # every entry of an array is checked
+    for cs, shown in (([0.5, nan], "nan"), ([0.2, 0.3, -1.0], "-1.0"), ([inf, 0.5], "inf")):
+        with pytest.raises(DomainError, match=f"got {shown}$"):
+            sinc_coeffs(np.array(cs))
+
+
+def test_sinc_coeffs_array_columns_equal_scalar_coeffs():
+    cs = np.linspace(0.01, 0.99, 37)
+    grid = sinc_coeffs(cs)
+    assert grid.shape == (SINE_TERMS, cs.size)
+    for k, c in enumerate(cs.tolist()):
+        assert np.array_equal(grid[:, k], sinc_coeffs(c))
+
+
+def test_sinc_truncation_bound_validation():
+    nan, inf = float("nan"), float("inf")
+    for c, shown in ((nan, "nan"), (0.0, "0.0"), (0, "0"), (-0.3, "-0.3"), (inf, "inf")):
+        with pytest.raises(DomainError, match=f"got {shown}$"):
+            sinc_truncation_bound(c, 24)
+    with pytest.raises(DomainError, match="got -1$"):
+        sinc_truncation_bound(0.5, -1)
+    assert sinc_truncation_bound(0.5, 0) == pytest.approx(math.pi * 0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------- Beta ladder

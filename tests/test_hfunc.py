@@ -21,11 +21,15 @@ from zetagaps.hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
     denominator_terms,
+    h_grid,
     h_value,
     numerator_terms,
     p1_of,
     p2_of,
 )
+
+from zetagaps.optimizer import grid_points
+from zetagaps.presets import PRESETS
 
 from conftest import HB_FIELDS
 
@@ -132,9 +136,13 @@ def test_numerator_zero_f1_factor_structure():
 def test_numerator_rejects_c_outside_unit_interval(row1):
     from zetagaps.fracpoly import DomainError
 
-    for c in (0.0, 1.0, -0.2, 1.5):
+    for c in (0.0, 1.0, -0.2, 1.5, float("nan")):
         with pytest.raises(DomainError):
             numerator_terms(row1.scheme, c)
+    # every entry of an array of c is checked, in numerator_terms and in h_grid
+    for evaluate in (numerator_terms, h_grid):
+        with pytest.raises(DomainError, match="got 1.0$"):
+            evaluate(row1.scheme, np.array([0.5, 1.0]))
 
 
 def test_sine_series_meets_budget_on_unit_interval():
@@ -204,6 +212,50 @@ def test_h_value_degenerate_scheme():
     scheme = _scheme(1.18, [], [], [0.0, 0.0, 1.0])
     with pytest.raises(DegenerateSchemeError):
         h_value(scheme, 0.52)
+    with pytest.raises(DegenerateSchemeError):
+        h_grid(scheme, [0.50, 0.52])
+
+
+def _certify_batch():
+    """The three presets, then 21 copies with r and every coefficient scaled by a factor in
+    [0.99, 1.01], drawn in the order the certify benchmark draws its seed-0, repeat-0 batch."""
+    rng = np.random.default_rng([0, 0])
+    schemes = [p.scheme for p in PRESETS]
+    for i in range(7 * len(PRESETS)):
+        base = PRESETS[i % len(PRESETS)].scheme
+        r = base.r * (1.0 + rng.uniform(-0.01, 0.01))
+        f1, f1t, p = (
+            FracPoly.from_coeffs(c * (1.0 + rng.uniform(-0.01, 0.01, c.size)))
+            for c in (q.to_coeffs() for q in (base.f1, base.f1t, base.P))
+        )
+        schemes.append(CoeffScheme(r, f1, f1t, p))
+    return schemes
+
+
+def test_h_grid_equals_h_value_on_certify_grid():
+    grid = grid_points(0.45, 0.60, 0.002)
+    for scheme in _certify_batch():
+        hs = h_grid(scheme, grid)
+        assert hs.shape == (len(grid),)
+        assert hs.tolist() == [h_value(scheme, c).h for c in grid]
+
+
+def test_one_point_equals_grid_column(row3):
+    grid = np.array(grid_points(0.01, 0.99, 0.01))
+    hs, terms = h_grid(row3.scheme, grid), numerator_terms(row3.scheme, grid)
+    assert terms.shape == (7, grid.size)
+    for k, c in enumerate(grid.tolist()):
+        assert h_grid(row3.scheme, [c])[0] == hs[k]
+        assert numerator_terms(row3.scheme, c) == tuple(terms[:, k].tolist())
+
+
+def test_h_grid_wants_one_dimension(row1):
+    with pytest.raises(TypeError):  # h_value takes one c
+        h_value(row1.scheme, np.array([0.5, 0.51]))
+    with pytest.raises(ValueError, match="1-d"):
+        h_grid(row1.scheme, 0.5)
+    with pytest.raises(ValueError, match="1-d"):
+        h_grid(row1.scheme, [[0.5, 0.51]])
 
 
 def test_h_value_simple_scheme_against_2d_quadrature(plain_scheme):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from zetagaps.fracpoly import FracPoly
-from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_value
+import zetagaps.hfunc
+from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
 from zetagaps.optimizer import (
     OptimizeConfig,
     bracket_scan,
@@ -57,6 +58,50 @@ def test_bracket_scan_propagates_degenerate_error():
     )
     with pytest.raises(DegenerateSchemeError):
         bracket_scan(zero, 0.50, 0.53, 0.01)
+    with pytest.raises(DegenerateSchemeError):
+        h_grid(zero, grid_points(0.50, 0.53, 0.01))
+
+
+def _bracket_scan_by_points(scheme, c_lo, c_hi, step):
+    """Reference: walk the grid one h_value at a time, stopping at the first sign change."""
+    grid = grid_points(c_lo, c_hi, step)
+    prev_c, prev_v = grid[0], h_value(scheme, grid[0]).h - 1.0
+    for cur_c in grid[1:]:
+        cur_v = h_value(scheme, cur_c).h - 1.0
+        if prev_v * cur_v < 0.0:
+            return prev_c, cur_c
+        prev_c, prev_v = cur_c, cur_v
+    return None
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        (0.45, 0.60, 0.002),
+        (0.50, 0.53, 0.001),
+        (0.5, 0.5154, 0.001),
+        (0.515, 0.516, 0.001),
+        (0.52, 0.53, 0.002),
+        (0.40, 0.45, 0.01),
+    ],
+)
+def test_bracket_scan_matches_pointwise_walk(rows, window):
+    # the last two windows have no sign change; (0.515, 0.516) has it in its only pair
+    for preset in rows:
+        expect = _bracket_scan_by_points(preset.scheme, *window)
+        assert bracket_scan(preset.scheme, *window) == expect
+
+
+def test_denominator_compiled_once_per_scheme(row3, monkeypatch):
+    calls = []
+    denominator_terms = zetagaps.hfunc.denominator_terms
+    monkeypatch.setattr(
+        zetagaps.hfunc, "denominator_terms", lambda s: calls.append(s) or denominator_terms(s)
+    )
+    scheme = CoeffScheme(row3.scheme.r, row3.scheme.f1, row3.scheme.f1t, row3.scheme.P)
+    bracket = bracket_scan(scheme, 0.45, 0.60, 0.002)
+    threshold_c(scheme, bracket, 1e-6)
+    assert calls == [scheme]
 
 
 def test_bracket_scan_validation(row1):
