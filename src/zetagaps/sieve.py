@@ -22,19 +22,18 @@ at T = 1e6 (K = 5239, c = 0.6, f1 = 1 - u) the two cost factors of 0.645 and
 0.638, and the finite numerator is 0.411 of the limit one.
 
 Every stage splits its per-prime work at sqrt(K): each k <= K has at most
-one prime factor p > sqrt(K), and that factor has exponent 1.  Primes (and
-prime powers) up to sqrt(K) get one strided pass each; those above sqrt(K)
-are handled by a loop over the cofactor m <= sqrt(K) with one vector update
-over every large p with m p <= K.  The a_k are built blockwise, in place of
-the S_P buffer, so no other K-sized temporary is allocated.
-
-Tables are built once, are read-only afterwards, and can be shared freely.
+one prime factor p > sqrt(K), and that factor has exponent 1.  lambda d_r,
+S_P and a_k are sieved in blocks of SIEVE_BLOCK integers, one strided pass
+per prime power p**j <= K with p <= sqrt(K); k over its sqrt(K)-smooth part
+is then 1 or the large prime.  So finite_h allocates no K-sized array but a.
+The numerator sum takes the primes above sqrt(K) one cofactor m at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -54,29 +53,45 @@ __all__ = [
 
 MAX_TABLE_LIMIT = 10**8
 
-# a_k is built in blocks of this many entries, so its temporaries stay small
-AK_BLOCK = 2**16
+# the per-integer work runs in blocks of this many integers
+SIEVE_BLOCK = 2**16
 
 
 @dataclass
 class SieveTable:
-    """Per-integer tables up to `limit` (indexed 1..limit), the primes, Lambda on its support.
+    """The primes and Lambda on its support up to `limit`; lambda and d_r per integer.
 
-    Index 0 of every per-integer array is an unused sentinel so that
-    table[n] is the value at the integer n.
+    `liouville` (int8, lambda(k) = +-1) and `dr` (float64, d_r(k)) are indexed
+    by k, index 0 an unused sentinel.  Both are sieved on the first read of
+    either and cached.  Every array is read-only, but that first read writes
+    the cache: make it before sharing a table between threads.
     """
 
     limit: int
     r: float
-    liouville: np.ndarray  # int8, lambda(k) in {-1, +1}
-    dr: np.ndarray  # float64, d_r(k)
     primes: np.ndarray  # int64, every prime <= limit, ascending
     prime_powers: np.ndarray  # int64, every p**a <= limit (a >= 1), ascending
     mangoldt: np.ndarray  # float64, Lambda(prime_powers) = log p
 
     def __post_init__(self):
-        for arr in (self.liouville, self.dr, self.primes, self.prime_powers, self.mangoldt):
+        for arr in (self.primes, self.prime_powers, self.mangoldt):
             arr.setflags(write=False)
+
+    @cached_property
+    def liouville(self) -> np.ndarray:
+        signed = np.zeros(self.limit + 1)  # lambda(k) d_r(k)
+        for lo, hi, _, l, _ in _blocks(self.r, self.primes, self.limit):
+            signed[lo:hi] = l
+        liouville = np.sign(signed).astype(np.int8)
+        self.dr = np.abs(signed, out=signed)
+        for arr in (liouville, self.dr):
+            arr.setflags(write=False)
+        return liouville
+
+    @cached_property
+    def dr(self) -> np.ndarray:
+        self.liouville  # its first read sieves both and sets dr
+        return vars(self)["dr"]
 
 
 def _primes_up_to(n: int) -> np.ndarray:
@@ -88,7 +103,7 @@ def _primes_up_to(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
 def _above_root(values: np.ndarray, limit: int) -> int:
@@ -112,58 +127,68 @@ def _cofactor_walk(large: np.ndarray, limit: int):
         m += 1
 
 
-def build_tables(r: float, limit: int) -> SieveTable:
-    """Sieve the primes and lambda, d_r, Lambda up to `limit`.
+def _small_powers(primes: np.ndarray, limit: int):
+    """Yield (p, j, p**j) for the primes p <= sqrt(limit) and p**j <= limit,
+    p ascending, then j ascending."""
+    for p in primes[: _above_root(primes, limit)].tolist():
+        pj, j = p, 1
+        while pj <= limit:
+            yield p, j, pj
+            pj, j = pj * p, j + 1
 
-    lambda and d_r are completely determined by prime-power exponents, so
-    both are accumulated with one strided pass per prime power p**j: every
-    multiple of p**j picks up a factor -1 (for lambda) respectively
-    (j - 1 + r)/j (for d_r, the Gamma-ratio recurrence
-    d_r(p**j) = d_r(p**(j-1)) * (j - 1 + r) / j).  The same walk lists the
-    higher prime powers, the rest of Lambda's support.
+
+def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs=None):
+    """Yield (lo, hi, k, l, s) over blocks [lo, hi) of SIEVE_BLOCK integers
+    covering 1..limit: k = lo..hi-1 as float64, l = lambda(k) d_r(k) and
+    s = S_P(k) = sum of P(log p / log limit) over the primes p | k (P's
+    dense coefficients `p_coeffs`; s = 0 when None).
+
+    `primes` must hold every prime <= sqrt(limit).  Each p**j multiplies l
+    by -(j - 1 + r)/j (lambda's sign and d_r's Gamma-ratio recurrence) and
+    the smooth part m by p; q = k / m (exact below 2**53) is 1 or the prime
+    factor above sqrt(limit), which multiplies l by -r last.
+    """
+    passes = [(pj, p, -(j - 1 + r) / j) for p, j, pj in _small_powers(primes, limit)]
+    small, log_lim = primes[: _above_root(primes, limit)], math.log(limit)
+    p_small = [] if p_coeffs is None else list(
+        zip(small.tolist(), polyval(np.log(small) / log_lim, p_coeffs).tolist())
+    )
+    for lo in range(1, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        k = np.arange(lo, hi, dtype=np.float64)
+        l, m, s = np.ones(hi - lo), np.ones(hi - lo), np.zeros(hi - lo)
+        for pj, p, factor in passes:
+            start = -lo % pj
+            l[start::pj] *= factor
+            m[start::pj] *= p
+        for p, value in p_small:
+            s[-lo % p :: p] += value
+        q = k / m
+        large = q > 1.0
+        l *= np.where(large, -r, 1.0)
+        if p_small:
+            s += np.where(large, polyval(np.log(q) / log_lim, p_coeffs), 0.0)
+        yield lo, hi, k, l, s
+
+
+def build_tables(r: float, limit: int) -> SieveTable:
+    """Sieve the primes and Lambda up to `limit`; lambda and d_r on first read.
+
+    Lambda's support is the primes and the p**j (j >= 2) of the primes
+    p <= sqrt(limit), listed by the prime-power walk that sieves the blocks.
     """
     limit = int(limit)
     if not (2 <= limit <= MAX_TABLE_LIMIT):
         raise ValueError(f"limit must lie in [2, {MAX_TABLE_LIMIT}]")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"r must be positive and finite, got r={r}")
 
     primes = _primes_up_to(limit)
-    liouville = np.ones(limit + 1, dtype=np.int8)
-    dr = np.ones(limit + 1, dtype=np.float64)
-    powers, logs = [], []  # p**j and log p for j >= 2
-
-    split = _above_root(primes, limit)
-    for p in primes[:split].tolist():
-        pj = p
-        j = 1
-        while pj <= limit:
-            liouville[pj::pj] *= -1
-            dr[pj::pj] *= (j - 1 + r) / j
-            if j > 1:
-                powers.append(pj)
-                logs.append(math.log(p))
-            pj *= p
-            j += 1
-    large = primes[split:]
-    for m, n in _cofactor_walk(large, limit):
-        idx = m * large[:n]
-        liouville[idx] *= -1
-        dr[idx] *= r
-
-    liouville[0] = 0
-    dr[0] = 0.0
-    prime_powers = np.concatenate([primes, np.array(powers, dtype=np.int64)])
-    order = np.argsort(prime_powers, kind="stable")
-    return SieveTable(
-        limit=limit,
-        r=r,
-        liouville=liouville,
-        dr=dr,
-        primes=primes,
-        prime_powers=prime_powers[order],
-        mangoldt=np.concatenate([np.log(primes.astype(np.float64)), logs])[order],
-    )
+    higher = [(pj, math.log(p)) for p, j, pj in _small_powers(primes, limit) if j > 1]
+    support = np.concatenate([primes, [pj for pj, _ in higher]]).astype(np.int64)
+    logs = np.concatenate([np.log(primes.astype(np.float64)), [lp for _, lp in higher]])
+    order = np.argsort(support, kind="stable")
+    return SieveTable(limit, r, primes, support[order], logs[order])
 
 
 def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
@@ -174,13 +199,11 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     with x_k = log(upto / k) / log(upto) and S_P(k) the sum of
     P(log p / log(upto)) over the distinct primes p dividing k.  f1, f1t and
     P are evaluated from their dense coefficients by Horner's rule (numpy's
-    polyval), P once at all primes up to `upto`.
+    polyval).
 
-    S_P gets one strided pass per prime p <= sqrt(upto) and, for the primes
-    above sqrt(upto), one vector update per cofactor m.  The a_k are then
-    written block by block (AK_BLOCK entries) over the S_P buffer, each
-    block reading S_P(k) before overwriting it, so the result is the only
-    K-sized array allocated.
+    lambda(k) d_r(k) and S_P(k) come from the block sieve, which reads only
+    tables.r and the primes up to sqrt(upto); the result is the one K-sized
+    array allocated.
     """
     upto = int(upto)
     if upto < 2 or upto > tables.limit:
@@ -189,28 +212,12 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
         raise ValueError("tables were built with a different r")
 
     log_up = math.log(upto)
-    a = np.zeros(upto + 1)  # S_P(k) first, then a_k
-    if not scheme.P.is_zero:
-        primes = tables.primes[tables.primes <= upto]
-        p_at_primes = polyval(np.log(primes) / log_up, scheme.P.to_coeffs())
-        split = _above_root(primes, upto)
-        for p, value in zip(primes[:split].tolist(), p_at_primes[:split].tolist()):
-            a[p::p] += value
-        large, p_large = primes[split:], p_at_primes[split:]
-        for m, n in _cofactor_walk(large, upto):
-            a[m * large[:n]] += p_large[:n]
-
+    p_coeffs = None if scheme.P.is_zero else scheme.P.to_coeffs()
     f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
-    for lo in range(1, upto + 1, AK_BLOCK):
-        hi = min(lo + AK_BLOCK, upto + 1)
-        k = np.arange(lo, hi, dtype=np.float64)
+    a = np.zeros(upto + 1)
+    for lo, hi, k, l, s in _blocks(tables.r, tables.primes, upto, p_coeffs):
         x = 1.0 - np.log(k) / log_up
-        a[lo:hi] = (
-            tables.liouville[lo:hi]
-            * tables.dr[lo:hi]
-            / np.sqrt(k)
-            * (polyval(x, f1) + a[lo:hi] * polyval(x, f1t))
-        )
+        a[lo:hi] = l / np.sqrt(k) * (polyval(x, f1) + s * polyval(x, f1t))
     return a
 
 
@@ -228,6 +235,8 @@ def finite_h_from_coeffs(
     sum_k a_k a_{nk}; for n > sqrt(K) the order of summation is swapped,
     sum_{k <= sqrt(K)} a_k * sum_{n <= K/k} w(n) a_{nk}, one dot per k.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got c={c}")
     upto = len(a) - 1
     den = float(a[1:] @ a[1:])
     support = tables.prime_powers[tables.prime_powers <= upto]
@@ -254,8 +263,9 @@ def finite_h(
     numerator sum, since Lambda weights them, even though only n = p
     survives in the limit.
     """
-    if not math.isfinite(t_param):
-        raise ValueError(f"T must be finite, got T={t_param}")
+    for name, value in (("c", c), ("T", t_param)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
     if t_param < 100:
         raise ValueError("T must be at least 100")
     upto = int(t_param / math.log(t_param) ** 2)
@@ -288,7 +298,10 @@ def dr_mean_square_trend(
     Their stabilization as x grows estimates the leading constant of the
     mean-square sum empirically.
     """
+    x_list = list(x_list)
     xs = [int(x) for x in x_list]
+    if xs != x_list:
+        raise ValueError(f"x_list entries must be integers, got {x_list}")
     if not xs:
         raise ValueError("x_list must not be empty")
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -297,7 +310,7 @@ def dr_mean_square_trend(
         raise ValueError("entries must be at least 2")
     if tables is None:
         tables = build_tables(r, xs[-1])
-    elif tables.limit < xs[-1] or abs(tables.r - r) > 1e-12:
+    elif tables.limit < xs[-1] or not abs(tables.r - r) <= 1e-12:
         raise ValueError("tables do not cover the requested range")
 
     k = np.arange(1, xs[-1] + 1, dtype=np.float64)

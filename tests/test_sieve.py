@@ -7,6 +7,7 @@ import pytest
 from zetagaps.fracpoly import FracPoly
 from zetagaps.hfunc import CoeffScheme, denominator_terms, h_value
 from zetagaps.sieve import (
+    SIEVE_BLOCK,
     build_tables,
     coeffs_ak,
     dr_mean_square_trend,
@@ -53,6 +54,18 @@ def _ak_direct(scheme, upto, k):
 # (7, 31) and a composite (12) square root
 ROOT_BOUNDARY_LIMITS = [q * q + d for q in (7, 12, 31) for d in (-1, 0, 1)]
 
+# K ending one before, at and one after a block edge, and one past the second
+BLOCK_LIMITS = [SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 1]
+
+
+def _near_block_edges(limit, seed):
+    """Every k within 64 of a block edge (blocks start at 1, 1 + SIEVE_BLOCK, ...)
+    or of `limit`, and 200 seeded random k <= limit."""
+    edges = list(range(1, limit + 1, SIEVE_BLOCK)) + [limit + 1]
+    near = {k for e in edges for k in range(e - 64, e + 65) if 1 <= k <= limit}
+    rng = np.random.default_rng(seed)
+    return sorted(near | set(rng.integers(1, limit + 1, 200).tolist()))
+
 
 @pytest.fixture(scope="module")
 def tables_r118():
@@ -74,6 +87,31 @@ def test_limit_validation():
         build_tables(1.18, 10**8 + 1)
     with pytest.raises(ValueError):
         build_tables(-1.0, 100)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_build_tables_rejects_non_finite_r_naming_it(r):
+    with pytest.raises(ValueError, match=f"r={r}"):
+        build_tables(r, 1000)
+    with pytest.raises(ValueError, match=f"r={r}"):
+        dr_mean_square_trend(r, [10, 100])
+
+
+def test_trend_rejects_non_finite_r_with_given_tables(tables_r1):
+    with pytest.raises(ValueError):
+        dr_mean_square_trend(math.nan, [10, 100], tables=tables_r1)
+
+
+def test_liouville_and_dr_built_on_first_read():
+    tables = build_tables(1.18, 1000)
+    assert "liouville" not in vars(tables)
+    assert "dr" not in vars(tables)
+    assert tables.dr[12] == _dr_direct(1.18, 12)
+    assert "liouville" in vars(tables) and "dr" in vars(tables)
+    for arr in (tables.liouville, tables.dr):
+        assert not arr.flags.writeable
+    assert tables.liouville.dtype == np.int8
+    assert tables.dr.dtype == np.float64
 
 
 def test_liouville_values(tables_r118):
@@ -214,6 +252,16 @@ def test_finite_h_with_injected_coefficients(tables_r118):
     assert h == 0.52
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_finite_h_rejects_non_finite_c_naming_it(plain_scheme, tables_r1, c):
+    with pytest.raises(ValueError, match=f"c must be finite, got c={c}"):
+        finite_h(plain_scheme, c, 1e6)
+    a = np.zeros(1001)
+    a[1] = 1.0
+    with pytest.raises(ValueError, match=f"c must be finite, got c={c}"):
+        finite_h_from_coeffs(a, tables_r1, c, 1e6)
+
+
 def test_finite_h_validation(plain_scheme):
     with pytest.raises(ValueError):
         finite_h(plain_scheme, 0.6, 50.0)
@@ -327,9 +375,55 @@ def test_finite_h_matches_double_sum_at_root_boundary(row1, limit):
     assert h_fin == pytest.approx(c - num / den, rel=1e-13)
 
 
+# ---------------------------------------------------------------- block edges
+
+
+@pytest.mark.parametrize("limit", BLOCK_LIMITS)
+def test_tables_match_trial_division_at_block_edges(limit):
+    r = 1.18
+    tables = build_tables(r, limit)
+    for k in _near_block_edges(limit, seed=limit):
+        assert tables.liouville[k] == (-1) ** sum(_factorize(k).values()), k
+        assert tables.dr[k] == _dr_direct(r, k), k
+
+
+@pytest.mark.parametrize("limit", BLOCK_LIMITS)
+def test_ak_matches_trial_division_at_block_edges(row1, limit):
+    a = coeffs_ak(row1.scheme, build_tables(row1.scheme.r, limit), limit)
+    for k in _near_block_edges(limit, seed=limit + 1):
+        assert a[k] == pytest.approx(_ak_direct(row1.scheme, limit, k), rel=1e-12, abs=1e-15)
+
+
+def test_finite_h_across_a_block_edge_matches_built_tables(row1):
+    c, t_param = 0.5154, 18_330_500.0
+    upto = SIEVE_BLOCK + 1
+    assert int(t_param / math.log(t_param) ** 2) == upto
+    tables = build_tables(row1.scheme.r, upto)
+    tables.dr  # every per-integer table built
+    expect = finite_h_from_coeffs(coeffs_ak(row1.scheme, tables, upto), tables, c, t_param)
+    assert finite_h(row1.scheme, c, t_param) == expect
+
+
+def test_finite_h_allocates_no_lambda_or_dr_table(row1):
+    # only a is K-sized: block temporaries add about 12 arrays of SIEVE_BLOCK
+    # doubles (measured 2.08x 8 (K + 1) bytes); K-sized lambda and d_r tables
+    # add 9 (K + 1) bytes more (2.97x)
+    c, t_param = 0.5154, 4e8
+    upto = int(t_param / math.log(t_param) ** 2)
+    assert upto == 1_019_585
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        finite_h(row1.scheme, c, t_param)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2.5 * 8 * (upto + 1), f"{(peak - start) / (8 * (upto + 1)):.2f}x"
+
+
 def test_coeffs_ak_allocates_one_k_sized_array(row1):
     # a_k is built blockwise over its own output buffer, so the traced peak
-    # is that buffer plus block-sized temporaries (measured 1.6x 8 (K + 1)
+    # is that buffer plus block-sized temporaries (measured 1.87x 8 (K + 1)
     # bytes); full-length arrays for k, x, S_P and the polynomials read 9.2x
     upto = 10**6
     tables = build_tables(row1.scheme.r, upto)
@@ -394,3 +488,11 @@ def test_trend_validation(tables_r1):
         dr_mean_square_trend(1.0, [10**6 + 1], tables=tables_r1)
     with pytest.raises(ValueError):
         dr_mean_square_trend(1.0, [], tables=tables_r1)
+
+
+def test_trend_rejects_non_integral_entries(tables_r1):
+    with pytest.raises(ValueError, match="integers"):
+        dr_mean_square_trend(1.0, [2.5, 10], tables=tables_r1)
+    assert dr_mean_square_trend(1.0, [10.0], tables=tables_r1) == dr_mean_square_trend(
+        1.0, [10], tables=tables_r1
+    )
