@@ -23,10 +23,15 @@ at T = 1e6 (K = 5239, c = 0.6, f1 = 1 - u) the two cost factors of 0.645 and
 
 Every stage splits its per-prime work at sqrt(K): each k <= K has at most
 one prime factor p > sqrt(K), and that factor has exponent 1.  lambda d_r,
-S_P and a_k are sieved in blocks of SIEVE_BLOCK integers, one strided pass
-per prime power p**j <= K with p <= sqrt(K); k over its sqrt(K)-smooth part
-is then 1 or the large prime.  So finite_h allocates no K-sized array but a.
-The numerator sum takes the primes above sqrt(K) one cofactor m at a time.
+S_P and a_k are sieved in blocks of SIEVE_BLOCK integers, one pass per prime
+power p**j <= K with p <= sqrt(K); k over its sqrt(K)-smooth part is then 1
+or the large prime.  The passes of the primes up to DENSE_PRIMES =
+sqrt(SIEVE_BLOCK) are dense strided slices.  The larger primes hit a block
+at most SIEVE_BLOCK / DENSE_PRIMES times per pass, so the hits of all their
+passes are listed and applied in one scatter per block, which keeps the
+numpy calls per block few.  The block arrays are reused, so finite_h
+allocates no K-sized array but a.  The numerator sum takes the primes above
+sqrt(K) one cofactor m at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ MAX_TABLE_LIMIT = 10**8
 
 # the per-integer work runs in blocks of this many integers
 SIEVE_BLOCK = 2**16
+
+# primes up to this sieve a block by strided passes, the larger by one scatter
+DENSE_PRIMES = math.isqrt(SIEVE_BLOCK)
 
 
 @dataclass
@@ -137,38 +145,80 @@ def _small_powers(primes: np.ndarray, limit: int):
             pj, j = pj * p, j + 1
 
 
+def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """polyval(x, coeffs) written into `out`: polyval's operations in its
+    order, without its temporaries."""
+    out.fill(coeffs[-1])
+    for c in coeffs[-2::-1].tolist():
+        out *= x
+        out += c
+    return out
+
+
 def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs=None):
     """Yield (lo, hi, k, l, s) over blocks [lo, hi) of SIEVE_BLOCK integers
     covering 1..limit: k = lo..hi-1 as float64, l = lambda(k) d_r(k) and
     s = S_P(k) = sum of P(log p / log limit) over the primes p | k (P's
-    dense coefficients `p_coeffs`; s = 0 when None).
+    dense coefficients `p_coeffs`, with P(0) = 0; s = 0 when None).  The
+    three arrays are reused: the next block overwrites them.
 
-    `primes` must hold every prime <= sqrt(limit).  Each p**j multiplies l
-    by -(j - 1 + r)/j (lambda's sign and d_r's Gamma-ratio recurrence) and
-    the smooth part m by p; q = k / m (exact below 2**53) is 1 or the prime
-    factor above sqrt(limit), which multiplies l by -r last.
+    `primes` must hold every prime <= sqrt(limit).  Each pass p**j
+    multiplies l by -(j - 1 + r)/j (lambda's sign and d_r's Gamma-ratio
+    recurrence) and the smooth part m of k by p; for j = 1 it adds
+    P(log p / log limit) to s.  The passes of the primes p <= DENSE_PRIMES
+    are strided; the hits of all the others are listed pass by pass and
+    applied in one scatter per block.  Both run the passes p ascending, then
+    j, so every product and sum is taken in one order.  q = k / m (exact
+    below 2**53) is then 1 or the prime factor above sqrt(limit), which
+    multiplies l by -r last and adds P(log q / log limit) (0 at q = 1).
     """
-    passes = [(pj, p, -(j - 1 + r) / j) for p, j, pj in _small_powers(primes, limit)]
-    small, log_lim = primes[: _above_root(primes, limit)], math.log(limit)
-    p_small = [] if p_coeffs is None else list(
-        zip(small.tolist(), polyval(np.log(small) / log_lim, p_coeffs).tolist())
+    passes = np.array(list(_small_powers(primes, limit)), dtype=np.int64).reshape(-1, 3)
+    p, j, pj = passes.T
+    factor = -(j - 1 + r) / j
+    log_lim = math.log(limit)
+    # what a pass adds to s: P(log p / log limit) for j = 1, else 0
+    value = np.zeros(p.size) if p_coeffs is None else np.where(
+        j == 1, polyval(np.log(p) / log_lim, p_coeffs), 0.0
     )
+    dense = int(np.searchsorted(p, DENSE_PRIMES, side="right"))
+    strided = list(zip(pj[:dense].tolist(), p[:dense].tolist(), factor[:dense].tolist()))
+    # adding 0 leaves s as it is (s is never -0.0), so those passes are skipped
+    strided_s = [(prime, v) for prime, v in zip(p[:dense].tolist(), value[:dense].tolist()) if v]
+    sparse_pj, sparse_p = pj[dense:], p[dense:].astype(np.float64)
+    sparse_factor, sparse_value = factor[dense:], value[dense:]
+
+    size = min(SIEVE_BLOCK, limit)
+    offsets = np.arange(size, dtype=np.float64)
+    buffers = np.empty((5, size))
     for lo in range(1, limit + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, limit + 1)
-        k = np.arange(lo, hi, dtype=np.float64)
-        l, m, s = np.ones(hi - lo), np.ones(hi - lo), np.zeros(hi - lo)
-        for pj, p, factor in passes:
-            start = -lo % pj
-            l[start::pj] *= factor
-            m[start::pj] *= p
-        for p, value in p_small:
-            s[-lo % p :: p] += value
-        q = k / m
-        large = q > 1.0
-        l *= np.where(large, -r, 1.0)
-        if p_small:
-            s += np.where(large, polyval(np.log(q) / log_lim, p_coeffs), 0.0)
-        yield lo, hi, k, l, s
+        n = min(SIEVE_BLOCK, limit + 1 - lo)
+        k, l, m, s, p_of_q = buffers[:, :n]
+        np.add(offsets[:n], lo, out=k)
+        l.fill(1.0)
+        m.fill(1.0)
+        s.fill(0.0)
+        for step, prime, f in strided:
+            start = -lo % step
+            l[start::step] *= f
+            m[start::step] *= prime
+        for prime, v in strided_s:
+            s[-lo % prime :: prime] += v
+        start = -lo % sparse_pj
+        count = (n - start + sparse_pj - 1) // sparse_pj  # hits in this block
+        which = np.repeat(np.arange(count.size), count)  # the pass of each hit
+        first = np.cumsum(count) - count  # its pass's first hit
+        hit = start[which] + sparse_pj[which] * (np.arange(which.size) - first[which])
+        np.multiply.at(l, hit, sparse_factor[which])
+        np.multiply.at(m, hit, sparse_p[which])
+        if p_coeffs is not None:
+            np.add.at(s, hit, sparse_value[which])
+        q = np.divide(k, m, out=m)
+        np.multiply(l, -r, out=l, where=q > 1.0)
+        if p_coeffs is not None:
+            np.log(q, out=q)
+            q /= log_lim
+            s += _horner(q, p_coeffs, p_of_q)
+        yield lo, lo + n, k, l, s
 
 
 def build_tables(r: float, limit: int) -> SieveTable:
@@ -199,7 +249,7 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     with x_k = log(upto / k) / log(upto) and S_P(k) the sum of
     P(log p / log(upto)) over the distinct primes p dividing k.  f1, f1t and
     P are evaluated from their dense coefficients by Horner's rule (numpy's
-    polyval).
+    polyval, in place).
 
     lambda(k) d_r(k) and S_P(k) come from the block sieve, which reads only
     tables.r and the primes up to sqrt(upto); the result is the one K-sized
@@ -215,9 +265,16 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     p_coeffs = None if scheme.P.is_zero else scheme.P.to_coeffs()
     f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
     a = np.zeros(upto + 1)
+    buffers = np.empty((2, min(SIEVE_BLOCK, upto)))
     for lo, hi, k, l, s in _blocks(tables.r, tables.primes, upto, p_coeffs):
-        x = 1.0 - np.log(k) / log_up
-        a[lo:hi] = l / np.sqrt(k) * (polyval(x, f1) + s * polyval(x, f1t))
+        x, f = buffers[:, : hi - lo]
+        np.log(k, out=x)
+        x /= log_up
+        np.subtract(1.0, x, out=x)
+        s *= _horner(x, f1t, f)
+        s += _horner(x, f1, f)
+        out = np.divide(l, np.sqrt(k, out=k), out=a[lo:hi])
+        out *= s
     return a
 
 
@@ -237,7 +294,13 @@ def finite_h_from_coeffs(
     """
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got c={c}")
+    if not (math.isfinite(t_param) and t_param > 1):
+        raise ValueError(f"T must be finite and above 1, got T={t_param}")
     upto = len(a) - 1
+    if not 2 <= upto <= tables.limit:
+        raise ValueError(
+            f"len(a) - 1 = {upto} must lie in [2, tables.limit = {tables.limit}]"
+        )
     den = float(a[1:] @ a[1:])
     support = tables.prime_powers[tables.prime_powers <= upto]
     log_n = np.log(support)
@@ -283,6 +346,8 @@ def finite_h(
 
 def mertens_deficit(y: int) -> float:
     """sum_{p <= y} log(p)/p - log(y); bounded as y grows."""
+    if not (math.isfinite(y) and int(y) == y):
+        raise ValueError(f"y must be an integer, got y={y}")
     y = int(y)
     if y < 2:
         raise ValueError("y must be at least 2")

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from zetagaps.fracpoly import FracPoly
 from zetagaps.hfunc import CoeffScheme, denominator_terms, h_value
+from zetagaps.presets import get_preset, preset_names
 from zetagaps.sieve import (
     SIEVE_BLOCK,
     build_tables,
@@ -262,6 +264,26 @@ def test_finite_h_rejects_non_finite_c_naming_it(plain_scheme, tables_r1, c):
         finite_h_from_coeffs(a, tables_r1, c, 1e6)
 
 
+@pytest.mark.parametrize(
+    "size, t_param, message",
+    [
+        (1001, math.nan, "T must be finite and above 1, got T=nan"),
+        (1001, math.inf, "T must be finite and above 1, got T=inf"),
+        (1001, 1.0, "T must be finite and above 1, got T=1.0"),
+        (1001, 0.5, "T must be finite and above 1, got T=0.5"),
+        (2, 1e6, r"len\(a\) - 1 = 1 must lie in \[2, tables.limit = 1000\]"),
+        (1002, 1e6, r"len\(a\) - 1 = 1001 must lie in \[2, tables.limit = 1000\]"),
+    ],
+)
+def test_finite_h_from_coeffs_rejects_bad_input_naming_it(size, t_param, message):
+    # a longer than the tables would drop Lambda's support above their limit
+    tables = build_tables(1.0, 1000)
+    a = np.zeros(size)
+    a[1] = 1.0
+    with pytest.raises(ValueError, match=message):
+        finite_h_from_coeffs(a, tables, 0.6, t_param)
+
+
 def test_finite_h_validation(plain_scheme):
     with pytest.raises(ValueError):
         finite_h(plain_scheme, 0.6, 50.0)
@@ -346,7 +368,8 @@ def test_tables_match_trial_division_at_root_boundary(limit):
     assert tables.primes.tolist() == expect_primes
 
 
-@pytest.mark.parametrize("limit", ROOT_BOUNDARY_LIMITS)
+# below K = 4 no prime is at most sqrt(K): each k > 1 is its own large prime
+@pytest.mark.parametrize("limit", [2, 3, *ROOT_BOUNDARY_LIMITS])
 def test_ak_matches_trial_division_at_root_boundary(row1, limit):
     a = coeffs_ak(row1.scheme, build_tables(row1.scheme.r, limit), limit)
     assert a[0] == 0.0
@@ -405,8 +428,8 @@ def test_finite_h_across_a_block_edge_matches_built_tables(row1):
 
 
 def test_finite_h_allocates_no_lambda_or_dr_table(row1):
-    # only a is K-sized: block temporaries add about 12 arrays of SIEVE_BLOCK
-    # doubles (measured 2.08x 8 (K + 1) bytes); K-sized lambda and d_r tables
+    # only a is K-sized: block buffers and the numerator's weights add the
+    # rest (measured 1.83x 8 (K + 1) bytes); K-sized lambda and d_r tables
     # add 9 (K + 1) bytes more (2.97x)
     c, t_param = 0.5154, 4e8
     upto = int(t_param / math.log(t_param) ** 2)
@@ -423,7 +446,7 @@ def test_finite_h_allocates_no_lambda_or_dr_table(row1):
 
 def test_coeffs_ak_allocates_one_k_sized_array(row1):
     # a_k is built blockwise over its own output buffer, so the traced peak
-    # is that buffer plus block-sized temporaries (measured 1.87x 8 (K + 1)
+    # is that buffer plus block-sized buffers (measured 1.60x 8 (K + 1)
     # bytes); full-length arrays for k, x, S_P and the polynomials read 9.2x
     upto = 10**6
     tables = build_tables(row1.scheme.r, upto)
@@ -435,6 +458,82 @@ def test_coeffs_ak_allocates_one_k_sized_array(row1):
     finally:
         tracemalloc.stop()
     assert peak - start <= 2 * 8 * (upto + 1), f"{(peak - start) / (8 * (upto + 1)):.2f}x"
+
+
+# ---------------------------------------------------------------- bitwise against strided passes
+
+
+def _strided_blocks(r, primes, limit, p_coeffs):
+    """The block sieve with one strided pass per prime power, for every
+    prime p <= sqrt(limit): the reference that the scatter of the larger
+    primes' passes must match bit for bit."""
+    small = [p for p in primes.tolist() if p * p <= limit]
+    passes = []
+    for p in small:
+        pj, j = p, 1
+        while pj <= limit:
+            passes.append((pj, p, -(j - 1 + r) / j))
+            pj, j = pj * p, j + 1
+    log_lim = math.log(limit)
+    p_small = [] if p_coeffs is None else list(
+        zip(small, polyval(np.log(np.array(small, dtype=np.int64)) / log_lim, p_coeffs).tolist())
+    )
+    for lo in range(1, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        k = np.arange(lo, hi, dtype=np.float64)
+        l, m, s = np.ones(hi - lo), np.ones(hi - lo), np.zeros(hi - lo)
+        for pj, p, factor in passes:
+            start = -lo % pj
+            l[start::pj] *= factor
+            m[start::pj] *= p
+        for p, value in p_small:
+            s[-lo % p :: p] += value
+        q = k / m
+        large = q > 1.0
+        l *= np.where(large, -r, 1.0)
+        if p_coeffs is not None:
+            s += np.where(large, polyval(np.log(q) / log_lim, p_coeffs), 0.0)
+        yield lo, hi, k, l, s
+
+
+def _strided_ak(scheme, primes, upto):
+    log_up = math.log(upto)
+    p_coeffs = None if scheme.P.is_zero else scheme.P.to_coeffs()
+    f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
+    a = np.zeros(upto + 1)
+    for lo, hi, k, l, s in _strided_blocks(scheme.r, primes, upto, p_coeffs):
+        x = 1.0 - np.log(k) / log_up
+        a[lo:hi] = l / np.sqrt(k) * (polyval(x, f1) + s * polyval(x, f1t))
+    return a
+
+
+# the presets, and a scheme with P = 0 (no S_P passes) at an r where the
+# order of two scattered passes shows: at k = 2 * 257**2 (K = 200,000),
+# (-r * -r) * (-(1 + r)/2) and (-r * -(1 + r)/2) * -r differ in the last bit
+BITWISE_SCHEMES = [get_preset(name).scheme for name in preset_names()] + [
+    CoeffScheme(
+        r=1.2345,
+        f1=FracPoly.from_coeffs([1.0, -0.8, 0.3]),
+        f1t=FracPoly.from_coeffs([0.5, 0.25]),
+        P=FracPoly.zero(),
+    )
+]
+
+
+# 257 * 263 = 67,591: two primes above the dense cutoff 256 meet at one k
+# past the first block edge (the large prime there at K = 67,591; both are
+# scattered at K = 200,000)
+@pytest.mark.parametrize("limit", BLOCK_LIMITS + [200_000, 257 * 263])
+def test_scatter_matches_strided_passes_bitwise(limit):
+    for scheme in BITWISE_SCHEMES:
+        tables = build_tables(scheme.r, limit)
+        a = coeffs_ak(scheme, tables, limit)
+        assert np.array_equal(a, _strided_ak(scheme, tables.primes, limit))
+        signed = np.zeros(limit + 1)
+        for lo, hi, _, l, _ in _strided_blocks(scheme.r, tables.primes, limit, None):
+            signed[lo:hi] = l
+        assert np.array_equal(tables.liouville, np.sign(signed).astype(np.int8))
+        assert np.array_equal(tables.dr, np.abs(signed))
 
 
 # ---------------------------------------------------------------- prime log sums
@@ -456,6 +555,10 @@ def test_mertens_deficit_stabilizes():
 def test_mertens_validation():
     with pytest.raises(ValueError):
         mertens_deficit(1)
+    for y in (10.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"y must be an integer, got y={y}"):
+            mertens_deficit(y)
+    assert mertens_deficit(10.0) == mertens_deficit(10)
 
 
 # ---------------------------------------------------------------- mean square trend
