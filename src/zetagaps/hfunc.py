@@ -119,20 +119,25 @@ class CoeffScheme:
     def moments(self) -> np.ndarray:
         """M[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for the rows n1..n43 of numerator_terms."""
         d, mu = self.dense, self.kernels[_NUM_K]
-        return _pairings(mu, d[_NUM_F, None], d[_NUM_H], d[_NUM_G, None])[..., 0, 0]
+        return _pairings(mu, d[_NUM_F], d[_NUM_H], d[_NUM_G])
 
     @cached_property
     def forms(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric (A, B), d_i = x A[i] x and M[i, j] = x B[i, j] x, x the dense f1 | f1t.
 
-        Built on first use, from (r, P) and the width alone: A from Hankel blocks of kernels,
-        B as moments with f and g the unit rows of x.  h_value never builds them."""
+        Built on first use, from (r, P) and the width alone, by writing kernel moments into
+        the (f, g) block of each row: A[i] a Hankel block of its kernel, B[i] the block of
+        _coefficient_pairings.  h_value never builds them."""
         w = self.dense.shape[1]
-        unit = np.eye(2 * w).reshape(2 * w, 2, w).transpose(1, 0, 2)  # unit x -> (f1, f1t) rows
         hankel = self.kernels[:, np.add.outer(np.arange(w), np.arange(w))]
         hankel[1] *= 2.0  # d2 = 2 <K2, f1 f1t>
-        a = np.einsum("iam,iml,ibl->iab", unit[[0, 0, 1, 1]], hankel, unit[[0, 1, 1, 1]])
-        b = _pairings(self.kernels[_NUM_K], unit[_NUM_F], self.dense[_NUM_H], unit[_NUM_G])
+        a = np.zeros((4, 2, w, 2, w))
+        a[np.arange(4), [0, 0, 1, 1], :, [0, 1, 1, 1]] = hankel
+        b = np.zeros((7, SINE_TERMS, 2, w, 2, w))
+        b[np.arange(7), :, _NUM_F, :, _NUM_G] = _coefficient_pairings(
+            self.kernels[_NUM_K], self.dense[_NUM_H]
+        )
+        a, b = a.reshape(4, 2 * w, 2 * w), b.reshape(7, SINE_TERMS, 2 * w, 2 * w)
         return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
 
 
@@ -143,12 +148,20 @@ _NUM_K, _NUM_F, _NUM_H, _NUM_G = np.array(
 
 
 def _pairings(mu: np.ndarray, f: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """T[i, j, a, b] = <K_i, f_ia ((x**(2j) h_i) * g_ib)> for kernel moments mu[i] = mu_K_i:
-    sum_klm h_ik g_ibl f_iam B(2j+k+1, l+1) mu_i(2j+k+l+m+1), as x**p * x**l = B(p+1, l+1)
+    """T[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for kernel moments mu[i] = mu_K_i:
+    sum_klm h_ik g_il f_im B(2j+k+1, l+1) mu_i(2j+k+l+m+1), as x**p * x**l = B(p+1, l+1)
     x**(p+l+1)."""
-    nu = np.array([[np.correlate(m, fa, "valid") for fa in fi] for m, fi in zip(mu, f)])
+    nu = np.array([np.correlate(m, fi, "valid") for m, fi in zip(mu, f)])
     degree, betas = _sine_table(h.shape[1])
-    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, degree] * betas, h, g)
+    return np.einsum("ijkl,ik,il->ij", nu[:, degree] * betas, h, g)
+
+
+def _coefficient_pairings(mu: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """X[i, j, m, l] = <K_i, x**m ((x**(2j) h_i) * x**l)>, _pairings with f and g the monomials
+    x**m and x**l: sum_k h_ik B(2j+k+1, l+1) mu_i(2j+k+l+m+1), one gather of mu."""
+    w = h.shape[1]
+    degree, betas = _sine_table(w)
+    return np.einsum("ijklm,jkl,ik->ijml", mu[:, degree[..., None] + np.arange(w)], betas, h)
 
 
 @cache

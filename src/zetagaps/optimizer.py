@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -66,14 +67,22 @@ class OptimizeConfig:
             raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
         if not 0 < step < math.inf:
             raise ValueError("c_grid step must be positive and finite")
-        if not self.bisection_tol > 0:
-            raise ValueError("bisection_tol must be positive")
+        if not 0 < self.bisection_tol < math.inf:
+            raise ValueError("bisection_tol must be positive and finite")
         if not 0 < abs(self.simplex_scale) < math.inf:
             raise ValueError("simplex_scale must be nonzero and finite")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if not (_is_int(self.max_iters) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
+        if not (isinstance(self.degrees, (tuple, list)) and len(self.degrees) == 3
+                and all(map(_is_int, self.degrees))):
+            raise ValueError(f"degrees must be three integers, got {self.degrees!r}")
         if min(self.degrees) < 0 or self.degrees[2] < 1:
             raise ValueError("degrees need deg f1, deg f1t >= 0 and deg P >= 1")
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

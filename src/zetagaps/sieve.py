@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -364,9 +365,12 @@ def dr_mean_square_trend(
     mean-square sum empirically.
     """
     x_list = list(x_list)
+    if not all(
+        isinstance(x, Integral) or isinstance(x, Real) and math.isfinite(x) and int(x) == x
+        for x in x_list
+    ):
+        raise ValueError(f"x_list entries must be finite integers, got {x_list}")
     xs = [int(x) for x in x_list]
-    if xs != x_list:
-        raise ValueError(f"x_list entries must be integers, got {x_list}")
     if not xs:
         raise ValueError("x_list must not be empty")
     if any(b <= a for a, b in zip(xs, xs[1:])):

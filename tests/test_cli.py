@@ -323,6 +323,26 @@ def test_optimize_max_iters_must_be_integral(tmp_path, capsys, value, code):
     assert trace.exists() == (code == 0)
 
 
+def test_optimize_reports_the_bad_setting(tmp_path, capsys):
+    # OptimizeConfig's ValueError reaches the user as a CliError naming the field
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text(
+        "r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\nP = [0, 0, 1]\n"
+        "max_iters = -1\n"
+    )
+    trace = tmp_path / "trace.csv"
+    code, out = run_cli(
+        ["optimize", "--config", str(cfg), "--trace-out", str(trace),
+         "--scheme-out", str(tmp_path / "best.cfg")]
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: invalid optimizer settings: max_iters must be a nonnegative integer, got -1\n"
+    )
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize(
     "grid, missing", [("c_lo = 0.2\n", "c_hi, c_step"), ("c_hi = 0.6\nc_step = 0.01\n", "c_lo")]
 )

@@ -187,6 +187,70 @@ def test_forms_reproduce_every_component(rows, r):
                 assert value == pytest.approx(getattr(exact, f), rel=1e-14, abs=0.0), (f, c)
 
 
+# Reference construction of the forms: every coefficient of x = (f1 | f1t) is a one-hot
+# unit row, pushed through the general pairing T[i, j, a, b] = <K_i, f_ia ((x**(2j) h_i) * g_ib)>
+# by einsum.  Rows n1..n43: kernel, and dense rows (f1, f1t, P, 1) of f, h and g.
+_REF_K, _REF_F, _REF_H, _REF_G = np.array(
+    [[0, 1, 1, 0, 2, 3, 1], [0, 1, 0, 0, 1, 1, 1], [3, 3, 3, 2, 3, 3, 2], [0, 0, 1, 1, 1, 1, 1]]
+)
+
+
+def _reference_pairings(mu, f, h, g):
+    nu = np.array([[np.correlate(m, fa, "valid") for fa in fi] for m, fi in zip(mu, f)])
+    degree, betas = zetagaps.hfunc._sine_table(h.shape[1])
+    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, degree] * betas, h, g)
+
+
+def _reference_forms(scheme):
+    w = scheme.dense.shape[1]
+    unit = np.eye(2 * w).reshape(2 * w, 2, w).transpose(1, 0, 2)
+    hankel = scheme.kernels[:, np.add.outer(np.arange(w), np.arange(w))]
+    hankel[1] *= 2.0
+    a = np.einsum("iam,iml,ibl->iab", unit[[0, 0, 1, 1]], hankel, unit[[0, 1, 1, 1]])
+    b = _reference_pairings(scheme.kernels[_REF_K], unit[_REF_F], scheme.dense[_REF_H], unit[_REF_G])
+    return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
+
+
+def _reference_moments(scheme):
+    d = scheme.dense
+    return _reference_pairings(scheme.kernels[_REF_K], d[_REF_F, None], d[_REF_H], d[_REF_G, None])[
+        ..., 0, 0
+    ]
+
+
+def _assert_forms_bitwise(scheme):
+    a, b = scheme.forms
+    a_ref, b_ref = _reference_forms(scheme)
+    assert a.shape == a_ref.shape and np.array_equal(a, a_ref)
+    assert b.shape == b_ref.shape and np.array_equal(b, b_ref)
+    assert np.array_equal(scheme.moments, _reference_moments(scheme))
+
+
+@pytest.mark.parametrize("r", [None, 1.0, 1.5])
+def test_forms_are_bitwise_the_unit_vector_construction(rows, r):
+    for preset in rows:
+        s = preset.scheme
+        _assert_forms_bitwise(CoeffScheme(r or s.r, s.f1, s.f1t, s.P))
+
+
+@pytest.mark.parametrize("degrees", [(0, 0, 1), (3, 1, 2), (2, 5, 1), (6, 2, 3), (7, 4, 5)])
+def test_forms_are_bitwise_on_random_schemes(degrees):
+    # (0, 0, 1) has one coefficient in f1 and f1t; (2, 5, 1) has deg f1t > deg f1
+    rng = np.random.default_rng(sum(degrees))
+    d1, d2, dp = degrees
+    for _ in range(6):
+        p = np.r_[0.0, rng.normal(size=dp)]
+        _assert_forms_bitwise(
+            _scheme(rng.uniform(1.0, 1.5), rng.normal(size=d1 + 1), rng.normal(size=d2 + 1), p)
+        )
+
+
+def test_forms_are_bitwise_at_width_one(plain_scheme):
+    # f1 = 1 and P = 0: the dense rows have one column
+    assert plain_scheme.dense.shape[1] == 1
+    _assert_forms_bitwise(CoeffScheme(1.2, plain_scheme.f1, plain_scheme.f1, plain_scheme.P))
+
+
 def test_h_value_leaves_the_forms_unbuilt(row1):
     scheme = CoeffScheme(row1.scheme.r, row1.scheme.f1, row1.scheme.f1t, row1.scheme.P)
     h_value(scheme, row1.c)

@@ -350,6 +350,21 @@ def test_optimize_config_validation():
     ):
         with pytest.raises(ValueError):
             OptimizeConfig(**bad)
+    # each of these once failed late or not at all: numpy's or range's TypeError, an
+    # IndexError, or an infinite tol that reported the grid end as c*
+    for bad, field in (
+        (dict(degrees=(3.5, 1, 2)), "degrees"),
+        (dict(degrees=(3, 1)), "degrees"),
+        (dict(degrees=(True, 1, 2)), "degrees"),
+        (dict(degrees=3), "degrees"),
+        (dict(max_iters=2.7), "max_iters"),
+        (dict(max_iters=True), "max_iters"),
+        (dict(max_iters=-1), "max_iters"),
+        (dict(bisection_tol=float("inf")), "bisection_tol"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            OptimizeConfig(**bad)
+    assert OptimizeConfig(degrees=(np.int64(3), 1, 2), max_iters=np.int64(0)).max_iters == 0
 
 
 # ---------------------------------------------------------------- verify_table
