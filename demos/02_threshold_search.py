@@ -1,9 +1,10 @@
 """Locate the certification threshold c* where h(c) crosses 1.
 
 h(c) - 1 is increasing through a single sign change on the working window,
-so a coarse grid scan brackets the crossing and bisection sharpens it.  The
-returned endpoint always satisfies h > 1, so it is a certified bound.  On
-the strongest built-in scheme this lands just below 0.515396.
+so a coarse grid scan brackets the crossing and a bracketed Newton iteration
+finds the root of h(c) = 1 inside it.  The returned c sits just above the
+root, where h - 1 exceeds the rounding budget of h, so it is a certified
+bound.  On the strongest built-in scheme this lands just below 0.515396.
 """
 
 from zetagaps import bracket_scan, get_preset, h_grid, h_value, threshold_c
@@ -23,6 +24,7 @@ bracket = bracket_scan(scheme, 0.50, 0.53, 0.001)
 print(f"\nsign-change bracket: {bracket}")
 
 c_star = threshold_c(scheme, bracket, tol=1e-7)
-print(f"bisected threshold:  c* = {c_star:.9f}")
-print(f"h(c*) = {h_value(scheme, c_star).h:.12f}  (> 1, certified)")
+hb = h_value(scheme, c_star)
+print(f"root of h(c) = 1:    c* = {c_star:.12f}")
+print(f"h(c*) - 1 = {hb.h - 1.0:.2e} > rounding budget {hb.budget:.2e}  (certified)")
 print(f"\nc* = {c_star:.9f} <= 0.515396 reproduces the headline gap bound.")

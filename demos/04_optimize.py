@@ -8,7 +8,7 @@ depends on: r, and the coefficients of P below its top one (fixed to 1, as
 P -> sP with f1t -> f1t/s leaves h unchanged) from x**2 up (P -> P + e x is
 f1 -> f1 + e (1 - x) f1t, which a cubic f1 absorbs when f1t is linear).  At
 degrees (3, 1, 2) that is r alone and P = x**2.  It then certifies the
-eigenvector scheme by the same scan and bisection as any other.  The start is
+eigenvector scheme by the same scan and Newton root as any other.  The start is
 kept if it certifies lower.
 """
 

@@ -152,8 +152,8 @@ def _write_scheme_config(path: str, scheme: CoeffScheme, c: float) -> None:
         return "[" + ", ".join(repr(v) for v in p.to_coeffs().tolist()) + "]"
 
     lines = [
-        f"r = {scheme.r!r}",
-        f"c = {c!r}",
+        f"r = {float(scheme.r)!r}",  # a numpy scalar's repr is not a config number
+        f"c = {float(c)!r}",
         f"f1 = {row(scheme.f1)}",
         f"f1t = {row(scheme.f1t)}",
         f"P = {row(scheme.P)}",

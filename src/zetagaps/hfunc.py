@@ -198,6 +198,14 @@ class HBreakdown:
     def numerator(self) -> float:
         return self.n1 + self.n2 + self.n31 + self.n32 + self.n41 + self.n42 + self.n43
 
+    @property
+    def budget(self) -> float:
+        """Rounding budget of h from its components (_rounding_budget)."""
+        return _rounding_budget(
+            (self.d1, self.d2, self.d31, self.d32),
+            (self.n1, self.n2, self.n31, self.n32, self.n41, self.n42, self.n43),
+        )
+
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -276,6 +284,14 @@ def _ratio(c, den_terms, num_terms):
             f"denominator {den:.3e} is below the floor {DENOMINATOR_FLOOR:.0e}"
         )
     return c - sum(num_terms) / den
+
+
+def _rounding_budget(den_terms, num_terms) -> float:
+    """64 eps (sum |n_i| + |N/D| sum |d_i|) / |D|, the allowance for float rounding in
+    h = c - N/D assembled from these components: a certificate needs h - 1 above it."""
+    den = sum(den_terms)
+    spread = sum(map(abs, num_terms)) + abs(sum(num_terms) / den) * sum(map(abs, den_terms))
+    return float(64.0 * np.finfo(float).eps * spread / abs(den))
 
 
 def h_value(scheme: CoeffScheme, c: float) -> HBreakdown:

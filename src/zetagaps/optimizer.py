@@ -1,7 +1,9 @@
 """Search over coefficient schemes for the smallest certified threshold c*.
 
 h(c) - 1 changes sign once on the working range, so a bound is certified by
-locating a sign change on a grid (bracket_scan) and bisecting it (threshold_c).
+locating a sign change on a grid (bracket_scan) and solving h(c) = 1 inside it
+by a bracketed Newton iteration (threshold_c), which returns a c whose h - 1
+exceeds the rounding budget of h (HBreakdown.budget).
 At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
 x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
 the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
@@ -14,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .fracpoly import SINE_TERMS, DomainError, FracPoly, sinc_coeffs
-from .hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
+from .fracpoly import _SINE_POWERS, DomainError, FracPoly, _sinc_rows, sinc_coeffs
+from .hfunc import CoeffScheme, DegenerateSchemeError, _ratio, _rounding_budget, h_grid, h_value
 from .presets import PRESETS
 
 __all__ = [
@@ -40,6 +42,8 @@ R_MIN, R_MAX = 1.0, 1.5
 DIAMETER_TOL = 1e-7
 # Newton steps on c - lambda_min(c) = 1 from the start's threshold.
 NEWTON_STEPS = 5
+# Newton or bisection steps of threshold_c at most; 64 halvings exhaust any bracket in (0, 1).
+CERTIFY_STEPS = 64
 # Eigenvalues of the unit-diagonal denominator form at or below this are null directions.
 NULL_TOL = 1e-12
 
@@ -49,10 +53,12 @@ class OptimizeConfig:
     """Knobs for the threshold certification and the search over r and P.
 
     degrees fixes the parameterization (deg f1, deg f1t, deg P); c_grid is
-    the (lo, hi, step) scan window and bisection_tol the bisection width of
-    every certification; max_iters and simplex_scale steer the Nelder-Mead
-    search over r and P's coefficients below its top one, from x**2 up when
-    deg f1 > deg f1t (optimize_scheme), so (3, 1, 2) searches r alone.
+    the (lo, hi, step) scan window; bisection_tol (threshold_c's tol) bounds
+    how far above the root of h = 1 a certified c may sit, being the bracket
+    width at which bisection stops where Newton's steps fail; max_iters and
+    simplex_scale steer the Nelder-Mead search over r and P's coefficients
+    below its top one, from x**2 up when deg f1 > deg f1t (optimize_scheme),
+    so (3, 1, 2) searches r alone.
     """
 
     degrees: tuple[int, int, int] = (3, 1, 2)
@@ -62,27 +68,30 @@ class OptimizeConfig:
     simplex_scale: float = 0.05
 
     def __post_init__(self):
+        if not (isinstance(self.c_grid, (tuple, list)) and len(self.c_grid) == 3
+                and all(_is(Real, v) for v in self.c_grid)):
+            raise ValueError(f"c_grid must be three numbers (lo, hi, step), got {self.c_grid!r}")
         lo, hi, step = self.c_grid
         if not (0.0 < lo < hi < 1.0):
             raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
         if not 0 < step < math.inf:
             raise ValueError("c_grid step must be positive and finite")
-        if not 0 < self.bisection_tol < math.inf:
+        if not (_is(Real, self.bisection_tol) and 0 < self.bisection_tol < math.inf):
             raise ValueError("bisection_tol must be positive and finite")
-        if not 0 < abs(self.simplex_scale) < math.inf:
+        if not (_is(Real, self.simplex_scale) and 0 < abs(self.simplex_scale) < math.inf):
             raise ValueError("simplex_scale must be nonzero and finite")
-        if not (_is_int(self.max_iters) and self.max_iters >= 0):
+        if not (_is(Integral, self.max_iters) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not (isinstance(self.degrees, (tuple, list)) and len(self.degrees) == 3
-                and all(map(_is_int, self.degrees))):
+                and all(_is(Integral, d) for d in self.degrees)):
             raise ValueError(f"degrees must be three integers, got {self.degrees!r}")
         if min(self.degrees) < 0 or self.degrees[2] < 1:
             raise ValueError("degrees need deg f1, deg f1t >= 0 and deg P >= 1")
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+def _is(kind, value) -> bool:
+    """value is a kind (a numbers ABC) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,34 +114,62 @@ def grid_points(c_lo, c_hi, step) -> list[float]:
 
 def bracket_scan(scheme, c_lo, c_hi, step):
     """First adjacent pair of grid_points where h - 1 changes sign, or None (one h_grid call)."""
+    return _scan(scheme, c_lo, c_hi, step)[0]
+
+
+def _scan(scheme, c_lo, c_hi, step):
+    """(bracket_scan's result, h(c_lo) - 1) from the one h_grid call."""
     grid = grid_points(c_lo, c_hi, step)
     v = h_grid(scheme, grid) - 1.0
     changes = np.flatnonzero(v[:-1] * v[1:] < 0.0)
-    return (grid[changes[0]], grid[changes[0] + 1]) if changes.size else None
+    return (grid[changes[0]], grid[changes[0] + 1]) if changes.size else None, float(v[0])
 
 
-def threshold_c(scheme, bracket, tol=1e-6):
-    """Bisect h(c) = 1 inside `bracket` to width tol; return the h > 1 endpoint."""
+def threshold_c(scheme, bracket, tol=1e-6) -> float:
+    """A float c in `bracket` just above the root of h(c) = 1, where h(c) - 1 > its budget.
+
+    Newton's method on the compiled sums (h' = 1 - kappa sum_j s_j' m_j / D, s_j' = (2j+1) s_j / c,
+    m = scheme.moments summed over its rows, D = sum(scheme.den_terms)) starts at the midpoint;
+    each sign of h - 1 narrows the bracket, and a step that would leave it bisects instead.
+    Once |h - 1| is within the rounding budget (HBreakdown.budget), a last step aims at
+    h = 1 + 2 budget and the bracket becomes (that c - 4 budget / h', that c); bisection that
+    narrows it to tol first stops there.  So the result, the upper end, sits at most tol (or
+    2 budget / h') above the root.  Two h_value calls check h - 1 > budget there and h < 1 at
+    the lower end, else ValueError, as when h - 1 does not rise through 0 across the bracket.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must be ordered (lo, hi)")
-    v_lo = h_value(scheme, lo).h - 1.0
-    v_hi = h_value(scheme, hi).h - 1.0
-    if v_lo * v_hi >= 0.0:
-        raise ValueError("h - 1 must change sign across the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v_mid = h_value(scheme, mid).h - 1.0
-        if v_mid == 0.0:
-            # exact crossing: certify the upper side
-            return mid
-        if v_lo * v_mid < 0.0:
-            hi, v_hi = mid, v_mid
+    if not 0.0 < lo < hi < 1.0:
+        raise DomainError(f"the bracket must lie strictly between 0 and 1, got {bracket!r}")
+    den_terms = scheme.den_terms
+    moments = -2.0 * scheme.r / math.pi * scheme.moments
+    slope_moments = _SINE_POWERS * moments.sum(axis=0)
+    c = 0.5 * (lo + hi)
+    for _ in range(CERTIFY_STEPS):
+        s = _sinc_rows(c)
+        n = (moments @ s).tolist()
+        v = _ratio(c, den_terms, n) - 1.0  # DegenerateSchemeError before any division by D
+        slope = 1.0 - slope_moments @ s / (c * sum(den_terms))
+        budget = _rounding_budget(den_terms, n)
+        if abs(v) <= budget and slope > 0.0:
+            hi = min(c + (2.0 * budget - v) / slope, hi)
+            lo = max(hi - 4.0 * budget / slope, lo)
+            break
+        lo, hi = (c, hi) if v < 0.0 else (lo, c)
+        newton = c - v / slope if slope > 0.0 else math.nan  # NaN: bisect
+        if lo < newton < hi:
+            c = newton
+        elif hi - lo > tol:
+            c = 0.5 * (lo + hi)
         else:
-            lo, v_lo = mid, v_mid
-    return lo if v_lo > 0.0 else hi
+            break
+    certified = h_value(scheme, hi)
+    if not (certified.h - 1.0 > certified.budget and h_value(scheme, lo).h < 1.0):
+        raise ValueError("h - 1 must change sign from - to + across the bracket")
+    return float(hi)
 
 
 def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
@@ -221,25 +258,24 @@ def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, Co
     keep = np.r_[: d1 + 1, w : w + d2 + 1]
     z = _denominator_basis(a.sum(axis=0)[np.ix_(keep, keep)])
     b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, keep[:, None], keep]) @ z
-    powers = np.arange(1.0, 2.0 * SINE_TERMS, 2.0)  # s_j(c) is a multiple of c**(2j+1)
     for _ in range(NEWTON_STEPS):
         s = sinc_coeffs(c)
         lam, vecs = np.linalg.eigh(np.tensordot(s, b, 1))
         v = vecs[:, 0]
-        c -= (c - lam[0] - 1.0) / (1.0 - (powers * s / c) @ (b @ v @ v))
+        # s_j'(c) = (2j + 1) s_j(c) / c
+        c -= (c - lam[0] - 1.0) / (1.0 - (_SINE_POWERS * s / c) @ (b @ v @ v))
     f1, f1t = (FracPoly.from_coeffs(part) for part in np.split(z @ v, [d1 + 1]))
     return c, CoeffScheme(r, f1, f1t, P)
 
 
 def _certify(scheme, config: OptimizeConfig) -> float:
-    """Smallest grid-certified c with h > 1 on config.c_grid, sharpened by bisection."""
-    lo, hi, step = config.c_grid
-    bracket = bracket_scan(scheme, lo, hi, step)
-    if bracket is None:
-        if h_value(scheme, lo).h > 1.0:
-            return lo
-        raise DomainError("h(c) - 1 has no sign change on the scan grid")
-    return threshold_c(scheme, bracket, config.bisection_tol)
+    """threshold_c in the first sign change of config.c_grid's scan, else c_lo if h > 1 there."""
+    bracket, v_lo = _scan(scheme, *config.c_grid)
+    if bracket is not None:
+        return threshold_c(scheme, bracket, config.bisection_tol)
+    if v_lo > 0.0:
+        return float(config.c_grid[0])
+    raise DomainError("h(c) - 1 has no sign change on the scan grid")
 
 
 def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeReport:

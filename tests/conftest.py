@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zetagaps import PRESETS, CoeffScheme, FracPoly
@@ -45,3 +46,19 @@ def ramp_scheme():
         f1t=FracPoly.zero(),
         P=FracPoly.zero(),
     )
+
+
+def certify_batch():
+    """The three presets, then 21 copies with r and every coefficient scaled by a factor in
+    [0.99, 1.01], drawn in the order the certify benchmark draws its seed-0, repeat-0 batch."""
+    rng = np.random.default_rng([0, 0])
+    schemes = [p.scheme for p in PRESETS]
+    for i in range(7 * len(PRESETS)):
+        base = PRESETS[i % len(PRESETS)].scheme
+        r = base.r * (1.0 + rng.uniform(-0.01, 0.01))
+        f1, f1t, p = (
+            FracPoly.from_coeffs(c * (1.0 + rng.uniform(-0.01, 0.01, c.size)))
+            for c in (q.to_coeffs() for q in (base.f1, base.f1t, base.P))
+        )
+        schemes.append(CoeffScheme(r, f1, f1t, p))
+    return schemes

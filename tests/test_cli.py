@@ -7,10 +7,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from zetagaps.cli import main, parse_config_text, CliError, _fmt
-from zetagaps.hfunc import h_value
+from zetagaps.cli import main, parse_config_text, CliError, _fmt, _write_scheme_config
+from zetagaps.hfunc import CoeffScheme, h_value
 from zetagaps.optimizer import grid_points
 from zetagaps.presets import get_preset
 
@@ -265,6 +266,19 @@ def test_optimize_roundtrip(tmp_path):
     assert code2 == 0
     h = json.loads(out2.strip().splitlines()[-1])["h"]
     assert abs((h - 1.0) - margin) < 1e-12
+
+
+def test_scheme_config_roundtrips_numpy_scalars(tmp_path):
+    # the optimizer's r and c can be numpy scalars, whose repr is not a config number
+    preset = get_preset("table1-row3")
+    s = preset.scheme
+    scheme = CoeffScheme(np.float64(s.r), s.f1, s.f1t, s.P)
+    path = tmp_path / "best.cfg"
+    _write_scheme_config(str(path), scheme, np.float64(preset.c))
+    assert "np." not in path.read_text()
+    code, out = run_cli(["eval", "--config", str(path)])
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["h"] == float(_fmt(h_value(s, preset.c).h))
 
 
 def test_optimize_from_p_equal_x(tmp_path):

@@ -29,9 +29,8 @@ from zetagaps.hfunc import (
 )
 
 from zetagaps.optimizer import grid_points
-from zetagaps.presets import PRESETS
 
-from conftest import HB_FIELDS
+from conftest import HB_FIELDS, certify_batch
 
 
 def _scheme(r, f1, f1t, p):
@@ -280,25 +279,9 @@ def test_h_value_degenerate_scheme():
         h_grid(scheme, [0.50, 0.52])
 
 
-def _certify_batch():
-    """The three presets, then 21 copies with r and every coefficient scaled by a factor in
-    [0.99, 1.01], drawn in the order the certify benchmark draws its seed-0, repeat-0 batch."""
-    rng = np.random.default_rng([0, 0])
-    schemes = [p.scheme for p in PRESETS]
-    for i in range(7 * len(PRESETS)):
-        base = PRESETS[i % len(PRESETS)].scheme
-        r = base.r * (1.0 + rng.uniform(-0.01, 0.01))
-        f1, f1t, p = (
-            FracPoly.from_coeffs(c * (1.0 + rng.uniform(-0.01, 0.01, c.size)))
-            for c in (q.to_coeffs() for q in (base.f1, base.f1t, base.P))
-        )
-        schemes.append(CoeffScheme(r, f1, f1t, p))
-    return schemes
-
-
 def test_h_grid_equals_h_value_on_certify_grid():
     grid = grid_points(0.45, 0.60, 0.002)
-    for scheme in _certify_batch():
+    for scheme in certify_batch():
         hs = h_grid(scheme, grid)
         assert hs.shape == (len(grid),)
         assert hs.tolist() == [h_value(scheme, c).h for c in grid]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from zetagaps.fracpoly import FracPoly
+from zetagaps.fracpoly import DomainError, FracPoly
 import zetagaps.hfunc
+import zetagaps.optimizer
 from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
 from zetagaps.optimizer import (
+    CERTIFY_STEPS,
     OptimizeConfig,
     bracket_scan,
     grid_points,
@@ -13,8 +15,18 @@ from zetagaps.optimizer import (
     threshold_c,
     verify_table,
     _best_threshold,
+    _certify,
     _denominator_basis,
 )
+
+from conftest import certify_batch
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record every argument tuple of module.name in the returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
 
 
 def _scheme(r, f1, f1t, p):
@@ -60,6 +72,8 @@ def test_bracket_scan_propagates_degenerate_error():
         bracket_scan(zero, 0.50, 0.53, 0.01)
     with pytest.raises(DegenerateSchemeError):
         h_grid(zero, grid_points(0.50, 0.53, 0.01))
+    with pytest.raises(DegenerateSchemeError):
+        threshold_c(zero, (0.50, 0.53), 1e-6)
 
 
 def _bracket_scan_by_points(scheme, c_lo, c_hi, step):
@@ -140,11 +154,49 @@ def test_threshold_halving_tol_moves_little(row1):
     assert abs(coarse - fine) <= tol
 
 
-def test_threshold_rejects_invalid_bracket(row1):
+def test_threshold_rejects_invalid_bracket(row1, monkeypatch):
+    h_calls = _count_calls(monkeypatch, zetagaps.optimizer, "h_value")
+    steps = _count_calls(monkeypatch, zetagaps.optimizer, "_sinc_rows")
     with pytest.raises(ValueError):
         threshold_c(row1.scheme, (0.52, 0.53), 1e-6)  # h > 1 at both ends
+    # bisection walks down to the lower end, never below it, and then stops
+    assert len(steps) <= CERTIFY_STEPS and len(h_calls) <= 2
+    assert all(0.52 <= c <= 0.53 for c, in steps)
     with pytest.raises(ValueError, match="tol"):
         threshold_c(row1.scheme, (0.515, 0.516), float("nan"))
+    with pytest.raises(ValueError, match="tol"):
+        threshold_c(row1.scheme, (0.515, 0.516), 0.0)
+    with pytest.raises(ValueError):
+        threshold_c(row1.scheme, (0.516, 0.515), 1e-6)
+    with pytest.raises(DomainError):
+        threshold_c(row1.scheme, (0.515, 1.2), 1e-6)
+
+
+def test_threshold_certificate_beats_rounding_budget(monkeypatch):
+    # the presets and the 21 perturbed schemes of the certify benchmark's first batch
+    h_calls = _count_calls(monkeypatch, zetagaps.optimizer, "h_value")
+    for scheme in certify_batch():
+        bracket = bracket_scan(scheme, 0.45, 0.60, 0.002)
+        h_calls.clear()
+        c = threshold_c(scheme, bracket, 1e-6)
+        assert len(h_calls) <= 2
+        assert type(c) is float and bracket[0] < c < bracket[1]
+        hb = h_value(scheme, c)
+        assert 0.0 < hb.budget < 1e-12
+        assert hb.h - 1.0 > hb.budget
+        lo, hi = h_grid(scheme, [c - 1e-7, c + 1e-7])
+        slope = (hi - lo) / 2e-7
+        assert h_value(scheme, c - 4.0 * hb.budget / slope).h < 1.0
+
+
+def test_certify_without_bracket_reuses_the_scan(row1, ramp_scheme, monkeypatch):
+    h_calls = _count_calls(monkeypatch, zetagaps.optimizer, "h_value")
+    # h > 1 on the whole grid: c_lo itself certifies
+    assert _certify(row1.scheme, OptimizeConfig(c_grid=(0.52, 0.53, 0.002))) == 0.52
+    # h < 1 on the whole grid
+    with pytest.raises(DomainError):
+        _certify(ramp_scheme, OptimizeConfig())
+    assert h_calls == []
 
 
 # ---------------------------------------------------------------- nelder_mead
@@ -302,6 +354,9 @@ def test_optimize_default_config_beats_row1(row1):
     report = optimize_scheme(OptimizeConfig(), row1.scheme)
     assert report.c_star <= 0.515397
     assert report.margin > 0.0
+    # certified at the eigen root 0.5153961497, not at a bisection point above it
+    assert report.c_star <= 0.5153962
+    assert report.margin > h_value(report.best_scheme, report.c_star).budget
     # at (3, 1, 2) both gauges fix P, so the search moves r alone and P stays x**2
     assert report.best_scheme is not row1.scheme
     assert report.best_scheme.P.to_coeffs().tolist() == [0.0, 0.0, 1.0]
@@ -361,9 +416,19 @@ def test_optimize_config_validation():
         (dict(max_iters=True), "max_iters"),
         (dict(max_iters=-1), "max_iters"),
         (dict(bisection_tol=float("inf")), "bisection_tol"),
+        # c_grid is checked before it is unpacked, and a bool is not a number
+        (dict(c_grid=(0.5, 0.6)), "c_grid"),
+        (dict(c_grid=(0.5, 0.6, 0.01, 0.1)), "c_grid"),
+        (dict(c_grid=0.5), "c_grid"),
+        (dict(c_grid="abc"), "c_grid"),
+        (dict(c_grid=(0.5, 0.6, True)), "c_grid"),
+        (dict(c_grid=(0.5, "0.6", 0.01)), "c_grid"),
+        (dict(simplex_scale=True), "simplex_scale"),
+        (dict(bisection_tol=True), "bisection_tol"),
     ):
         with pytest.raises(ValueError, match=field):
             OptimizeConfig(**bad)
+    assert OptimizeConfig(c_grid=[np.float64(0.5), 0.6, 1e-3], simplex_scale=-0.1).c_grid[0] == 0.5
     assert OptimizeConfig(degrees=(np.int64(3), 1, 2), max_iters=np.int64(0)).max_iters == 0
 
 
