@@ -37,11 +37,9 @@ from .optimizer import OptimizeConfig, grid_points, optimize_scheme, verify_tabl
 from .presets import get_preset, preset_names
 from .quadcheck import beta_kernel_rule, dimreduct_check, h_value_numeric
 from .sieve import finite_h, mertens_deficit
-from . import presets as _presets
 
 __all__ = ["main", "main_entry"]
 
-_SCHEME_KEYS = {"r", "f1", "f1t", "P"}
 _SCALAR_KEYS = {
     "r",
     "c",
@@ -325,7 +323,7 @@ def _cmd_check(args, out) -> int:
     report("prime log-sum deficit bounded", ok, f"values {[f'{d:.3f}' for d in deficits]}")
 
     # quadrature oracle agrees with the exact pipeline
-    preset = _presets.PRESETS[0]
+    preset = get_preset("table1-row1")
     exact = h_value(preset.scheme, preset.c)
     numeric = h_value_numeric(preset.scheme, preset.c, order=32)
     fields = ["d1", "d2", "d31", "d32", "n1", "n2", "n31", "n32", "n41", "n42", "n43"]

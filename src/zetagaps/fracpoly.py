@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import Polynomial, polyval
 
 __all__ = [
     "DomainError",
@@ -127,17 +127,12 @@ class FracPoly:
         return FracPoly(self.shift + other.shift, np.convolve(self.coeffs, other.coeffs))
 
     def compose_one_minus(self) -> "FracPoly":
-        """Return x -> self(1 - x), expanded by the binomial theorem.
+        """Return x -> self(1 - x), by numpy's polynomial composition.
 
         Only defined for integer exponents; fractional binomials would not
         terminate.  h never reflects (see moments); tests use this as a reference.
         """
-        dense = self.to_coeffs()
-        out = np.zeros(dense.size)
-        for n, coeff in enumerate(dense):
-            for k in range(n + 1):
-                out[k] += coeff * math.comb(n, k) * (-1) ** k
-        return FracPoly.from_coeffs(out)
+        return FracPoly.from_coeffs(Polynomial(self.to_coeffs())(Polynomial([1.0, -1.0])).coef)
 
     def to_coeffs(self) -> np.ndarray:
         """Dense ascending-degree coefficients, the inverse of from_coeffs.

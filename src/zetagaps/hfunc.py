@@ -118,33 +118,38 @@ class CoeffScheme:
     @cached_property
     def moments(self) -> np.ndarray:
         """M[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for the rows n1..n43 of numerator_terms."""
-        d, mu = self.dense, self.kernels[_NUM_K]
-        return _pairings(mu, d[_NUM_F], d[_NUM_H], d[_NUM_G])
+        d, mu = self.dense, self.kernels[_K[_NUM]]
+        return _pairings(mu, d[_F[_NUM]], d[_H[_NUM]], d[_G[_NUM]])
 
     @cached_property
     def forms(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric (A, B), d_i = x A[i] x and M[i, j] = x B[i, j] x, x the dense f1 | f1t.
 
         Built on first use, from (r, P) and the width alone, by writing kernel moments into
-        the (f, g) block of each row: A[i] a Hankel block of its kernel, B[i] the block of
-        _coefficient_pairings.  h_value never builds them."""
+        the (f, g) block that _TERMS gives each row: A[i] the scaled Hankel block of its
+        kernel, B[i] the block of _coefficient_pairings.  h_value never builds them."""
         w = self.dense.shape[1]
-        hankel = self.kernels[:, np.add.outer(np.arange(w), np.arange(w))]
-        hankel[1] *= 2.0  # d2 = 2 <K2, f1 f1t>
+        hankel = self.kernels[_K[_DEN, None, None], np.add.outer(np.arange(w), np.arange(w))]
         a = np.zeros((4, 2, w, 2, w))
-        a[np.arange(4), [0, 0, 1, 1], :, [0, 1, 1, 1]] = hankel
+        a[np.arange(4), _F[_DEN], :, _G[_DEN]] = hankel * _SCALE[_DEN, None, None]
         b = np.zeros((7, SINE_TERMS, 2, w, 2, w))
-        b[np.arange(7), :, _NUM_F, :, _NUM_G] = _coefficient_pairings(
-            self.kernels[_NUM_K], self.dense[_NUM_H]
+        b[np.arange(7), :, _F[_NUM], :, _G[_NUM]] = _coefficient_pairings(
+            self.kernels[_K[_NUM]], self.dense[_H[_NUM]]
         )
         a, b = a.reshape(4, 2 * w, 2 * w), b.reshape(7, SINE_TERMS, 2 * w, 2 * w)
         return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
 
 
-# Rows n1..n43 of numerator_terms: the kernel, and the dense rows (f1, f1t, P, 1) of f, h, g.
-_NUM_K, _NUM_F, _NUM_H, _NUM_G = np.array(
-    [[0, 1, 1, 0, 2, 3, 1], [0, 1, 0, 0, 1, 1, 1], [3, 3, 3, 2, 3, 3, 2], [0, 0, 1, 1, 1, 1, 1]]
-)
+# The eleven components in HBreakdown order: the kernel K1..K4, the dense rows
+# (f1, f1t, P, 1) = (0, 1, 2, 3) of f, h and g, and a scale.  d_i = scale <K, f g>
+# (denominator_terms, h unused) and n_i = kappa <K, f ((S h) * g)> (numerator_terms).
+_TERMS = {  # name: (K, f, h, g, scale)
+    "d1": (0, 0, 3, 0, 1), "d2": (1, 0, 3, 1, 2), "d31": (2, 1, 3, 1, 1), "d32": (3, 1, 3, 1, 1),
+    "n1": (0, 0, 3, 0, 1), "n2": (1, 1, 3, 0, 1), "n31": (1, 0, 3, 1, 1), "n32": (0, 0, 2, 1, 1),
+    "n41": (2, 1, 3, 1, 1), "n42": (3, 1, 3, 1, 1), "n43": (1, 1, 2, 1, 1),
+}
+_K, _F, _H, _G, _SCALE = np.array(list(_TERMS.values())).T
+_DEN, _NUM = slice(4), slice(4, None)
 
 
 def _pairings(mu: np.ndarray, f: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -221,20 +226,15 @@ def p2_of(scheme: CoeffScheme) -> FracPoly:
 
 
 def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
-    """The four denominator components, each a pairing with a kernel (module docs):
+    """The four denominator components, each scale <K, f g> by a d-row of _TERMS (module docs):
 
       d1  = <K1, f1 f1>      d31 = <K3, f1t f1t>
       d2  = 2 <K2, f1 f1t>   d32 = <K4, f1t f1t>
     """
-    f1, f1t, _, _ = scheme.dense
-    mu = scheme.kernels[:, : 2 * f1.size - 1]
-    f1t_sq = np.convolve(f1t, f1t)
-    return (
-        float(mu[0] @ np.convolve(f1, f1)),
-        2.0 * float(mu[1] @ np.convolve(f1, f1t)),
-        float(mu[2] @ f1t_sq),
-        float(mu[3] @ f1t_sq),
-    )
+    d = scheme.dense
+    mu = scheme.kernels[:, : 2 * d.shape[1] - 1]
+    rows = list(_TERMS.values())[_DEN]
+    return tuple(s * float(mu[k] @ np.convolve(d[f], d[g])) for k, f, _, g, s in rows)
 
 
 def numerator_terms(scheme: CoeffScheme, c: float | np.ndarray):

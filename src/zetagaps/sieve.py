@@ -30,8 +30,9 @@ sqrt(SIEVE_BLOCK) are dense strided slices.  The larger primes hit a block
 at most SIEVE_BLOCK / DENSE_PRIMES times per pass, so the hits of all their
 passes are listed and applied in one scatter per block, which keeps the
 numpy calls per block few.  The block arrays are reused, so finite_h
-allocates no K-sized array but a.  The numerator sum takes the primes above
-sqrt(K) one cofactor m at a time.
+allocates no K-sized array but a.  The numerator sum takes Lambda's support
+above sqrt(K) one cofactor m <= sqrt(K) at a time; one searchsorted counts,
+for every m, the entries at most K / m.
 """
 
 from __future__ import annotations
@@ -118,22 +119,6 @@ def _primes_up_to(n: int) -> np.ndarray:
 def _above_root(values: np.ndarray, limit: int) -> int:
     """Index of the first entry of the ascending `values` above isqrt(limit)."""
     return int(np.searchsorted(values, math.isqrt(limit), side="right"))
-
-
-def _cofactor_walk(large: np.ndarray, limit: int):
-    """Yield (m, n) for m = 1, 2, ...: the first n entries v of the ascending
-    `large` are exactly those with m * v <= limit.
-
-    Stops at the first m with n = 0.  When every entry exceeds isqrt(limit),
-    m never exceeds isqrt(limit), so the walk takes at most that many steps.
-    """
-    m = 1
-    while True:
-        n = int(np.searchsorted(large, limit // m, side="right"))
-        if n == 0:
-            return
-        yield m, n
-        m += 1
 
 
 def _small_powers(primes: np.ndarray, limit: int):
@@ -313,7 +298,9 @@ def finite_h_from_coeffs(
         m = upto // n
         num += wn * float(a[1 : m + 1] @ a[n::n][:m])
     large, w_large = support[split:], w[split:]
-    for k, n in _cofactor_walk(large, upto):
+    # the first counts[k - 1] entries n of large have n k <= K; they never increase with k
+    counts = np.searchsorted(large, upto // np.arange(1, math.isqrt(upto) + 1), side="right")
+    for k, n in enumerate(counts[counts > 0].tolist(), start=1):
         num += float(a[k]) * float(w_large[:n] @ a[k * large[:n]])
     return c - num / den, num, den
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from zetagaps.fracpoly import (
 from zetagaps.hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
+    HBreakdown,
     denominator_terms,
     h_grid,
     h_value,
@@ -217,12 +219,30 @@ def _reference_moments(scheme):
     ]
 
 
+def _reference_denominator(scheme):
+    # the four denominator rows written out by hand
+    f1, f1t, _, _ = scheme.dense
+    mu = scheme.kernels[:, : 2 * f1.size - 1]
+    f1t_sq = np.convolve(f1t, f1t)
+    return (
+        float(mu[0] @ np.convolve(f1, f1)),
+        2.0 * float(mu[1] @ np.convolve(f1, f1t)),
+        float(mu[2] @ f1t_sq),
+        float(mu[3] @ f1t_sq),
+    )
+
+
 def _assert_forms_bitwise(scheme):
     a, b = scheme.forms
     a_ref, b_ref = _reference_forms(scheme)
     assert a.shape == a_ref.shape and np.array_equal(a, a_ref)
     assert b.shape == b_ref.shape and np.array_equal(b, b_ref)
     assert np.array_equal(scheme.moments, _reference_moments(scheme))
+    assert denominator_terms(scheme) == _reference_denominator(scheme)
+
+
+def test_component_table_follows_hbreakdown():
+    assert list(zetagaps.hfunc._TERMS) == [f.name for f in dataclasses.fields(HBreakdown)][1:-1]
 
 
 @pytest.mark.parametrize("r", [None, 1.0, 1.5])

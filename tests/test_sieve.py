@@ -53,8 +53,10 @@ def _ak_direct(scheme, upto, k):
 
 
 # K = q**2 - 1, q**2, q**2 + 1: the split at isqrt(K) moves across a prime
-# (7, 31) and a composite (12) square root
-ROOT_BOUNDARY_LIMITS = [q * q + d for q in (7, 12, 31) for d in (-1, 0, 1)]
+# (7, 31) and a composite (12) square root.  Below K = 4 no prime is at most
+# sqrt(K): each k > 1 is its own large prime and the only cofactor is k = 1.
+# At K = 4 the prime power 4 lies above sqrt(K) and cofactor k = 2 has none.
+ROOT_BOUNDARY_LIMITS = [2, 3, 4, *(q * q + d for q in (7, 12, 31) for d in (-1, 0, 1))]
 
 # K ending one before, at and one after a block edge, and one past the second
 BLOCK_LIMITS = [SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 1]
@@ -368,8 +370,7 @@ def test_tables_match_trial_division_at_root_boundary(limit):
     assert tables.primes.tolist() == expect_primes
 
 
-# below K = 4 no prime is at most sqrt(K): each k > 1 is its own large prime
-@pytest.mark.parametrize("limit", [2, 3, *ROOT_BOUNDARY_LIMITS])
+@pytest.mark.parametrize("limit", ROOT_BOUNDARY_LIMITS)
 def test_ak_matches_trial_division_at_root_boundary(row1, limit):
     a = coeffs_ak(row1.scheme, build_tables(row1.scheme.r, limit), limit)
     assert a[0] == 0.0
