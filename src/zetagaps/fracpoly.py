@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -261,7 +262,7 @@ def sinc_truncation_bound(c: float, n_terms: int) -> float:
     """Magnitude of the first omitted series term, (pi c)^(2n+1) / (2n+1)!, c finite and > 0."""
     if not 0 < c < math.inf:
         raise DomainError(f"c must be finite and positive, got {c!r}")
-    if n_terms < 0:
-        raise DomainError(f"n_terms must be nonnegative, got {n_terms!r}")
+    if not (isinstance(n_terms, Integral) and not isinstance(n_terms, bool) and n_terms >= 0):
+        raise DomainError(f"n_terms must be a nonnegative integer, got {n_terms!r}")
     k = 2 * n_terms + 1
     return math.exp(k * math.log(math.pi * c) - math.lgamma(k + 1))

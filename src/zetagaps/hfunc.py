@@ -195,21 +195,23 @@ class HBreakdown:
     n43: float
     h: float
 
+    def components(self) -> list[float]:
+        """d1..n43 in _TERMS order: the four denominator components, then the seven numerator."""
+        return [getattr(self, name) for name in _TERMS]
+
     @property
     def denominator(self) -> float:
-        return self.d1 + self.d2 + self.d31 + self.d32
+        return sum(self.components()[_DEN])
 
     @property
     def numerator(self) -> float:
-        return self.n1 + self.n2 + self.n31 + self.n32 + self.n41 + self.n42 + self.n43
+        return sum(self.components()[_NUM])
 
     @property
     def budget(self) -> float:
         """Rounding budget of h from its components (_rounding_budget)."""
-        return _rounding_budget(
-            (self.d1, self.d2, self.d31, self.d32),
-            (self.n1, self.n2, self.n31, self.n32, self.n41, self.n42, self.n43),
-        )
+        terms = self.components()
+        return _rounding_budget(terms[_DEN], terms[_NUM])
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

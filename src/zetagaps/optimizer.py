@@ -53,17 +53,15 @@ class OptimizeConfig:
     """Knobs for the threshold certification and the search over r and P.
 
     degrees fixes the parameterization (deg f1, deg f1t, deg P); c_grid is
-    the (lo, hi, step) scan window; bisection_tol (threshold_c's tol) bounds
-    how far above the root of h = 1 a certified c may sit, being the bracket
-    width at which bisection stops where Newton's steps fail; max_iters and
-    simplex_scale steer the Nelder-Mead search over r and P's coefficients
-    below its top one, from x**2 up when deg f1 > deg f1t (optimize_scheme),
-    so (3, 1, 2) searches r alone.
+    the (lo, hi, step) scan window, whose first sign change threshold_c
+    certifies at its default tol; max_iters and simplex_scale steer the
+    Nelder-Mead search over r and P's coefficients below its top one, from
+    x**2 up when deg f1 > deg f1t (optimize_scheme), so (3, 1, 2) searches
+    r alone.
     """
 
     degrees: tuple[int, int, int] = (3, 1, 2)
     c_grid: tuple[float, float, float] = (0.50, 0.53, 0.001)
-    bisection_tol: float = 1e-6
     max_iters: int = 400
     simplex_scale: float = 0.05
 
@@ -76,8 +74,6 @@ class OptimizeConfig:
             raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
         if not 0 < step < math.inf:
             raise ValueError("c_grid step must be positive and finite")
-        if not (_is(Real, self.bisection_tol) and 0 < self.bisection_tol < math.inf):
-            raise ValueError("bisection_tol must be positive and finite")
         if not (_is(Real, self.simplex_scale) and 0 < abs(self.simplex_scale) < math.inf):
             raise ValueError("simplex_scale must be nonzero and finite")
         if not (_is(Integral, self.max_iters) and self.max_iters >= 0):
@@ -199,8 +195,6 @@ def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if values[0] < best_f:
-            best_x, best_f = simplex[0].copy(), values[0]
 
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
@@ -272,7 +266,7 @@ def _certify(scheme, config: OptimizeConfig) -> float:
     """threshold_c in the first sign change of config.c_grid's scan, else c_lo if h > 1 there."""
     bracket, v_lo = _scan(scheme, *config.c_grid)
     if bracket is not None:
-        return threshold_c(scheme, bracket, config.bisection_tol)
+        return threshold_c(scheme, bracket)
     if v_lo > 0.0:
         return float(config.c_grid[0])
     raise DomainError("h(c) - 1 has no sign change on the scan grid")
@@ -315,10 +309,12 @@ class RowCheck:
     c: float
     r: float
     margin: float  # h(c) - 1 of the scheme as published
+    budget: float  # HBreakdown.budget at c
 
     @property
     def passed(self) -> bool:
-        return self.margin > 0.0
+        """threshold_c's rule: the margin exceeds the rounding budget of h."""
+        return self.margin > self.budget
 
 
 @dataclass(frozen=True)
@@ -332,14 +328,8 @@ class TableReport:
 
 def verify_table() -> TableReport:
     """Evaluate every built-in reference scheme at its listed threshold."""
-    return TableReport(
-        rows=[
-            RowCheck(
-                name=preset.name,
-                c=preset.c,
-                r=preset.scheme.r,
-                margin=h_value(preset.scheme, preset.c).h - 1.0,
-            )
-            for preset in PRESETS
-        ]
-    )
+    rows = []
+    for preset in PRESETS:
+        hb = h_value(preset.scheme, preset.c)
+        rows.append(RowCheck(preset.name, preset.c, preset.scheme.r, hb.h - 1.0, hb.budget))
+    return TableReport(rows)

@@ -142,6 +142,29 @@ def test_eval_requires_scheme_source():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["eval", "--bogus"], "r = 1.18\nc = 0.5\nf1 = [1.0]\n", "unrecognized arguments: --bogus"),
+        (["eval"], "r = 1.18\nf1\n", "config line 2: expected 'key = value'"),
+        (["eval"], None, "cannot read config '.*missing.cfg': .*"),
+        (["eval"], "c = 0.5\nf1 = [1.0]\n", "config must set r"),
+        (["eval"], "r = 1.18\nc = 0.5\n", "config must set f1"),
+        (["eval", "--c", "1.0"], "r = 1.18\nf1 = [1.0]\n", "c must lie strictly between 0 and 1"),
+        (["oracle"], "r = 1.18\nc = 0.5\nf1 = [1.0]\n", "no T given; set it in the .* pass --T"),
+    ],
+    ids=["usage", "no-equals", "unreadable", "no-r", "no-f1", "c-outside", "no-T"],
+)
+def test_validation_error_is_one_error_line(tmp_path, capsys, argv, text, message):
+    cfg = tmp_path / "missing.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out = run_cli(argv + ["--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------- verify-table
 
 
@@ -315,6 +338,30 @@ def test_optimize_without_sign_change_is_math_error(tmp_path, capsys):
         "math error: h(c) - 1 has no sign change on the scan grid\n"
     )
     assert not trace.exists()
+
+
+def test_optimize_reads_scan_grid_and_ignores_bisection_tol(tmp_path):
+    cfg = tmp_path / "start.cfg"
+
+    def optimize(extra):
+        cfg.write_text(
+            "r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\nP = [0, 0, 1]\n"
+            + extra
+        )
+        code, out = run_cli(
+            ["optimize", "--config", str(cfg), "--trace-out", str(tmp_path / "trace.csv"),
+             "--scheme-out", str(tmp_path / "best.cfg")]
+        )
+        assert code == 0
+        return out
+
+    plain = optimize("")
+    assert plain.splitlines()[0] == "c_star=0.515396149748736"
+    # accepted for old config files and ignored
+    assert optimize("bisection_tol = 1e-9\n") == plain
+    # a grid around the root certifies the same c*; where h > 1 at c_lo, c_lo is c*
+    assert optimize("c_lo = 0.51\nc_hi = 0.52\nc_step = 0.0005\n") == plain
+    assert optimize("c_lo = 0.52\nc_hi = 0.53\nc_step = 0.001\n").startswith("c_star=0.52\n")
 
 
 @pytest.mark.parametrize("value, code", [("2.7", 1), ("0.0", 0)])

@@ -356,9 +356,12 @@ def test_sinc_truncation_bound_validation():
     for c, shown in ((nan, "nan"), (0.0, "0.0"), (0, "0"), (-0.3, "-0.3"), (inf, "inf")):
         with pytest.raises(DomainError, match=f"got {shown}$"):
             sinc_truncation_bound(c, 24)
-    with pytest.raises(DomainError, match="got -1$"):
-        sinc_truncation_bound(0.5, -1)
+    # a fractional count once gave a bound between two series lengths (0.0209 at 2.5)
+    for n_terms, shown in ((-1, "-1"), (2.5, "2.5"), (2.0, "2.0"), (True, "True"), (nan, "nan")):
+        with pytest.raises(DomainError, match=f"a nonnegative integer, got {shown}$"):
+            sinc_truncation_bound(0.5, n_terms)
     assert sinc_truncation_bound(0.5, 0) == pytest.approx(math.pi * 0.5, rel=1e-15)
+    assert sinc_truncation_bound(0.5, np.int64(24)) == sinc_truncation_bound(0.5, 24)
 
 
 # ---------------------------------------------------------------- Beta ladder

@@ -284,6 +284,10 @@ def test_h_value_row_consistency(rows):
         hb = h_value(preset.scheme, preset.c)
         assert hb.h == pytest.approx(preset.c - hb.numerator / hb.denominator, abs=1e-14)
         assert hb.as_dict()["h"] == hb.h
+        # the sums over components() add in the order the hand-written sums did
+        assert hb.components() == list(hb.as_dict().values())[1:-1]
+        assert hb.denominator == hb.d1 + hb.d2 + hb.d31 + hb.d32
+        assert hb.numerator == hb.n1 + hb.n2 + hb.n31 + hb.n32 + hb.n41 + hb.n42 + hb.n43
 
 
 def test_h_value_reference_rows_exceed_one(rows):

@@ -5,9 +5,12 @@ from zetagaps.fracpoly import DomainError, FracPoly
 import zetagaps.hfunc
 import zetagaps.optimizer
 from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
+from zetagaps.presets import PRESETS
 from zetagaps.optimizer import (
     CERTIFY_STEPS,
     OptimizeConfig,
+    RowCheck,
+    TableReport,
     bracket_scan,
     grid_points,
     nelder_mead,
@@ -246,6 +249,21 @@ def test_nelder_mead_monotone_on_h(row1):
     assert -neg_h >= start_h
 
 
+def test_nelder_mead_shrinks_toward_best_vertex():
+    # from 0, the reflection -0.05 ties the worst vertex 0.05 and the contraction 0.025
+    # sits on a peak of sin**2, so the first iteration shrinks: 0.025 is evaluated again
+    calls = []
+
+    def bumpy(v):
+        calls.append(float(v[0]))
+        return float(v[0] ** 2 + 10.0 * np.sin(20.0 * np.pi * v[0]) ** 2)
+
+    best_x, best_f, trace = nelder_mead(bumpy, [0.0], OptimizeConfig(max_iters=400))
+    assert calls[:7] == [0.0, 0.05, -0.05, 0.025, 0.025, -0.025, 0.0125]
+    assert best_x.tolist() == [0.0] and best_f == 0.0
+    assert all(f == 0.0 for _, f in trace)
+
+
 def test_nelder_mead_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         nelder_mead(lambda v: float("nan"), np.zeros(2), OptimizeConfig(max_iters=5))
@@ -377,6 +395,12 @@ def test_optimize_recovers_from_perturbed_start(row1):
     assert abs(perturbed.c_star - baseline.c_star) <= 1e-4
 
 
+def test_optimize_rejects_start_above_configured_degrees(row1):
+    # row1's P = x**2 has no place among deg P = 1's coefficients
+    with pytest.raises(ValueError, match="start scheme exceeds the configured degrees"):
+        optimize_scheme(OptimizeConfig(degrees=(3, 1, 1)), row1.scheme)
+
+
 def test_optimize_degenerate_start_raises():
     zero = CoeffScheme(
         r=1.18, f1=FracPoly.zero(), f1t=FracPoly.zero(), P=FracPoly.from_coeffs([0, 0, 1.0])
@@ -391,12 +415,9 @@ def test_optimize_config_validation():
     with pytest.raises(ValueError):
         OptimizeConfig(c_grid=(0.5, 0.6, -0.1))
     with pytest.raises(ValueError):
-        OptimizeConfig(bisection_tol=0.0)
-    with pytest.raises(ValueError):
         OptimizeConfig(degrees=(3, 1, 0))
     nan = float("nan")
     for bad in (
-        dict(bisection_tol=nan),
         dict(c_grid=(0.5, 0.6, nan)),
         dict(c_grid=(0.5, 0.6, float("inf"))),
         dict(simplex_scale=0.0),
@@ -405,8 +426,8 @@ def test_optimize_config_validation():
     ):
         with pytest.raises(ValueError):
             OptimizeConfig(**bad)
-    # each of these once failed late or not at all: numpy's or range's TypeError, an
-    # IndexError, or an infinite tol that reported the grid end as c*
+    # each of these once failed late or not at all: numpy's or range's TypeError, or an
+    # IndexError
     for bad, field in (
         (dict(degrees=(3.5, 1, 2)), "degrees"),
         (dict(degrees=(3, 1)), "degrees"),
@@ -415,7 +436,6 @@ def test_optimize_config_validation():
         (dict(max_iters=2.7), "max_iters"),
         (dict(max_iters=True), "max_iters"),
         (dict(max_iters=-1), "max_iters"),
-        (dict(bisection_tol=float("inf")), "bisection_tol"),
         # c_grid is checked before it is unpacked, and a bool is not a number
         (dict(c_grid=(0.5, 0.6)), "c_grid"),
         (dict(c_grid=(0.5, 0.6, 0.01, 0.1)), "c_grid"),
@@ -424,7 +444,6 @@ def test_optimize_config_validation():
         (dict(c_grid=(0.5, 0.6, True)), "c_grid"),
         (dict(c_grid=(0.5, "0.6", 0.01)), "c_grid"),
         (dict(simplex_scale=True), "simplex_scale"),
-        (dict(bisection_tol=True), "bisection_tol"),
     ):
         with pytest.raises(ValueError, match=field):
             OptimizeConfig(**bad)
@@ -443,8 +462,18 @@ def test_verify_table_rows_pass():
         "table1-row2",
         "table1-row3",
     ]
-    for row in report.rows:
+    for row, preset in zip(report.rows, PRESETS):
         assert row.margin > 0.0  # published coefficients carry h > 1 directly
+        assert row.budget == h_value(preset.scheme, preset.c).budget
+        assert 0.0 < row.budget < 1e-12 < row.margin
+
+
+def test_row_check_passes_by_the_certificate_rule():
+    # a margin within the rounding budget of h certifies nothing, as in threshold_c
+    for margin, passed in ((3e-14, True), (2e-14, False), (1e-15, False), (-1e-15, False)):
+        row = RowCheck("row", 0.5, 1.18, margin=margin, budget=2e-14)
+        assert row.passed is passed
+        assert TableReport([row]).all_passed is passed
 
 
 def test_verify_table_thresholds_non_increasing():

@@ -15,3 +15,52 @@ def test_src_validates_with_exceptions_not_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, except those in its __all__ (which covers
+    __init__.py's re-exports) and those on a line marked `# noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
+    ]
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in imports
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {lineno})" for name, lineno in imported.items() if name not in used]
+
+
+def test_src_imports_only_names_it_uses():
+    found = {
+        path.name: unused
+        for path in sorted(SRC.glob("*.py"))
+        if (unused := _unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_unused_import_check_flags_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "from os import path, sep\n"
+        "from .a import hidden  # noqa: F401\n"
+        "from .b import exported\n"
+        "__all__ = ['exported']\n"
+        "x = np.zeros(1) + len(sep)\n"
+    )
+    assert _unused_imports(source) == ["math (line 2)", "path (line 4)"]
