@@ -259,11 +259,11 @@ def _cmd_oracle(args, out) -> int:
     t_param = args.T if args.T is not None else config.get("T")
     if t_param is None:
         raise CliError("no T given; set it in the config or pass --T")
+    h_lim = h_value(scheme, c).h  # first, so a degenerate scheme fails before the sieve runs
     try:
         h_fin, num, den = finite_h(scheme, c, float(t_param))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    h_lim = h_value(scheme, c).h
     print(f"h_finite={_fmt(h_fin)}", file=out)
     print(f"num={_fmt(num)}", file=out)
     print(f"den={_fmt(den)}", file=out)
@@ -388,13 +388,8 @@ _COMMANDS = {
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

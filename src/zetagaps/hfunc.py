@@ -43,9 +43,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, _sinc_rows, moments
 # perfbench traces beta_convolve, convolve and integrate_weighted as attributes of this module
-from .fracpoly import beta_convolve, convolve, integrate_weighted  # noqa: F401
+from .fracpoly import SINE_TERMS, DomainError, FracPoly, beta_convolve, convolve, moments
+from .fracpoly import _beta_grid, _sinc_rows
+from .fracpoly import integrate_weighted  # noqa: F401 (traced, not called)
 
 __all__ = [
     "DegenerateSchemeError",
@@ -72,9 +73,9 @@ class DegenerateSchemeError(ArithmeticError):
 class CoeffScheme:
     """Coefficient scheme (r, f1, f1t, P) defining the mollified weights.
 
-    Invariants enforced at construction: r finite and >= 1, all three
-    polynomials have integer exponents, and P has no constant term (so P(y)/y
-    is again a polynomial).
+    Invariants enforced at construction: r >= 1 with r**4 finite (r below about
+    1.16e77), all three polynomials have integer exponents, and P has no
+    constant term (so P(y)/y is again a polynomial).
     """
 
     r: float
@@ -83,8 +84,8 @@ class CoeffScheme:
     P: FracPoly
 
     def __post_init__(self):
-        if not 1.0 <= self.r < math.inf:
-            raise ValueError(f"r must be finite and >= 1, got {self.r!r}")
+        if not (1.0 <= self.r and math.isfinite(self.r * self.r * (self.r * self.r))):
+            raise ValueError(f"r must be >= 1 with a finite kernel scale r**4, got r={self.r!r}")
         for name in ("f1", "f1t", "P"):
             try:
                 getattr(self, name).to_coeffs()
@@ -112,8 +113,11 @@ class CoeffScheme:
 
     @cached_property
     def den_terms(self) -> tuple[float, float, float, float]:
-        """(d1, d2, d31, d32) of denominator_terms, which do not depend on c."""
-        return denominator_terms(self)
+        """denominator_terms (free of c), or DegenerateSchemeError if one is not finite."""
+        terms = denominator_terms(self)
+        if bad := [f"{name}={v!r}" for name, v in zip(_TERMS, terms) if not math.isfinite(v)]:
+            raise DegenerateSchemeError(f"denominator components not finite: {', '.join(bad)}")
+        return terms
 
     @cached_property
     def moments(self) -> np.ndarray:
@@ -281,7 +285,7 @@ def assemble_h(c: float, den_terms, num_terms) -> HBreakdown:
 def _ratio(c, den_terms, num_terms):
     """c - sum(num_terms) / sum(den_terms), elementwise for an array c and rows num_terms."""
     den = sum(den_terms)
-    if abs(den) <= DENOMINATOR_FLOOR:
+    if not abs(den) > DENOMINATOR_FLOOR:  # NaN fails too
         raise DegenerateSchemeError(
             f"denominator {den:.3e} is below the floor {DENOMINATOR_FLOOR:.0e}"
         )

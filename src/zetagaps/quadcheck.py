@@ -5,11 +5,11 @@ the same eleven components by nested Gauss quadrature, with the polynomials
 and sin(pi c z) evaluated pointwise.  Agreement between the two routes
 validates both.
 
-h_value_numeric is one table of rows (kernel, scale, f, h, g), each worth
+h_value_numeric is one table of rows (kernel, scale, f, inner), each worth
 scale * <K, f * inner> with <K, q> = int_0^1 K(1-u) q(u) du.  inner is g
-for the denominator (h None), else the sine convolution
+for the denominator, else one of three sine convolutions, built once per call:
 
-    inner(x) = int_0^x sin(pi c z)/z * h(z) * g(x - z) dz,    h = 1 or P.
+    inner(x) = int_0^x sin(pi c z)/z * h(z) * g(x - z) dz,    (h, g) = (1, f1), (1, f1t), (P, f1t).
 
 With a = r**2, P1 = P(y)/y and BC(g) = x**(a-1) * g the Beta-kernel convolution,
 each kernel is one flattened Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
@@ -24,9 +24,9 @@ and associates, so it equals r^4 BC(P1 * P1) and shares K2's nodes.  The outer
 weight (P1 * P1)(y) = y int_0^1 P1(ys) P1(y(1-s)) ds is one Gauss-Legendre sum
 per node, exact while deg P1 < order.  Jacobi weights absorb the singular
 factor (u-v)**(a-1) and the u**a that v = u*t leaves, so polynomial integrands
-are exact and entire ones converge spectrally.  inner is entire too: each row
-computes it at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre in
-z = x*zeta and reads it at the kernel nodes off the degree-`order` interpolant.
+are exact and entire ones converge spectrally.  The convolutions are entire too:
+each is computed at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre
+in z = x*zeta, and read at the kernel nodes off its degree-`order` interpolant.
 
 Every rule comes from numpy: Gauss-Legendre from leggauss, each Gauss-Jacobi
 rule by Golub-Welsch (the eigenvalues of the Jacobi matrix), so the oracle
@@ -140,36 +140,34 @@ def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -
     """Recompute the full h(c) breakdown by Gauss quadrature (module docs).
 
     order, an integer in [16, 128], is the node count of every one-dimensional
-    rule and the Chebyshev degree of the sine convolutions.  The sine kernel
-    is evaluated with np.sin, not the series, so the route is independent of
-    hfunc's term algebra.
+    rule and the Chebyshev degree of the three sine convolutions.  The sine
+    kernel is evaluated with np.sin, not the series, so the route is
+    independent of hfunc's term algebra.
     """
     _check_order(order, 16)
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
 
-    f1, f1t, big_p = scheme.f1, scheme.f1t, scheme.P
-    one = FracPoly.from_coeffs([1.0])
+    f1, f1t, one = scheme.f1, scheme.f1t, FracPoly.from_coeffs([1.0])
     kappa = -2.0 * scheme.r / math.pi
     k1, k2, k3, k4 = _kernel_rules(scheme, order)
     zeta, w_zeta = _unit_rule(order)
-    table = (  # kernel, scale, f, h, g
-        (k1, 1.0, f1, None, f1),  # d1
-        (k2, 2.0, f1, None, f1t),  # d2
-        (k3, 1.0, f1t, None, f1t),  # d31
-        (k4, 1.0, f1t, None, f1t),  # d32
-        (k1, kappa, f1, one, f1),  # n1
-        (k2, kappa, f1t, one, f1),  # n2
-        (k2, kappa, f1, one, f1t),  # n31
-        (k1, kappa, f1, big_p, f1t),  # n32
-        (k3, kappa, f1t, one, f1t),  # n41
-        (k4, kappa, f1t, one, f1t),  # n42
-        (k2, kappa, f1t, big_p, f1t),  # n43
+    pairs = ((one, f1), (one, f1t), (scheme.P, f1t))  # the numerator's distinct (h, g)
+    s_f1, s_f1t, sp_f1t = (_sine_convolution(c, h, g, zeta, w_zeta) for h, g in pairs)
+    table = (  # kernel, scale, f, inner
+        (k1, 1.0, f1, f1.eval),  # d1
+        (k2, 2.0, f1, f1t.eval),  # d2
+        (k3, 1.0, f1t, f1t.eval),  # d31
+        (k4, 1.0, f1t, f1t.eval),  # d32
+        (k1, kappa, f1, s_f1),  # n1
+        (k2, kappa, f1t, s_f1),  # n2
+        (k2, kappa, f1, s_f1t),  # n31
+        (k1, kappa, f1, sp_f1t),  # n32
+        (k3, kappa, f1t, s_f1t),  # n41
+        (k4, kappa, f1t, s_f1t),  # n42
+        (k2, kappa, f1t, sp_f1t),  # n43
     )
-    values = []
-    for (x, w), scale, f, h, g in table:
-        inner = g.eval(x) if h is None else _sine_convolution(c, h, g, zeta, w_zeta)(x)
-        values.append(scale * float(w @ (f.eval(x) * inner)))
+    values = [scale * float(w @ (f.eval(x) * inner(x))) for (x, w), scale, f, inner in table]
     return assemble_h(c, values[:4], values[4:])
 
 

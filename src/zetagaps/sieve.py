@@ -72,9 +72,9 @@ class SieveTable:
     """The primes and Lambda on its support up to `limit`; lambda and d_r per integer.
 
     `liouville` (int8, lambda(k) = +-1) and `dr` (float64, d_r(k)) are indexed
-    by k, index 0 an unused sentinel.  Both are sieved on the first read of
-    either and cached.  Every array is read-only, but that first read writes
-    the cache: make it before sharing a table between threads.
+    by k, index 0 an unused sentinel, and are all that `r` serves.  Both are
+    sieved on the first read of either and cached.  Every array is read-only,
+    but that first read writes the cache: make it before sharing the table between threads.
     """
 
     limit: int
@@ -102,6 +102,14 @@ class SieveTable:
     def dr(self) -> np.ndarray:
         self.liouville  # its first read sieves both and sets dr
         return vars(self)["dr"]
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError naming it unless an integral finite number (not a bool)."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and (isinstance(value, Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {name}={value}")
+    return int(value)
 
 
 def _primes_up_to(n: int) -> np.ndarray:
@@ -155,11 +163,11 @@ def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray):
     multiplies l by -(j - 1 + r)/j (lambda's sign and d_r's Gamma-ratio
     recurrence) and the smooth part m of k by p; for j = 1 it adds
     P(log p / log limit) to s.  The passes of the primes p <= DENSE_PRIMES
-    are strided; the hits of all the others are listed pass by pass and
-    applied in one scatter per block.  Both run the passes p ascending, then
-    j, so every product and sum is taken in one order.  q = k / m (exact
-    below 2**53) is then 1 or the prime factor above sqrt(limit), which
-    multiplies l by -r last and adds P(log q / log limit) (0 at q = 1).
+    are strided slices in one loop; the hits of all the others are listed
+    pass by pass and applied in one scatter per block.  Both run the passes
+    p ascending, then j, so every product and sum is taken in one order.
+    q = k / m (exact below 2**53) is then 1 or the prime factor above
+    sqrt(limit), which multiplies l by -r last and adds P(log q / log limit) (0 at q = 1).
     """
     passes = np.array(list(_small_powers(primes, limit)), dtype=np.int64).reshape(-1, 3)
     p, j, pj = passes.T
@@ -168,9 +176,7 @@ def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray):
     # what a pass adds to s: P(log p / log limit) for j = 1, else 0
     value = np.where(j == 1, polyval(np.log(p) / log_lim, p_coeffs), 0.0)
     dense = int(np.searchsorted(p, DENSE_PRIMES, side="right"))
-    strided = list(zip(pj[:dense].tolist(), p[:dense].tolist(), factor[:dense].tolist()))
-    # adding 0 leaves s as it is (s is never -0.0), so those passes are skipped
-    strided_s = [(prime, v) for prime, v in zip(p[:dense].tolist(), value[:dense].tolist()) if v]
+    strided = list(zip(*(col[:dense].tolist() for col in (pj, p, factor, value))))
     sparse_pj, sparse_p = pj[dense:], p[dense:].astype(np.float64)
     sparse_factor, sparse_value = factor[dense:], value[dense:]
 
@@ -184,12 +190,12 @@ def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray):
         l.fill(1.0)
         m.fill(1.0)
         s.fill(0.0)
-        for step, prime, f in strided:
+        for step, prime, f, v in strided:
             start = -lo % step
             l[start::step] *= f
             m[start::step] *= prime
-        for prime, v in strided_s:
-            s[-lo % prime :: prime] += v
+            if v:  # adding 0 leaves s as it is (s is never -0.0)
+                s[start::step] += v
         start = -lo % sparse_pj
         count = (n - start + sparse_pj - 1) // sparse_pj  # hits in this block
         which = np.repeat(np.arange(count.size), count)  # the pass of each hit
@@ -212,7 +218,7 @@ def build_tables(r: float, limit: int) -> SieveTable:
     Lambda's support is the primes and the p**j (j >= 2) of the primes
     p <= sqrt(limit), listed by the prime-power walk that sieves the blocks.
     """
-    limit = int(limit)
+    limit = _integer("limit", limit)
     if not (2 <= limit <= MAX_TABLE_LIMIT):
         raise ValueError(f"limit must lie in [2, {MAX_TABLE_LIMIT}]")
     if not (math.isfinite(r) and r > 0):
@@ -236,21 +242,19 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     P are evaluated from their dense coefficients by Horner's rule (numpy's
     polyval, in place).
 
-    lambda(k) d_r(k) and S_P(k) come from the block sieve, which reads only
-    tables.r and the primes up to sqrt(upto); the result is the one K-sized
-    array allocated.
+    lambda(k) d_r(k) and S_P(k) come from the block sieve at scheme.r, which
+    reads of `tables` only the primes up to sqrt(upto); the result is the one
+    K-sized array allocated.
     """
-    upto = int(upto)
+    upto = _integer("upto", upto)
     if upto < 2 or upto > tables.limit:
         raise ValueError("upto must lie in [2, tables.limit]")
-    if abs(tables.r - scheme.r) > 1e-12:
-        raise ValueError("tables were built with a different r")
 
     log_up = math.log(upto)
     f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
     a = np.zeros(upto + 1)
     buffers = np.empty((2, min(SIEVE_BLOCK, upto)))
-    for lo, hi, k, l, s in _blocks(tables.r, tables.primes, upto, scheme.P.to_coeffs()):
+    for lo, hi, k, l, s in _blocks(scheme.r, tables.primes, upto, scheme.P.to_coeffs()):
         x, f = buffers[:, : hi - lo]
         np.log(k, out=x)
         x /= log_up
@@ -332,9 +336,7 @@ def finite_h(
 
 def mertens_deficit(y: int) -> float:
     """sum_{p <= y} log(p)/p - log(y); bounded as y grows."""
-    if not (math.isfinite(y) and int(y) == y):
-        raise ValueError(f"y must be an integer, got y={y}")
-    y = int(y)
+    y = _integer("y", y)
     if y < 2:
         raise ValueError("y must be at least 2")
     primes = _primes_up_to(y).astype(np.float64)

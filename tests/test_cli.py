@@ -142,27 +142,46 @@ def test_eval_requires_scheme_source():
     assert code == 1
 
 
+_OVERFLOW = "c = 0.5\nf1t = [1]\nP = [0, 0, 1]\n"  # with an r or f1 too large for floats
+_NON_FINITE_DEN = "math error: denominator components not finite: d1=inf"
+
+
 @pytest.mark.parametrize(
-    "argv, text, message",
+    "argv, text, code, line",
     [
-        (["eval", "--bogus"], "r = 1.18\nc = 0.5\nf1 = [1.0]\n", "unrecognized arguments: --bogus"),
-        (["eval"], "r = 1.18\nf1\n", "config line 2: expected 'key = value'"),
-        (["eval"], None, "cannot read config '.*missing.cfg': .*"),
-        (["eval"], "c = 0.5\nf1 = [1.0]\n", "config must set r"),
-        (["eval"], "r = 1.18\nc = 0.5\n", "config must set f1"),
-        (["eval", "--c", "1.0"], "r = 1.18\nf1 = [1.0]\n", "c must lie strictly between 0 and 1"),
-        (["oracle"], "r = 1.18\nc = 0.5\nf1 = [1.0]\n", "no T given; set it in the .* pass --T"),
+        (["eval", "--bogus"], "r = 1.18\nc = 0.5\nf1 = [1.0]\n", 1,
+         "error: unrecognized arguments: --bogus"),
+        (["eval"], "r = 1.18\nf1\n", 1, "error: config line 2: expected 'key = value'"),
+        (["eval"], None, 1, "error: cannot read config '.*missing.cfg': .*"),
+        (["eval"], "c = 0.5\nf1 = [1.0]\n", 1, "error: config must set r"),
+        (["eval"], "r = 1.18\nc = 0.5\n", 1, "error: config must set f1"),
+        (["eval", "--c", "1.0"], "r = 1.18\nf1 = [1.0]\n", 1,
+         "error: c must lie strictly between 0 and 1"),
+        (["oracle"], "r = 1.18\nc = 0.5\nf1 = [1.0]\n", 1,
+         "error: no T given; set it in the .* pass --T"),
+        (["eval"], _OVERFLOW + "f1 = [1]\nr = 1.2e77\n", 1,
+         r"error: invalid scheme: r must be >= 1 with a finite .* r\*\*4, got r=1.2e\+77"),
+        (["eval"], _OVERFLOW + "f1 = [1]\nr = 1.4e154\n", 1,
+         r"error: invalid scheme: r must be .*, got r=1.4e\+154"),
+        (["eval"], _OVERFLOW + "f1 = [1]\nr = 1e77\n", 2,
+         r"math error: denominator 1.000e-154 is below the floor 1e-12"),
+        (["eval"], _OVERFLOW + "f1 = [1e160]\nr = 1.18\n", 2, _NON_FINITE_DEN),
+        (["oracle", "--T", "1e6"], _OVERFLOW + "f1 = [1e160]\nr = 1.18\n", 2, _NON_FINITE_DEN),
     ],
-    ids=["usage", "no-equals", "unreadable", "no-r", "no-f1", "c-outside", "no-T"],
+    ids=[
+        "usage", "no-equals", "unreadable", "no-r", "no-f1", "c-outside", "no-T",
+        "r4-overflow", "r2-overflow", "r-vanishing-den", "f1-overflow", "f1-overflow-oracle",
+    ],
 )
-def test_validation_error_is_one_error_line(tmp_path, capsys, argv, text, message):
+def test_validation_error_is_one_error_line(tmp_path, capsys, argv, text, code, line):
+    # a failed command prints nothing but one stderr line, and no warning or traceback
     cfg = tmp_path / "missing.cfg"
     if text is not None:
         cfg.write_text(text)
-    code, out = run_cli(argv + ["--config", str(cfg)])
-    assert code == 1
+    got, out = run_cli(argv + ["--config", str(cfg)])
+    assert got == code
     assert out == ""
-    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert re.fullmatch(f"{line}\n", capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------- verify-table

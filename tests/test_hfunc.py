@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from zetagaps.hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
     HBreakdown,
+    assemble_h,
     denominator_terms,
     h_grid,
     h_value,
@@ -52,6 +54,26 @@ def test_scheme_rejects_small_r():
         _scheme(0.9, [1.0], [], [])
     with pytest.raises(ValueError, match="finite"):
         _scheme(math.inf, [1.0], [], [0.0, 1.0])
+
+
+def test_scheme_rejects_r_whose_kernel_scale_overflows():
+    # r**4 scales K3: it overflows above about 1.16e77, and r**2 above about 1.34e154
+    for r in (1.2e77, 1.4e154, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"r={r}")):
+            _scheme(r, [1.0], [1.0], [0.0, 0.0, 1.0])
+    with pytest.raises(DegenerateSchemeError, match="below the floor"):
+        h_value(_scheme(1e77, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5)
+
+
+def test_non_finite_denominator_is_degenerate():
+    # raised by den_terms, before any numerator term (and its overflow warnings) is computed
+    scheme = _scheme(1.18, [1e160], [1.0], [0.0, 0.0, 1.0])
+    with pytest.raises(DegenerateSchemeError, match="not finite: d1=inf"):
+        scheme.den_terms
+    with pytest.raises(DegenerateSchemeError):
+        h_value(scheme, 0.5)
+    with pytest.raises(DegenerateSchemeError):
+        assemble_h(0.5, (math.nan, 1.0, 0.0, 0.0), (0.0,) * 7)
 
 
 def test_scheme_rejects_constant_in_p():

@@ -5,18 +5,21 @@ import pathlib
 import numpy as np
 import pytest
 
+from zetagaps import quadcheck
 from zetagaps.fracpoly import DomainError, FracPoly, make
-from zetagaps.hfunc import CoeffScheme, h_value
+from zetagaps.hfunc import CoeffScheme, assemble_h, h_value
 from zetagaps.quadcheck import (
     _jacobi_rule,
     _kernel_rules,
+    _sine_convolution,
+    _unit_rule,
     beta_kernel_rule,
     dimreduct_check,
     gauss_legendre,
     h_value_numeric,
 )
 
-from conftest import HB_FIELDS
+from conftest import HB_FIELDS, certify_batch
 
 
 # ---------------------------------------------------------------- Gauss-Legendre
@@ -220,6 +223,48 @@ def test_components_match_exact_on_reference_rows(rows):
                 getattr(numeric, f), rel=1e-13
             ), f"{name} c={c}: {f}"
         assert exact.h == pytest.approx(numeric.h, abs=1e-9)
+
+
+def _one_convolution_per_row(scheme, c, order):
+    """h_value_numeric with a sine convolution built for each numerator row on its own."""
+    f1, f1t, big_p = scheme.f1, scheme.f1t, scheme.P
+    one = FracPoly.from_coeffs([1.0])
+    kappa = -2.0 * scheme.r / math.pi
+    k1, k2, k3, k4 = _kernel_rules(scheme, order)
+    zeta, w_zeta = _unit_rule(order)
+    table = (  # kernel, scale, f, h, g; h None for a denominator row
+        (k1, 1.0, f1, None, f1), (k2, 2.0, f1, None, f1t),
+        (k3, 1.0, f1t, None, f1t), (k4, 1.0, f1t, None, f1t),
+        (k1, kappa, f1, one, f1), (k2, kappa, f1t, one, f1), (k2, kappa, f1, one, f1t),
+        (k1, kappa, f1, big_p, f1t), (k3, kappa, f1t, one, f1t), (k4, kappa, f1t, one, f1t),
+        (k2, kappa, f1t, big_p, f1t),
+    )
+    values = []
+    for (x, w), scale, f, h, g in table:
+        inner = g.eval(x) if h is None else _sine_convolution(c, h, g, zeta, w_zeta)(x)
+        values.append(scale * float(w @ (f.eval(x) * inner)))
+    return assemble_h(c, values[:4], values[4:])
+
+
+def test_three_sine_convolutions_per_call(row3, monkeypatch):
+    pairs = []
+
+    def counting(c, h, g, zeta, w_zeta):
+        pairs.append((h, g))
+        return _sine_convolution(c, h, g, zeta, w_zeta)
+
+    monkeypatch.setattr(quadcheck, "_sine_convolution", counting)
+    h_value_numeric(row3.scheme, row3.c, order=32)
+    s = row3.scheme  # h is 1 or P, g is f1 or f1t (FracPoly compares by identity)
+    assert [(h is s.P, g) for h, g in pairs] == [(False, s.f1), (False, s.f1t), (True, s.f1t)]
+
+
+@pytest.mark.parametrize("c, order", [(0.5154, 48), (0.3, 32), (0.97, 64)])
+def test_shared_convolutions_are_bitwise_one_per_row(c, order):
+    for scheme in certify_batch():
+        shared = h_value_numeric(scheme, c, order).as_dict().values()
+        per_row = _one_convolution_per_row(scheme, c, order).as_dict().values()
+        assert [v.hex() for v in shared] == [v.hex() for v in per_row]
 
 
 def test_doubling_order_changes_little(row1, row3):

@@ -235,14 +235,29 @@ def test_ak_matches_trial_division_reimplementation(row1, tables_r118):
         assert a[k] == pytest.approx(_ak_direct(row1.scheme, upto, k), rel=1e-12, abs=1e-15)
 
 
-def test_coeffs_ak_validation(row1, tables_r118):
+def test_coeffs_ak_validation(row1, tables_r118, tables_r1):
     with pytest.raises(ValueError):
         coeffs_ak(row1.scheme, tables_r118, tables_r118.limit + 1)
-    scheme_r1 = CoeffScheme(
-        r=1.0, f1=FracPoly.from_coeffs([1.0]), f1t=FracPoly.zero(), P=FracPoly.zero()
-    )
-    with pytest.raises(ValueError):
-        coeffs_ak(scheme_r1, tables_r118, 100)
+    # a_k sieves at the scheme's own r: the table's r serves lambda and d_r only
+    s = row1.scheme
+    scheme_r1 = CoeffScheme(r=1.0, f1=s.f1, f1t=s.f1t, P=s.P)
+    a_r1 = coeffs_ak(scheme_r1, tables_r1, tables_r1.limit)
+    assert coeffs_ak(scheme_r1, tables_r118, tables_r1.limit).tobytes() == a_r1.tobytes()
+    assert not np.array_equal(coeffs_ak(s, tables_r1, tables_r1.limit), a_r1)
+
+
+@pytest.mark.parametrize("bad", [1000.5, math.nan, math.inf, True])
+def test_sieve_lengths_must_be_integers_naming_them(row1, tables_r118, bad):
+    with pytest.raises(ValueError, match=f"limit must be an integer, got limit={bad}"):
+        build_tables(1.18, bad)
+    with pytest.raises(ValueError, match=f"upto must be an integer, got upto={bad}"):
+        coeffs_ak(row1.scheme, tables_r118, bad)
+
+
+def test_integral_float_sieve_lengths_pass(row1, tables_r118):
+    assert build_tables(1.18, 1000.0).limit == 1000
+    a = coeffs_ak(row1.scheme, tables_r118, 500.0)
+    assert a.tobytes() == coeffs_ak(row1.scheme, tables_r118, 500).tobytes()
 
 
 # ---------------------------------------------------------------- finite ratio

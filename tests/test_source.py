@@ -17,21 +17,19 @@ def test_src_validates_with_exceptions_not_assert():
     assert found == []
 
 
-def _unused_imports(source: str) -> list[str]:
+def _import_findings(source: str) -> list[str]:
     """Names a module imports but never reads, except those in its __all__ (which covers
-    __init__.py's re-exports) and those on a line marked `# noqa: F401`."""
+    __init__.py's re-exports) and those on a line marked `# noqa: F401`; and the names on
+    such a line that it does read or export, which the mark should not cover."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imports = [
-        node
+    imported = {  # name: (line, on a noqa line)
+        alias.asname or alias.name.split(".")[0]: (
+            node.lineno, "# noqa: F401" in lines[node.lineno - 1]
+        )
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         and getattr(node, "module", None) != "__future__"
-        and "# noqa: F401" not in lines[node.lineno - 1]
-    ]
-    imported = {
-        alias.asname or alias.name.split(".")[0]: node.lineno
-        for node in imports
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -40,14 +38,18 @@ def _unused_imports(source: str) -> list[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= set(ast.literal_eval(node.value))
-    return [f"{name} (line {lineno})" for name, lineno in imported.items() if name not in used]
+    return [
+        f"{name} (line {lineno}{', used on a noqa line' if noqa else ''})"
+        for name, (lineno, noqa) in imported.items()
+        if (name in used) == noqa
+    ]
 
 
 def test_src_imports_only_names_it_uses():
     found = {
-        path.name: unused
+        path.name: findings
         for path in sorted(SRC.glob("*.py"))
-        if (unused := _unused_imports(path.read_text()))
+        if (findings := _import_findings(path.read_text()))
     }
     assert found == {}
 
@@ -60,7 +62,10 @@ def test_unused_import_check_flags_what_it_should():
         "from os import path, sep\n"
         "from .a import hidden  # noqa: F401\n"
         "from .b import exported\n"
+        "from .c import kept, called  # noqa: F401\n"
         "__all__ = ['exported']\n"
-        "x = np.zeros(1) + len(sep)\n"
+        "x = np.zeros(1) + len(sep) + called()\n"
     )
-    assert _unused_imports(source) == ["math (line 2)", "path (line 4)"]
+    assert _import_findings(source) == [
+        "math (line 2)", "path (line 4)", "called (line 7, used on a noqa line)"
+    ]
