@@ -105,16 +105,19 @@ class CoeffScheme:
     def kernels(self) -> np.ndarray:
         """Rows mu_K(m) = <K, x**m> of K1..K4 (module docs), m up to the top numerator degree."""
         a, p1 = self.r * self.r, p1_of(self)
-        bc_p1 = beta_convolve(a, p1)
-        k1 = FracPoly(a - 1.0, np.ones(1))
-        m = np.arange(2 * SINE_TERMS + 3 * self.dense.shape[1] - 3)
-        mu = moments([k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self))], m)
-        return mu * np.array([1.0, a, a * a, a])[:, None]  # the r^2, r^4 of K2-K4
+        # quietly: an overflow reaches den_terms as inf or NaN, and DegenerateSchemeError names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            bc_p1 = beta_convolve(a, p1)
+            k1 = FracPoly(a - 1.0, np.ones(1))
+            m = np.arange(2 * SINE_TERMS + 3 * self.dense.shape[1] - 3)
+            mu = moments([k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self))], m)
+            return mu * np.array([1.0, a, a * a, a])[:, None]  # the r^2, r^4 of K2-K4
 
     @cached_property
     def den_terms(self) -> tuple[float, float, float, float]:
         """denominator_terms (free of c), or DegenerateSchemeError if one is not finite."""
-        terms = denominator_terms(self)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = denominator_terms(self)
         if bad := [f"{name}={v!r}" for name, v in zip(_TERMS, terms) if not math.isfinite(v)]:
             raise DegenerateSchemeError(f"denominator components not finite: {', '.join(bad)}")
         return terms

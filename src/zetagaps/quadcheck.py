@@ -11,6 +11,10 @@ for the denominator, else one of three sine convolutions, built once per call:
 
     inner(x) = int_0^x sin(pi c z)/z * h(z) * g(x - z) dz,    (h, g) = (1, f1), (1, f1t), (P, f1t).
 
+A call does each piece of work once.  K1 and K2-K4 have two node arrays, t
+and x; f1, f1t and each convolution are evaluated once on each array they are
+needed on, and the table pairs those arrays.
+
 With a = r**2, P1 = P(y)/y and BC(g) = x**(a-1) * g the Beta-kernel convolution,
 each kernel is one flattened Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
 
@@ -27,20 +31,26 @@ factor (u-v)**(a-1) and the u**a that v = u*t leaves, so polynomial integrands
 are exact and entire ones converge spectrally.  The convolutions are entire too:
 each is computed at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre
 in z = x*zeta, and read at the kernel nodes off its degree-`order` interpolant.
+The three share one set-up per call (the points, z, the sine factor, f1 and f1t
+at x - z, the Chebyshev-Vandermonde matrix) and each keeps its own product with
+that matrix, as numpy's Chebyshev.interpolate computes it.
 
-Every rule comes from numpy: Gauss-Legendre from leggauss, each Gauss-Jacobi
-rule by Golub-Welsch (the eigenvalues of the Jacobi matrix), so the oracle
-loads no scipy.
+Every rule comes from numpy: Gauss-Legendre from leggauss, built once per order
+per process and kept read-only (gauss_legendre hands out copies), each
+Gauss-Jacobi rule by Golub-Welsch (the eigenvalues of the Jacobi matrix), so
+the oracle loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .fracpoly import DomainError, FracPoly
 from .hfunc import CoeffScheme, HBreakdown, assemble_h
@@ -57,9 +67,11 @@ DEFAULT_ORDER = 48
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights of the standard rule on [-1, 1] (numpy's leggauss, symmetric about 0)."""
+    """Nodes/weights of the standard rule on [-1, 1] (numpy's leggauss, symmetric about 0),
+    as arrays the caller owns."""
     _check_order(order)
-    return np.polynomial.legendre.leggauss(order)
+    nodes, weights = _legendre(int(order))
+    return nodes.copy(), weights.copy()
 
 
 def _check_order(order, lowest: int = 2) -> None:
@@ -68,32 +80,54 @@ def _check_order(order, lowest: int = 2) -> None:
         raise ValueError(f"order must be an integer in [{lowest}, 128], got {order!r}")
 
 
+@lru_cache(maxsize=127)  # one entry per valid order, 2..128
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(order), built once per order per process; both arrays are read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre mapped to [0, 1]."""
-    nodes, weights = gauss_legendre(order)
+    _check_order(order)
+    nodes, weights = _legendre(int(order))
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
 def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for int_0^1 (1-x)**alpha x**beta phi(x) dx with alpha, beta > -1.
+    """Nodes/weights for int_0^1 (1-x)**alpha x**beta phi(x) dx with finite alpha, beta > -1.
 
     Golub-Welsch: with the monic Jacobi recurrence x p_n = p_(n+1) + a_n p_n + b_n p_(n-1)
     on [-1, 1], the nodes are the eigenvalues of the symmetric tridiagonal matrix with
     diagonal a_n and off-diagonal sqrt(b_n), mapped to [0, 1], and the weights are
     B(alpha+1, beta+1) times the squared first components of the eigenvectors.  a_0 and
-    b_1 are written cancelled, so alpha + beta in {0, -1} stays finite.
+    b_1 are written cancelled, so alpha + beta in {0, -1} stays finite.  A recurrence that
+    overflows (alpha + beta above about 1.3e154) is a ValueError naming alpha and beta.
     """
     if not (alpha > -1.0 and beta > -1.0):
         raise ValueError(f"alpha and beta must exceed -1, got {alpha!r}, {beta!r}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha!r}, {beta!r}")
     ab = alpha + beta
     n = np.arange(1.0, order)
     s = 2.0 * n + ab
-    a_n = np.append((beta - alpha) / (ab + 2.0), (beta - alpha) * (beta + alpha) / (s * (s + 2.0)))
-    n, s = n[1:], s[1:]  # b_n from n = 2 on
-    b_n = np.append(
-        4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab)),
-        4.0 * n * (n + alpha) * (n + beta) * (n + ab) / (s * s * (s * s - 1.0)),
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_n = np.append(
+                (beta - alpha) / (ab + 2.0), (beta - alpha) * (beta + alpha) / (s * (s + 2.0))
+            )
+            n, s = n[1:], s[1:]  # b_n from n = 2 on
+            b_n = np.append(
+                4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab)),
+                4.0 * n * (n + alpha) * (n + beta) * (n + ab) / (s * s * (s * s - 1.0)),
+            )
+        finite = np.isfinite(a_n).all() and np.isfinite(b_n).all()
+    except OverflowError:  # (2 + ab)**2 as a Python float
+        finite = False
+    if not finite:
+        raise ValueError(f"the Gauss-Jacobi rule at alpha={alpha!r}, beta={beta!r} is not finite")
     x, v = np.linalg.eigh(np.diag(a_n) + np.diag(np.sqrt(b_n), -1))  # eigh reads the lower half
     beta_fn = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
     return (x + 1.0) / 2.0, beta_fn * v[0] ** 2
@@ -101,39 +135,52 @@ def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.
 
 def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (t_i, w_i) with int_0^1 (1-t)**(a-1) phi(t) dt ~ sum w_i phi(t_i)."""
-    if not a > 0:
-        raise ValueError("a must be positive")
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError(f"a must be positive and finite, got {a!r}")
     _check_order(order)
     return _jacobi_rule(a - 1.0, 0.0, order)
 
 
 def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flattened (x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs)."""
+    """Flattened (x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs); K2-K4 share x."""
     a, p = scheme.r * scheme.r, scheme.P.eval
     t, wt = beta_kernel_rule(a, order)  # (1-t)**(a-1): every inner Beta kernel
     u, wu = _jacobi_rule(0.0, a, order)  # u**a of v = u*t
     s, ws = _unit_rule(order)
     y = 1.0 - u
     ys, y_rest = np.outer(y, s), np.outer(y, 1.0 - s)
-    p1, p1p1 = p(y) / y, y * ((p(ys) / ys * p(y_rest) / y_rest) @ ws)  # P1(y), (P1 * P1)(y)
+    p_y = p(y)
+    p1, p1p1 = p_y / y, y * ((p(ys) / ys * p(y_rest) / y_rest) @ ws)  # P1(y), (P1 * P1)(y)
     x = np.outer(u, t).ravel()
-    outer = (a * wu * p1, a * a * wu * p1p1, a * wu * p1 * p(y))  # K2, K3, K4 (P2 = P1 * P)
+    outer = (a * wu * p1, a * a * wu * p1p1, a * wu * p1 * p_y)  # K2, K3, K4 (P2 = P1 * P)
     return [(t, wt)] + [(x, np.outer(w, wt).ravel()) for w in outer]
 
 
-def _sine_convolution(c: float, h: FracPoly, g: FracPoly, zeta, w_zeta) -> Chebyshev:
-    """Degree-zeta.size interpolant on [0, 1] of x -> int_0^x sin(pi c z)/z h(z) g(x - z) dz.
+def _sine_grid(c: float, order: int, gs: Sequence[FracPoly]) -> tuple:
+    """The set-up a call's sine convolutions share: at the order + 1 Chebyshev points x
+    of [0, 1], mapped as Chebyshev.interpolate maps them, z = x*zeta, sin(pi c z)/zeta,
+    {g: g(x*(1 - zeta))} for g in gs, the Chebyshev-Vandermonde matrix of the points and
+    w_zeta.  (zeta, w_zeta) is Gauss-Legendre on [0, 1]; z = x*zeta turns sin(pi c z)/z dz
+    into sin(pi c x zeta)/zeta dzeta."""
+    zeta, w_zeta = _unit_rule(order)
+    cheb = chebpts1(order + 1)
+    x = (0.5 + 0.5 * cheb)[:, None]
+    z = x * zeta
+    rest = x * (1.0 - zeta)
+    sine = np.sin(math.pi * c * z) / zeta
+    return z, sine, {g: g.eval(rest) for g in gs}, chebvander(cheb, order), w_zeta
 
-    (zeta, w_zeta) is Gauss-Legendre on [0, 1]; z = x*zeta turns sin(pi c z)/z dz
-    into sin(pi c x zeta)/zeta dzeta.
-    """
 
-    def inner(x):
-        z = x[:, None] * zeta
-        g_rest = g.eval(x[:, None] * (1.0 - zeta))
-        return (np.sin(math.pi * c * z) / zeta * h.eval(z) * g_rest) @ w_zeta
-
-    return Chebyshev.interpolate(inner, zeta.size, domain=[0.0, 1.0])
+def _sine_convolution(grid: tuple, h: FracPoly | None, g: FracPoly) -> Chebyshev:
+    """Degree-order interpolant on [0, 1] of x -> int_0^x sin(pi c z)/z h(z) g(x - z) dz,
+    h None for 1, on the set-up grid of _sine_grid: numpy's Chebyshev.interpolate, with
+    this convolution's own product against the Vandermonde matrix."""
+    z, sine, g_rest, vander, w_zeta = grid
+    y = sine if h is None else sine * h.eval(z)
+    coef = np.dot(vander.T, (y * g_rest[g]) @ w_zeta)
+    coef[0] /= vander.shape[0]
+    coef[1:] /= 0.5 * vander.shape[0]
+    return Chebyshev(coef, domain=[0.0, 1.0])
 
 
 def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -> HBreakdown:
@@ -148,26 +195,28 @@ def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
 
-    f1, f1t, one = scheme.f1, scheme.f1t, FracPoly.from_coeffs([1.0])
+    f1, f1t = scheme.f1, scheme.f1t
     kappa = -2.0 * scheme.r / math.pi
-    k1, k2, k3, k4 = _kernel_rules(scheme, order)
-    zeta, w_zeta = _unit_rule(order)
-    pairs = ((one, f1), (one, f1t), (scheme.P, f1t))  # the numerator's distinct (h, g)
-    s_f1, s_f1t, sp_f1t = (_sine_convolution(c, h, g, zeta, w_zeta) for h, g in pairs)
-    table = (  # kernel, scale, f, inner
-        (k1, 1.0, f1, f1.eval),  # d1
-        (k2, 2.0, f1, f1t.eval),  # d2
-        (k3, 1.0, f1t, f1t.eval),  # d31
-        (k4, 1.0, f1t, f1t.eval),  # d32
-        (k1, kappa, f1, s_f1),  # n1
-        (k2, kappa, f1t, s_f1),  # n2
-        (k2, kappa, f1, s_f1t),  # n31
-        (k1, kappa, f1, sp_f1t),  # n32
-        (k3, kappa, f1t, s_f1t),  # n41
-        (k4, kappa, f1t, s_f1t),  # n42
-        (k2, kappa, f1t, sp_f1t),  # n43
+    (t, w1), (x, w2), (_, w3), (_, w4) = _kernel_rules(scheme, order)
+    grid = _sine_grid(c, order, (f1, f1t))
+    pairs = ((None, f1), (None, f1t), (scheme.P, f1t))  # the numerator's distinct (h, g)
+    s_f1, s_f1t, sp_f1t = (_sine_convolution(grid, h, g) for h, g in pairs)
+    f1_t, s_f1_t, sp_f1t_t = f1.eval(t), s_f1(t), sp_f1t(t)  # on K1's nodes
+    f1_x, f1t_x, s_f1_x, s_f1t_x, sp_f1t_x = f1.eval(x), f1t.eval(x), s_f1(x), s_f1t(x), sp_f1t(x)
+    table = (  # weights, scale, f and inner on the kernel's nodes
+        (w1, 1.0, f1_t, f1_t),  # d1
+        (w2, 2.0, f1_x, f1t_x),  # d2
+        (w3, 1.0, f1t_x, f1t_x),  # d31
+        (w4, 1.0, f1t_x, f1t_x),  # d32
+        (w1, kappa, f1_t, s_f1_t),  # n1
+        (w2, kappa, f1t_x, s_f1_x),  # n2
+        (w2, kappa, f1_x, s_f1t_x),  # n31
+        (w1, kappa, f1_t, sp_f1t_t),  # n32
+        (w3, kappa, f1t_x, s_f1t_x),  # n41
+        (w4, kappa, f1t_x, s_f1t_x),  # n42
+        (w2, kappa, f1t_x, sp_f1t_x),  # n43
     )
-    values = [scale * float(w @ (f.eval(x) * inner(x))) for (x, w), scale, f, inner in table]
+    values = [scale * float(w @ (f * inner)) for w, scale, f, inner in table]
     return assemble_h(c, values[:4], values[4:])
 
 

@@ -167,10 +167,13 @@ _NON_FINITE_DEN = "math error: denominator components not finite: d1=inf"
          r"math error: denominator 1.000e-154 is below the floor 1e-12"),
         (["eval"], _OVERFLOW + "f1 = [1e160]\nr = 1.18\n", 2, _NON_FINITE_DEN),
         (["oracle", "--T", "1e6"], _OVERFLOW + "f1 = [1e160]\nr = 1.18\n", 2, _NON_FINITE_DEN),
+        (["eval"], "c = 0.5\nf1 = [1]\nf1t = [1]\nP = [0, 0, 1e160]\nr = 1.18\n", 2,
+         "math error: denominator components not finite: d31=nan, d32=nan"),
     ],
     ids=[
         "usage", "no-equals", "unreadable", "no-r", "no-f1", "c-outside", "no-T",
         "r4-overflow", "r2-overflow", "r-vanishing-den", "f1-overflow", "f1-overflow-oracle",
+        "p-overflow",
     ],
 )
 def test_validation_error_is_one_error_line(tmp_path, capsys, argv, text, code, line):

@@ -76,6 +76,14 @@ def test_non_finite_denominator_is_degenerate():
         assemble_h(0.5, (math.nan, 1.0, 0.0, 0.0), (0.0,) * 7)
 
 
+def test_overflowing_p_is_degenerate_without_a_warning():
+    # P's kernel moments overflow to inf and inf * 0 gives NaN: under Tier-1's
+    # RuntimeWarning-as-error filter the scheme compiles quietly and only the error reports it
+    scheme = _scheme(1.18, [1.0], [1.0], [0.0, 0.0, 1e160])
+    with pytest.raises(DegenerateSchemeError, match="not finite: d31=nan, d32=nan"):
+        h_value(scheme, 0.5)
+
+
 def test_scheme_rejects_constant_in_p():
     with pytest.raises(ValueError):
         _scheme(1.1, [1.0], [], [0.5, 0.0, 1.0])

@@ -12,7 +12,7 @@ from zetagaps.quadcheck import (
     _jacobi_rule,
     _kernel_rules,
     _sine_convolution,
-    _unit_rule,
+    _sine_grid,
     beta_kernel_rule,
     dimreduct_check,
     gauss_legendre,
@@ -76,6 +76,15 @@ def test_beta_kernel_rule_integrates_cubic():
 def test_beta_kernel_rule_rejects_nan():
     with pytest.raises(ValueError, match="a must be positive"):
         beta_kernel_rule(math.nan, 8)
+
+
+def test_beta_kernel_rule_rejects_infinite_and_overflowing_a():
+    # under Tier-1's RuntimeWarning-as-error filter: a ValueError naming the value, no warning
+    with pytest.raises(ValueError, match="a must be positive and finite, got inf"):
+        beta_kernel_rule(math.inf, 8)
+    for order in (2, 8):  # order 2 overflows only in the first off-diagonal entry
+        with pytest.raises(ValueError, match=r"alpha=1e\+308, beta=0.0 is not finite"):
+            beta_kernel_rule(1e308, order)
 
 
 # ---------------------------------------------------------------- Gauss-Jacobi
@@ -160,6 +169,15 @@ def test_jacobi_rule_rejects_non_integrable_weights():
             _jacobi_rule(alpha, beta, 16)
 
 
+def test_jacobi_rule_rejects_infinite_weights_and_overflowing_rules():
+    for alpha, beta in ((math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"must be finite, got (inf, 0.0|0.0, inf)"):
+            _jacobi_rule(alpha, beta, 16)
+    # the recurrence squares 2n + alpha + beta, which overflows above about 1.3e154
+    with pytest.raises(ValueError, match=r"alpha=0.0, beta=1e\+160 is not finite"):
+        _jacobi_rule(0.0, 1e160, 16)
+
+
 # ---------------------------------------------------------------- K3 on K2's nodes
 
 # P = x, x + x^2, 0.3x - 0.5x^2 + x^3 and x^4, as ascending coefficients
@@ -231,7 +249,7 @@ def _one_convolution_per_row(scheme, c, order):
     one = FracPoly.from_coeffs([1.0])
     kappa = -2.0 * scheme.r / math.pi
     k1, k2, k3, k4 = _kernel_rules(scheme, order)
-    zeta, w_zeta = _unit_rule(order)
+    grid = _sine_grid(c, order, (f1, f1t))
     table = (  # kernel, scale, f, h, g; h None for a denominator row
         (k1, 1.0, f1, None, f1), (k2, 2.0, f1, None, f1t),
         (k3, 1.0, f1t, None, f1t), (k4, 1.0, f1t, None, f1t),
@@ -241,7 +259,7 @@ def _one_convolution_per_row(scheme, c, order):
     )
     values = []
     for (x, w), scale, f, h, g in table:
-        inner = g.eval(x) if h is None else _sine_convolution(c, h, g, zeta, w_zeta)(x)
+        inner = g.eval(x) if h is None else _sine_convolution(grid, h, g)(x)
         values.append(scale * float(w @ (f.eval(x) * inner)))
     return assemble_h(c, values[:4], values[4:])
 
@@ -249,9 +267,9 @@ def _one_convolution_per_row(scheme, c, order):
 def test_three_sine_convolutions_per_call(row3, monkeypatch):
     pairs = []
 
-    def counting(c, h, g, zeta, w_zeta):
+    def counting(grid, h, g):
         pairs.append((h, g))
-        return _sine_convolution(c, h, g, zeta, w_zeta)
+        return _sine_convolution(grid, h, g)
 
     monkeypatch.setattr(quadcheck, "_sine_convolution", counting)
     h_value_numeric(row3.scheme, row3.c, order=32)
@@ -265,6 +283,43 @@ def test_shared_convolutions_are_bitwise_one_per_row(c, order):
         shared = h_value_numeric(scheme, c, order).as_dict().values()
         per_row = _one_convolution_per_row(scheme, c, order).as_dict().values()
         assert [v.hex() for v in shared] == [v.hex() for v in per_row]
+
+
+def test_each_factor_once_per_node_array(row3, monkeypatch):
+    # f1 and f1t once on each of the two node arrays they are needed on, P on the outer
+    # rule's three and on the convolutions' z, and f1, f1t once at x - z: 9 of 25 before
+    evals = []
+    real_eval = FracPoly.eval
+    monkeypatch.setattr(FracPoly, "eval", lambda p, x: evals.append(p) or real_eval(p, x))
+    h_value_numeric(row3.scheme, row3.c, order=48)
+    assert len(evals) <= 13
+
+
+def test_legendre_rule_built_once_per_order(row1, monkeypatch):
+    built = []
+    real_leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", lambda n: built.append(n) or real_leggauss(n)
+    )
+    quadcheck._legendre.cache_clear()
+    for _ in range(2):
+        for order in (32, 48):
+            h_value_numeric(row1.scheme, row1.c, order)
+    assert sorted(built) == [32, 48]
+    assert quadcheck._legendre.cache_info().maxsize == 127  # one entry per valid order
+    nodes, weights = quadcheck._legendre(48)
+    for array in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_gauss_legendre_returns_arrays_the_caller_owns():
+    nodes, weights = gauss_legendre(48)
+    expected = [a.copy() for a in (nodes, weights)]
+    nodes[:] = 0.0
+    weights *= 2.0
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(48), expected))
+    assert all(np.array_equal(a, b) for a, b in zip(quadcheck._legendre(48), expected))
 
 
 def test_doubling_order_changes_little(row1, row3):
