@@ -15,7 +15,6 @@ from .fracpoly import (
     convolve,
     integrate_weighted,
     make,
-    moments,
     sinc_coeffs,
 )
 from .hfunc import (
@@ -26,8 +25,6 @@ from .hfunc import (
     h_grid,
     h_value,
     numerator_terms,
-    p1_of,
-    p2_of,
 )
 from .presets import PRESETS, Preset, get_preset, preset_names
 from .quadcheck import dimreduct_check, gauss_legendre, h_value_numeric
@@ -58,13 +55,10 @@ __all__ = [
     "beta_convolve",
     "convolve",
     "integrate_weighted",
-    "moments",
     "sinc_coeffs",
     "CoeffScheme",
     "HBreakdown",
     "DegenerateSchemeError",
-    "p1_of",
-    "p2_of",
     "denominator_terms",
     "numerator_terms",
     "h_value",

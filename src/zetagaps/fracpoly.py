@@ -3,20 +3,19 @@
 A FracPoly is x**s * sum_k c_k x**k: one real shift s >= 0 and a dense
 coefficient array.  Every operation below keeps a polynomial's exponents an
 integer apart (the gap functional only meets shifts k + m*r**2), and every
-integral it needs reduces to one of three Euler Beta identities, applied
+integral it needs reduces to one of two Euler Beta identities, applied
 termwise over the exponents s + k:
 
     int_0^u (u - v)**(a-1) * v**b   dv = B(a, b+1)   * u**(a+b)     (beta_convolve)
     int_0^u v**p * (u - v)**q       dv = B(p+1, q+1) * u**(p+q+1)   (convolve)
-    int_0^1 (1 - u)**p * u**q       du = B(p+1, q+1)                (moments)
 
 so the whole evaluation pipeline stays closed-form, and one Beta ladder,
-B(x, y+1) = B(x, y) y/(x+y), serves all three (_beta_grid).  The pairing
+B(x, y+1) = B(x, y) y/(x+y), serves both (_beta_grid).  The pairing
 <k, q> = int_0^1 k(1 - u) q(u) du is (k * q)(1), so <p, g * q> = <p * g, q>
-for the convolution *, beta_convolve(a, q) = x**(a-1) * q, and <k, q> =
-moments([k], q.exponents)[0] @ q.coeffs.  sin(pi*c*v)/v enters as its
-alternating series in v**2 (sinc_coeffs), truncated after SINE_TERMS terms;
-on [0, 1] the truncation error is bounded by the first omitted term.
+for the convolution *, and beta_convolve(a, q) = x**(a-1) * q.  sin(pi*c*v)/v
+enters as its alternating series in v**2 (sinc_coeffs), truncated after
+SINE_TERMS terms; on [0, 1] the truncation error is bounded by the first
+omitted term.
 
 Instances are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -39,13 +38,12 @@ __all__ = [
     "beta_convolve",
     "convolve",
     "integrate_weighted",
-    "moments",
     "sinc_coeffs",
     "sinc_truncation_bound",
     "SINE_TERMS",
 ]
 
-# make() and moments() accept exponents whose differences are within this of integers.
+# make() accepts exponents whose differences are within this of integers.
 # In this application every polynomial is one power of x (0, r**2, ...)
 # times an ordinary polynomial, so the tolerance only absorbs input noise.
 MERGE_TOL = 1e-9
@@ -131,7 +129,7 @@ class FracPoly:
         """Return x -> self(1 - x), by numpy's polynomial composition.
 
         Only defined for integer exponents; fractional binomials would not
-        terminate.  h never reflects (see moments); tests use this as a reference.
+        terminate.  hfunc never reflects; tests use this as a reference.
         """
         return FracPoly.from_coeffs(Polynomial(self.to_coeffs())(Polynomial([1.0, -1.0])).coef)
 
@@ -160,20 +158,14 @@ def make(terms: Iterable[tuple[float, float]]) -> FracPoly:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a sequence of (coefficient, exponent) pairs")
-    shift, offsets = _integer_offsets(arr[:, 1])
+    exps = arr[:, 1]
+    shift = float(exps.min())
+    offsets = (exps - shift).round()
+    if (abs(exps - shift - offsets) > MERGE_TOL).any():
+        raise DomainError("exponents must differ from each other by integers")
     if shift < 0:
         raise DomainError("exponents must be nonnegative")
-    return FracPoly(shift, np.bincount(offsets, weights=arr[:, 0]))
-
-
-def _integer_offsets(values) -> tuple[float, np.ndarray]:
-    """(min, integer offsets from it) of values an integer apart (MERGE_TOL), else DomainError."""
-    v = np.asarray(values, dtype=float)
-    start = float(v.min()) if v.size else 0.0
-    offsets = (v - start).round()
-    if (abs(v - start - offsets) > MERGE_TOL).any():
-        raise DomainError("exponents must differ from each other by integers")
-    return start, offsets.astype(int)
+    return FracPoly(shift, np.bincount(offsets.astype(int), weights=arr[:, 0]))
 
 
 def _beta_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,24 +205,6 @@ def convolve(p: FracPoly, q: FracPoly) -> FracPoly:
     c = np.multiply.outer(p.coeffs, q.coeffs) * _beta_grid(p.exponents + 1.0, q.exponents + 1.0)
     diag = np.add.outer(np.arange(p.coeffs.size), np.arange(q.coeffs.size))
     return FracPoly(p.shift + q.shift + 1.0, np.bincount(diag.ravel(), weights=c.ravel()))
-
-
-def moments(kernels: Sequence[FracPoly], exponents) -> np.ndarray:
-    """One row <k, x**e> = int_0^1 k(1 - u) u**e du = sum_i k_i B(e_i + 1, e + 1) per kernel k.
-
-    The nonzero kernels' shifts must differ by integers, and so must the
-    exponents (else DomainError), so that one Beta grid serves every kernel.
-    <k, q> = moments([k], q.exponents)[0] @ q.coeffs, without building k * q.
-    """
-    live = [(i, k) for i, k in enumerate(kernels) if not k.is_zero]
-    base, starts = _integer_offsets([k.shift for _, k in live])
-    e0, cols = _integer_offsets(exponents)
-    width = max((s + k.coeffs.size for s, (_, k) in zip(starts, live)), default=0)
-    coeffs = np.zeros((len(kernels), width))
-    for s, (i, k) in zip(starts, live):
-        coeffs[i, s : s + k.coeffs.size] = k.coeffs
-    x, y = base + 1.0 + np.arange(width), e0 + 1.0 + np.arange(cols.max(initial=-1) + 1)
-    return coeffs @ _beta_grid(x, y)[:, cols]
 
 
 def integrate_weighted(a: float, p: FracPoly) -> float:

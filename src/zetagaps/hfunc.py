@@ -13,11 +13,20 @@ consecutive critical-line zeros is at most c.
 
 Every component is one pairing <K, q> = int_0^1 K(1-u) q(u) du of one of
 four kernels with a product q of f1, f1t and their sine convolutions.  With
-a = r**2, P1 = P(y)/y, P2 = P(y)**2/y, * the convolution on [0, u] and
+a = r**2, P1 = P(y)/y, P2 = P1 P, * the convolution on [0, u] and
 BC(g) = x**(a-1) * g, the kernels depend only on (r, P):
 
-    K1 = x**(a-1)          K3 = r^4 P1 * BC(P1)
+    K1 = x**(a-1)          K3 = r^4 BC(P1 * P1)
     K2 = r^2 BC(P1)        K4 = r^2 BC(P2)
+
+P1, P2 and P1 * P1 (by y**i * y**j = B(i+1, j+1) y**(i+j+1)) are integer
+polynomials, and <BC(y**k), x**n> = B(k+1, n+1) B(a, k+n+2).  So with the one
+row beta_j = B(a, j+1), every kernel moment is closed-form,
+
+    <K1, x**n> = beta_n,    <BC(Q), x**n> = sum_k Q_k B(n+1, k+1) beta_(n+k+1),
+
+and r enters only through beta and the scales a and a**2; every other Beta
+has integer arguments, one grid for all schemes of a width (_unit_betas).
 
 <p, g * q> = <p * g, q> moves every P-weight and Beta kernel of the paper's
 nested integrals onto the kernel, so nothing is reflected u -> 1 - u.  A
@@ -43,17 +52,15 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# perfbench traces beta_convolve, convolve and integrate_weighted as attributes of this module
-from .fracpoly import SINE_TERMS, DomainError, FracPoly, beta_convolve, convolve, moments
-from .fracpoly import _beta_grid, _sinc_rows
-from .fracpoly import integrate_weighted  # noqa: F401 (traced, not called)
+from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, _sinc_rows
+
+# perfbench traces these as attributes of this module
+from .fracpoly import beta_convolve, convolve, integrate_weighted  # noqa: F401 (traced, not called)
 
 __all__ = [
     "DegenerateSchemeError",
     "CoeffScheme",
     "HBreakdown",
-    "p1_of",
-    "p2_of",
     "denominator_terms",
     "numerator_terms",
     "assemble_h",
@@ -103,15 +110,22 @@ class CoeffScheme:
 
     @cached_property
     def kernels(self) -> np.ndarray:
-        """Rows mu_K(m) = <K, x**m> of K1..K4 (module docs), m up to the top numerator degree."""
-        a, p1 = self.r * self.r, p1_of(self)
+        """Rows mu_K(n) = <K, x**n> of K1..K4, n up to the top numerator degree: beta_n, then
+        scale * sum_k Q[k] B(n+1, k+1) beta_(n+k+1) for Q = P1, P1 * P1 and P2 (module docs)."""
+        a, p = self.r * self.r, self.dense[2]
+        w, unit = p.size, _unit_betas(p.size)
+        m, k = len(unit), np.arange(2 * w)
+        p1 = np.append(p[1:], 0.0)  # P1, padded: at width 1 it would be empty
+        beta = _beta_grid(np.array([a]), np.arange(1.0, m + 2 * w + 1))[0]
         # quietly: an overflow reaches den_terms as inf or NaN, and DegenerateSchemeError names it
         with np.errstate(over="ignore", invalid="ignore"):
-            bc_p1 = beta_convolve(a, p1)
-            k1 = FracPoly(a - 1.0, np.ones(1))
-            m = np.arange(2 * SINE_TERMS + 3 * self.dense.shape[1] - 3)
-            mu = moments([k1, bc_p1, convolve(p1, bc_p1), beta_convolve(a, p2_of(self))], m)
-            return mu * np.array([1.0, a, a * a, a])[:, None]  # the r^2, r^4 of K2-K4
+            q = np.zeros((3, 2 * w))
+            q[0, :w] = p1
+            p1p1 = np.outer(p1, p1) * unit[:w, :w]  # y**i * y**j = B(i+1, j+1) y**(i+j+1)
+            q[1] = np.bincount(np.add.outer(k[:w], k[1 : w + 1]).ravel(), p1p1.ravel(), 2 * w)
+            q[2, :-1] = np.convolve(p1, p)
+            mu = q @ (unit[:m, : 2 * w] * beta[np.add.outer(np.arange(m), k) + 1]).T
+            return np.vstack([beta[:m], mu * np.array([a, a * a, a])[:, None]])
 
     @cached_property
     def den_terms(self) -> tuple[float, float, float, float]:
@@ -177,11 +191,20 @@ def _coefficient_pairings(mu: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 @cache
+def _unit_betas(width: int) -> np.ndarray:
+    """B(i+1, j+1) for i, j < 2 SINE_TERMS + 3 width - 3, the kernel moments a scheme of this
+    width needs: every integer Beta it reads (kernels, _sine_table); read-only, shared."""
+    n = np.arange(1.0, 2 * SINE_TERMS + 3 * width - 2)
+    grid = _beta_grid(n, n)
+    grid.setflags(write=False)
+    return grid
+
+
+@cache
 def _sine_table(width: int) -> tuple[np.ndarray, np.ndarray]:
     """(2j+k+l+1, B(2j+k+1, l+1)) for j < SINE_TERMS and k, l < width; shared by every scheme."""
     j, k, l = np.ogrid[:SINE_TERMS, :width, :width]
-    grid = _beta_grid(np.arange(1.0, 2 * SINE_TERMS + width - 1), np.arange(1.0, width + 1))
-    return 2 * j + k + l + 1, grid[2 * j + k, l]
+    return 2 * j + k + l + 1, _unit_betas(width)[2 * j + k, l]
 
 
 @dataclass(frozen=True)
@@ -222,16 +245,6 @@ class HBreakdown:
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def p1_of(scheme: CoeffScheme) -> FracPoly:
-    """P1(y) = P(y) / y."""
-    return FracPoly(scheme.P.shift - 1.0, scheme.P.coeffs)
-
-
-def p2_of(scheme: CoeffScheme) -> FracPoly:
-    """P2(y) = P(y)**2 / y."""
-    return p1_of(scheme).mul(scheme.P)
 
 
 def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:

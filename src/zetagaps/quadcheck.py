@@ -102,9 +102,11 @@ def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.
     Golub-Welsch: with the monic Jacobi recurrence x p_n = p_(n+1) + a_n p_n + b_n p_(n-1)
     on [-1, 1], the nodes are the eigenvalues of the symmetric tridiagonal matrix with
     diagonal a_n and off-diagonal sqrt(b_n), mapped to [0, 1], and the weights are
-    B(alpha+1, beta+1) times the squared first components of the eigenvectors.  a_0 and
-    b_1 are written cancelled, so alpha + beta in {0, -1} stays finite.  A recurrence that
-    overflows (alpha + beta above about 1.3e154) is a ValueError naming alpha and beta.
+    B(alpha+1, beta+1) times the squared first components of the eigenvectors; on a
+    one-sided rule (alpha or beta 0, as for both callers) that is 1/(alpha + beta + 1).
+    a_0 and b_1 are written cancelled, so alpha + beta in {0, -1} stays finite.  A
+    recurrence that overflows (alpha + beta above about 1.3e154) is a ValueError naming
+    alpha and beta.
     """
     if not (alpha > -1.0 and beta > -1.0):
         raise ValueError(f"alpha and beta must exceed -1, got {alpha!r}, {beta!r}")
@@ -129,7 +131,11 @@ def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.
     if not finite:
         raise ValueError(f"the Gauss-Jacobi rule at alpha={alpha!r}, beta={beta!r} is not finite")
     x, v = np.linalg.eigh(np.diag(a_n) + np.diag(np.sqrt(b_n), -1))  # eigh reads the lower half
-    beta_fn = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
+    if alpha == 0.0 or beta == 0.0:  # exact, where the lgamma difference would cancel
+        beta_fn = 1.0 / (ab + 1.0)
+    else:
+        lg = math.lgamma
+        beta_fn = math.exp(lg(alpha + 1.0) + lg(beta + 1.0) - lg(ab + 2.0))
     return (x + 1.0) / 2.0, beta_fn * v[0] ** 2
 
 

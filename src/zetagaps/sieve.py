@@ -351,13 +351,7 @@ def dr_mean_square_trend(
     Their stabilization as x grows estimates the leading constant of the
     mean-square sum empirically.
     """
-    x_list = list(x_list)
-    if not all(
-        isinstance(x, Integral) or isinstance(x, Real) and math.isfinite(x) and int(x) == x
-        for x in x_list
-    ):
-        raise ValueError(f"x_list entries must be finite integers, got {x_list}")
-    xs = [int(x) for x in x_list]
+    xs = [_integer(f"x_list[{i}]", x) for i, x in enumerate(x_list)]
     if not xs:
         raise ValueError("x_list must not be empty")
     if any(b <= a for a, b in zip(xs, xs[1:])):

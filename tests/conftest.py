@@ -1,9 +1,25 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from zetagaps import PRESETS, CoeffScheme, FracPoly
 
 HB_FIELDS = ["d1", "d2", "d31", "d32", "n1", "n2", "n31", "n32", "n41", "n42", "n43"]
+
+WORKER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+@pytest.fixture
+def perfbench_worker(monkeypatch):
+    """perfbench/worker.py loaded as a module, leaving no bytecode in perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
 
 
 @pytest.fixture(scope="session")

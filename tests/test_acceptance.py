@@ -27,7 +27,7 @@ from zetagaps import (
     threshold_c,
     verify_table,
 )
-from zetagaps.hfunc import denominator_terms, numerator_terms, p1_of
+from zetagaps.hfunc import denominator_terms, numerator_terms
 from zetagaps.fracpoly import convolve, integrate_weighted
 
 from conftest import HB_FIELDS
@@ -227,7 +227,7 @@ def test_criterion_8_property_bundle(capsys, rows):
     for preset in rows:
         scheme = preset.scheme
         a = scheme.r**2
-        p1 = p1_of(scheme)
+        p1 = FracPoly(scheme.P.shift - 1.0, scheme.P.coeffs)  # P(y)/y
         big_f = beta_convolve(a, scheme.f1t.mul(scheme.f1t))
         alt = scheme.r**4 * integrate_weighted(
             1.0, big_f.mul(convolve(p1, p1).compose_one_minus())

@@ -19,7 +19,6 @@ from zetagaps.fracpoly import (
     convolve,
     integrate_weighted,
     make,
-    moments,
     sinc_coeffs,
     sinc_truncation_bound,
 )
@@ -266,12 +265,12 @@ def test_integrate_weighted_rejects_nonpositive_a():
         integrate_weighted(-1.0, make([(1.0, 0.0)]))
 
 
-# ---------------------------------------------------------------- moments
+# ---------------------------------------------------------------- pairing
 
 
 def _pair(k, q):
-    """<k, q> = int_0^1 k(1 - u) q(u) du through the moments of k."""
-    return float(moments([k], q.exponents)[0] @ q.coeffs)
+    """<k, q> = int_0^1 k(1 - u) q(u) du = (k * q)(1)."""
+    return convolve(k, q).eval(1.0)
 
 
 def test_pair_with_power_kernel_is_integrate_weighted():
@@ -295,11 +294,10 @@ def test_pair_fractional_vs_quadrature():
 
 def test_moments_and_convolve_stay_finite_past_gamma_overflow():
     # exponents near 180 are past where Gamma itself overflows a float; the
-    # Beta ladder behind moments and convolve must stay finite there
-    k = make([(1.0, 150.3924), (-0.5, 151.3924)])
-    exps = np.array([170.0, 180.0])
-    expect = [scipy_beta(151.3924, e + 1.0) - 0.5 * scipy_beta(152.3924, e + 1.0) for e in exps]
-    np.testing.assert_allclose(moments([k], exps)[0], expect, rtol=1e-12, atol=0)
+    # Beta ladder behind kernel moments and convolve must stay finite there
+    x, y = np.array([151.3924, 152.3924]), np.arange(171.0, 182.0)
+    expect = [[scipy_beta(xi, yj) for yj in y[[0, -1]]] for xi in x]
+    np.testing.assert_allclose(_beta_grid(x, y)[:, [0, -1]], expect, rtol=1e-12, atol=0)
     conv = convolve(make([(1.0, 175.0)]), make([(2.0, 3.0)]))
     assert conv.terms == [(pytest.approx(2.0 * scipy_beta(176.0, 4.0), rel=1e-12), 179.0)]
 
@@ -369,8 +367,8 @@ def test_sinc_truncation_bound_validation():
 
 @pytest.mark.parametrize("a", [1.18**2, 1.0])
 def test_beta_grid_matches_40_digit_beta_at_kernel_shifts(a):
-    # the grid moments reads for kernels x**(a-1+i): B(a+i, q+1), i < 12, q < 70;
-    # a = 1 is the r = 1 edge, where every argument is an integer
+    # Beta values at the kernel shifts, B(a+i, q+1) for i < 12, q < 70 (hfunc's
+    # kernels read the row i = 0); a = 1 is the r = 1 edge, where every argument is an integer
     x, y = (a - 1.0) + 1.0 + np.arange(12), 1.0 + np.arange(70)
     got = _beta_grid(x, y)
     with mp.workdps(40):
@@ -398,27 +396,6 @@ def test_beta_grid_plain_integrals_are_exact_reciprocals():
     x = 0.3924 + np.arange(1.0, 9.0)
     assert np.array_equal(_beta_grid(x, np.ones(1))[:, 0], 1.0 / x)
     assert np.array_equal(_beta_grid(np.ones(1), x)[0], 1.0 / x)
-
-
-def test_moments_share_one_grid_across_kernels():
-    # kernels whose shifts differ by integers give the rows of separate pairings
-    a = 1.18**2
-    ks = [make([(1.0, a - 1.0)]), FracPoly.zero(), make([(0.5, a + 1.0), (-2.0, a + 3.0)])]
-    exps = np.array([0.0, 3.0, 7.0])
-    rows = moments(ks, exps)
-    assert rows.shape == (3, 3)
-    assert np.array_equal(rows[1], np.zeros(3))
-    for k, row in zip(ks, rows):
-        single = [_pair(k, make([(1.0, e)])) for e in exps]
-        np.testing.assert_allclose(row, single, rtol=1e-15, atol=0)
-
-
-def test_moments_reject_exponents_not_an_integer_apart():
-    a = 1.18**2
-    with pytest.raises(DomainError):
-        moments([make([(1.0, a - 1.0)]), make([(1.0, 0.5)])], np.arange(3.0))
-    with pytest.raises(DomainError):
-        moments([make([(1.0, a - 1.0)])], np.array([0.0, 0.5]))
 
 
 # ---------------------------------------------------------------- algebra properties

@@ -28,8 +28,6 @@ from zetagaps.hfunc import (
     h_grid,
     h_value,
     numerator_terms,
-    p1_of,
-    p2_of,
 )
 
 from zetagaps.optimizer import grid_points
@@ -97,31 +95,6 @@ def test_scheme_rejects_fractional_exponents():
             f1t=FracPoly.zero(),
             P=FracPoly.zero(),
         )
-
-
-# ---------------------------------------------------------------- P1, P2
-
-
-def test_p_split_square():
-    scheme = _scheme(1.18, [1.0], [], [0.0, 0.0, 1.0])
-    assert p1_of(scheme).terms == [(1.0, 1.0)]
-    assert p2_of(scheme).terms == [(1.0, 3.0)]
-
-
-def test_p_split_row2():
-    scheme = _scheme(1.18, [1.0], [], [0.0, 0.0, 1.0, 0.036])
-    assert p1_of(scheme).terms == [(1.0, 1.0), (0.036, 2.0)]
-    p2 = p2_of(scheme)
-    expect = [(1.0, 3.0), (0.072, 4.0), (0.001296, 5.0)]
-    assert [e for _, e in p2.terms] == [e for _, e in expect]
-    for (c, _), (ce, _) in zip(p2.terms, expect):
-        assert c == pytest.approx(ce, rel=1e-14)
-
-
-def test_p_split_zero():
-    scheme = _scheme(1.18, [1.0], [], [])
-    assert p1_of(scheme).is_zero
-    assert p2_of(scheme).is_zero
 
 
 # ---------------------------------------------------------------- denominators
@@ -196,6 +169,21 @@ def test_second_c_reuses_the_compiled_scheme(row3, monkeypatch):
     second = h_value(scheme, 0.6)
     assert (second.d1, second.d2, second.d31, second.d32) == (first.d1, first.d2, first.d31, first.d32)
     assert second.h != first.h
+
+
+def test_h_path_runs_no_fracpoly_convolution(row2, monkeypatch):
+    # the kernels are one Beta row contracted with integer Betas (module docs): a new
+    # scheme compiles and evaluates without convolving a FracPoly
+    def forbidden(*args, **kwargs):
+        raise AssertionError("FracPoly convolution on the h path")
+
+    for module in (zetagaps.fracpoly, zetagaps.hfunc):
+        monkeypatch.setattr(module, "convolve", forbidden)
+        monkeypatch.setattr(module, "beta_convolve", forbidden)
+    s = row2.scheme
+    scheme = CoeffScheme(s.r * 1.001, s.f1, s.f1t, s.P)
+    assert h_value(scheme, row2.c).h == h_grid(scheme, [0.3, row2.c])[1]
+    assert scheme.forms[0].shape == (4, 2 * scheme.dense.shape[1], 2 * scheme.dense.shape[1])
 
 
 # ---------------------------------------------------------------- quadratic forms
@@ -404,7 +392,7 @@ def test_d31_weight_interchange_symmetry(rows):
     for preset in rows:
         scheme = preset.scheme
         a = scheme.r**2
-        p1 = p1_of(scheme)
+        p1 = FracPoly(scheme.P.shift - 1.0, scheme.P.coeffs)  # P(y)/y
         big_f = beta_convolve(a, scheme.f1t.mul(scheme.f1t))
         alt = scheme.r**4 * integrate_weighted(
             1.0, big_f.mul(convolve(p1, p1).compose_one_minus())

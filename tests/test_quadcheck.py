@@ -153,6 +153,14 @@ def test_jacobi_rule_exact_on_monomials():
                 ), (order, alpha, beta, k)
 
 
+def test_one_sided_jacobi_rule_sums_to_its_exact_beta():
+    # (alpha + beta + 1) sum(w) = 1 for a one-sided rule, where a difference of lgammas
+    # would cancel, to 1.6e-9 at 1e6 and 2.3e-7 at 1e8
+    for alpha, beta in ((0.0, 1e6), (0.0, 1e8), (1e6, 0.0), (1e8, 0.0)):
+        _, w = _jacobi_rule(alpha, beta, 16)
+        assert abs((alpha + beta + 1.0) * w.sum() - 1.0) <= 1e-14, (alpha, beta)
+
+
 def test_jacobi_rule_chebyshev_closed_form():
     # alpha = beta = -1/2 (alpha + beta = -1): x_j = (1 + cos((2j-1) pi / 2n)) / 2, w_j = pi/n
     for order in (2, 7, 48, 128):

@@ -608,13 +608,13 @@ def test_trend_validation(tables_r1):
     with pytest.raises(ValueError):
         dr_mean_square_trend(1.0, [], tables=tables_r1)
     # non-finite and non-numeric entries are named, not left to int() to reject
-    for bad in ([math.inf], [10, math.nan], ["10"]):
+    for bad in ([math.inf], [10, math.nan], ["10"], [True]):
         with pytest.raises(ValueError, match="x_list"):
             dr_mean_square_trend(1.0, bad, tables=tables_r1)
 
 
 def test_trend_rejects_non_integral_entries(tables_r1):
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="integer"):
         dr_mean_square_trend(1.0, [2.5, 10], tables=tables_r1)
     assert dr_mean_square_trend(1.0, [10.0], tables=tables_r1) == dr_mean_square_trend(
         1.0, [10], tables=tables_r1

@@ -17,21 +17,25 @@ def test_src_validates_with_exceptions_not_assert():
     assert found == []
 
 
+def _imports(source: str) -> dict[str, tuple[int, bool]]:
+    """{name: (line, on a line marked `# noqa: F401`)} for every name the module imports."""
+    lines = source.splitlines()
+    return {
+        alias.asname or alias.name.split(".")[0]: (
+            node.lineno, "# noqa: F401" in lines[node.lineno - 1]
+        )
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+
+
 def _import_findings(source: str) -> list[str]:
     """Names a module imports but never reads, except those in its __all__ (which covers
     __init__.py's re-exports) and those on a line marked `# noqa: F401`; and the names on
     such a line that it does read or export, which the mark should not cover."""
     tree = ast.parse(source)
-    lines = source.splitlines()
-    imported = {  # name: (line, on a noqa line)
-        alias.asname or alias.name.split(".")[0]: (
-            node.lineno, "# noqa: F401" in lines[node.lineno - 1]
-        )
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and getattr(node, "module", None) != "__future__"
-        for alias in node.names
-    }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -40,7 +44,7 @@ def _import_findings(source: str) -> list[str]:
             used |= set(ast.literal_eval(node.value))
     return [
         f"{name} (line {lineno}{', used on a noqa line' if noqa else ''})"
-        for name, (lineno, noqa) in imported.items()
+        for name, (lineno, noqa) in _imports(source).items()
         if (name in used) == noqa
     ]
 
@@ -69,3 +73,19 @@ def test_unused_import_check_flags_what_it_should():
     assert _import_findings(source) == [
         "math (line 2)", "path (line 4)", "called (line 7, used on a noqa line)"
     ]
+
+
+def test_noqa_imports_are_traced(perfbench_worker):
+    # an import marked `# noqa: F401` is kept only for `perfbench/run.py --trace 1` to patch
+    # on its module; once trace_targets stops patching the name there, the import goes
+    traced = {
+        (owner.__name__, attr)
+        for owner, attr, *_ in perfbench_worker.trace_targets(perfbench_worker.Bench(), set())
+    }
+    marked = {
+        (f"zetagaps.{path.stem}", name)
+        for path in sorted(SRC.glob("*.py"))
+        for name, (_, noqa) in _imports(path.read_text()).items()
+        if noqa
+    }
+    assert marked - traced == set()
