@@ -21,7 +21,15 @@ from numbers import Integral, Real
 import numpy as np
 
 from .fracpoly import _SINE_POWERS, DomainError, FracPoly, _sinc_rows, sinc_coeffs
-from .hfunc import CoeffScheme, DegenerateSchemeError, _ratio, _rounding_budget, h_grid, h_value
+from .hfunc import (
+    CoeffScheme,
+    DegenerateSchemeError,
+    HBreakdown,
+    _ratio,
+    _rounding_budget,
+    h_grid,
+    h_value,
+)
 from .presets import PRESETS
 
 __all__ = [
@@ -94,7 +102,7 @@ def _is(kind, value) -> bool:
 class OptimizeReport:
     best_scheme: CoeffScheme
     c_star: float
-    margin: float  # h(c_star) - 1, freshly re-evaluated on the final scheme
+    margin: float  # h(c_star) - 1 of the final scheme, as certified
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -133,6 +141,11 @@ def threshold_c(scheme, bracket, tol=1e-6) -> float:
     2 budget / h') above the root.  Two h_value calls check h - 1 > budget there and h < 1 at
     the lower end, else ValueError, as when h - 1 does not rise through 0 across the bracket.
     """
+    return _threshold(scheme, bracket, tol)[0]
+
+
+def _threshold(scheme, bracket, tol=1e-6) -> tuple[float, HBreakdown]:
+    """threshold_c's c and the HBreakdown at c that certifies it."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = bracket
@@ -165,7 +178,7 @@ def threshold_c(scheme, bracket, tol=1e-6) -> float:
     certified = h_value(scheme, hi)
     if not (certified.h - 1.0 > certified.budget and h_value(scheme, lo).h < 1.0):
         raise ValueError("h - 1 must change sign from - to + across the bracket")
-    return float(hi)
+    return float(hi), certified
 
 
 def nelder_mead(objective, start_vector, config: OptimizeConfig | None = None):
@@ -262,13 +275,15 @@ def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, Co
     return c, CoeffScheme(r, f1, f1t, P)
 
 
-def _certify(scheme, config: OptimizeConfig) -> float:
-    """threshold_c in the first sign change of config.c_grid's scan, else c_lo if h > 1 there."""
+def _certify(scheme, config: OptimizeConfig) -> tuple[float, float]:
+    """(c, h(c) - 1): threshold_c in the first sign change of config.c_grid's scan, with
+    h - 1 from its certifying breakdown, else c_lo and the scan's h - 1 there if positive."""
     bracket, v_lo = _scan(scheme, *config.c_grid)
     if bracket is not None:
-        return threshold_c(scheme, bracket)
+        c, certified = _threshold(scheme, bracket)
+        return c, certified.h - 1.0
     if v_lo > 0.0:
-        return float(config.c_grid[0])
+        return float(config.c_grid[0]), v_lo
     raise DomainError("h(c) - 1 has no sign change on the scan grid")
 
 
@@ -281,7 +296,7 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
     Nelder-Mead moves r and P's remaining coefficients from the start's.  The result
     is certified like the start, and the start is kept if it certifies lower.
     """
-    c_start = _certify(start, config)
+    c_start, margin_start = _certify(start, config)
     d1, d2, d_p = config.degrees
     p = start.P.to_coeffs()
     if p.size > d_p + 1:
@@ -297,10 +312,10 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
     v0 = np.r_[start.r, p[free] / (p[-1] or 1.0)]
     v, _, trace = nelder_mead(lambda v: best(v)[0], v0, config)
     scheme = best(v)[1]
-    c_star = _certify(scheme, config)
+    c_star, margin = _certify(scheme, config)
     if c_start <= c_star:
-        scheme, c_star = start, c_start
-    return OptimizeReport(scheme, c_star, margin=h_value(scheme, c_star).h - 1.0, trace=trace)
+        scheme, c_star, margin = start, c_start, margin_start
+    return OptimizeReport(scheme, c_star, margin, trace=trace)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,20 @@ the same eleven components by nested Gauss quadrature, with the polynomials
 and sin(pi c z) evaluated pointwise.  Agreement between the two routes
 validates both.
 
-h_value_numeric is one table of rows (kernel, scale, f, inner), each worth
+h_value_numeric sums rows (kernel, scale, f, inner), each worth
 scale * <K, f * inner> with <K, q> = int_0^1 K(1-u) q(u) du.  inner is g
-for the denominator, else one of three sine convolutions, built once per call:
+for the denominator, else one of three sine convolutions:
 
     inner(x) = int_0^x sin(pi c z)/z * h(z) * g(x - z) dz,    (h, g) = (1, f1), (1, f1t), (P, f1t).
 
-A call does each piece of work once.  K1 and K2-K4 have two node arrays, t
-and x; f1, f1t and each convolution are evaluated once on each array they are
-needed on, and the table pairs those arrays.
+Only the sine depends on c, so the work splits in two.  A compile, once per
+(scheme, order) and kept for the last pair (_compiled), builds the kernel
+rules, the four denominator components, the c-free sample weights of each
+convolution and, for each of the seven numerator rows, one vector L that
+pairs its kernel and f with a convolution's samples.  A call at c then takes
+the sine at the sample points, three weighted sums and seven dot products.
+K1 and K2-K4 have two node arrays, t and x; a compile evaluates f1 and f1t
+once on each array they are needed on.
 
 With a = r**2, P1 = P(y)/y and BC(g) = x**(a-1) * g the Beta-kernel convolution,
 each kernel is one flattened Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
@@ -29,11 +34,13 @@ weight (P1 * P1)(y) = y int_0^1 P1(ys) P1(y(1-s)) ds is one Gauss-Legendre sum
 per node, exact while deg P1 < order.  Jacobi weights absorb the singular
 factor (u-v)**(a-1) and the u**a that v = u*t leaves, so polynomial integrands
 are exact and entire ones converge spectrally.  The convolutions are entire too:
-each is computed at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre
-in z = x*zeta, and read at the kernel nodes off its degree-`order` interpolant.
-The three share one set-up per call (the points, z, the sine factor, f1 and f1t
-at x - z, the Chebyshev-Vandermonde matrix) and each keeps its own product with
-that matrix, as numpy's Chebyshev.interpolate computes it.
+each is sampled at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre
+in z = x*zeta, sum_k H_k sin(pi c z_k) with H_k = w_zeta/zeta h(z_k) g(x - z_k),
+and read at the kernel nodes off its degree-`order` interpolant.  Interpolating
+(numpy's Chebyshev.interpolate, the samples times the matrix T = vander.T / n
+with rows 1... doubled), reading at the nodes (their Chebyshev-Vandermonde
+matrix) and pairing with the weights are all linear in the samples, so a row's
+value is L @ samples with L = kappa (w f)(nodes) @ V(nodes) @ T.
 
 Every rule comes from numpy: Gauss-Legendre from leggauss, built once per order
 per process and kept read-only (gauss_legendre hands out copies), each
@@ -49,7 +56,6 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .fracpoly import DomainError, FracPoly
@@ -162,31 +168,38 @@ def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.
     return [(t, wt)] + [(x, np.outer(w, wt).ravel()) for w in outer]
 
 
-def _sine_grid(c: float, order: int, gs: Sequence[FracPoly]) -> tuple:
-    """The set-up a call's sine convolutions share: at the order + 1 Chebyshev points x
-    of [0, 1], mapped as Chebyshev.interpolate maps them, z = x*zeta, sin(pi c z)/zeta,
-    {g: g(x*(1 - zeta))} for g in gs, the Chebyshev-Vandermonde matrix of the points and
-    w_zeta.  (zeta, w_zeta) is Gauss-Legendre on [0, 1]; z = x*zeta turns sin(pi c z)/z dz
-    into sin(pi c x zeta)/zeta dzeta."""
+@lru_cache(maxsize=1)  # one (scheme, order) at a time: an entry holds about 75 KB at order 48
+def _compiled(scheme: CoeffScheme, order: int) -> tuple:
+    """The c-free part of h_value_numeric (module docs): the four denominator components,
+    the sample weights H (3, order + 1, order) of the convolutions (1, f1), (1, f1t) and
+    (P, f1t), the z of their sines, and L (7, order + 1), each numerator row's vector."""
+    f1, f1t = scheme.f1, scheme.f1t
+    (t, w1), (x, w2), (_, w3), (_, w4) = _kernel_rules(scheme, order)
     zeta, w_zeta = _unit_rule(order)
     cheb = chebpts1(order + 1)
-    x = (0.5 + 0.5 * cheb)[:, None]
-    z = x * zeta
-    rest = x * (1.0 - zeta)
-    sine = np.sin(math.pi * c * z) / zeta
-    return z, sine, {g: g.eval(rest) for g in gs}, chebvander(cheb, order), w_zeta
+    points = (0.5 + 0.5 * cheb)[:, None]  # as Chebyshev.interpolate maps them onto [0, 1]
+    z, rest = points * zeta, points * (1.0 - zeta)
+    f1_rest, f1t_rest = (w_zeta / zeta) * f1.eval(rest), (w_zeta / zeta) * f1t.eval(rest)
+    weights = np.array([f1_rest, f1t_rest, scheme.P.eval(z) * f1t_rest])
+    f1_t, f1_x, f1t_x = f1.eval(t), f1.eval(x), f1t.eval(x)  # each factor once per node array
+    den = (
+        float(w1 @ (f1_t * f1_t)),
+        2.0 * float(w2 @ (f1_x * f1t_x)),
+        float(w3 @ (f1t_x * f1t_x)),
+        float(w4 @ (f1t_x * f1t_x)),
+    )
+    # (w * f)(nodes) @ V(nodes): the numerator's five distinct (kernel, f) pairs, one
+    # product per node array; n32 repeats n1's pair, n43 n2's
+    on_t = np.array([w1 * f1_t]) @ chebvander(2.0 * t - 1.0, order)  # n1
+    on_x = np.array([w2 * f1t_x, w2 * f1_x, w3 * f1t_x, w4 * f1t_x])  # n2, n31, n41, n42
+    paired = np.vstack([on_t, on_x @ chebvander(2.0 * x - 1.0, order)])[[0, 1, 2, 0, 3, 4, 1]]
+    interpolate = chebvander(cheb, order).T / (order + 1)
+    interpolate[1:] *= 2.0
+    return den, weights, z, -2.0 * scheme.r / math.pi * paired @ interpolate
 
 
-def _sine_convolution(grid: tuple, h: FracPoly | None, g: FracPoly) -> Chebyshev:
-    """Degree-order interpolant on [0, 1] of x -> int_0^x sin(pi c z)/z h(z) g(x - z) dz,
-    h None for 1, on the set-up grid of _sine_grid: numpy's Chebyshev.interpolate, with
-    this convolution's own product against the Vandermonde matrix."""
-    z, sine, g_rest, vander, w_zeta = grid
-    y = sine if h is None else sine * h.eval(z)
-    coef = np.dot(vander.T, (y * g_rest[g]) @ w_zeta)
-    coef[0] /= vander.shape[0]
-    coef[1:] /= 0.5 * vander.shape[0]
-    return Chebyshev(coef, domain=[0.0, 1.0])
+# The convolution each of n1, n2, n31, n32, n41, n42, n43 pairs: 0 (1, f1), 1 (1, f1t), 2 (P, f1t)
+_CONVOLUTION_OF_ROW = np.array([0, 0, 1, 2, 1, 1, 2])
 
 
 def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -> HBreakdown:
@@ -195,35 +208,16 @@ def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -
     order, an integer in [16, 128], is the node count of every one-dimensional
     rule and the Chebyshev degree of the three sine convolutions.  The sine
     kernel is evaluated with np.sin, not the series, so the route is
-    independent of hfunc's term algebra.
+    independent of hfunc's term algebra.  Everything but the sine samples is
+    compiled once per (scheme, order) and reused while that pair repeats.
     """
     _check_order(order, 16)
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
-
-    f1, f1t = scheme.f1, scheme.f1t
-    kappa = -2.0 * scheme.r / math.pi
-    (t, w1), (x, w2), (_, w3), (_, w4) = _kernel_rules(scheme, order)
-    grid = _sine_grid(c, order, (f1, f1t))
-    pairs = ((None, f1), (None, f1t), (scheme.P, f1t))  # the numerator's distinct (h, g)
-    s_f1, s_f1t, sp_f1t = (_sine_convolution(grid, h, g) for h, g in pairs)
-    f1_t, s_f1_t, sp_f1t_t = f1.eval(t), s_f1(t), sp_f1t(t)  # on K1's nodes
-    f1_x, f1t_x, s_f1_x, s_f1t_x, sp_f1t_x = f1.eval(x), f1t.eval(x), s_f1(x), s_f1t(x), sp_f1t(x)
-    table = (  # weights, scale, f and inner on the kernel's nodes
-        (w1, 1.0, f1_t, f1_t),  # d1
-        (w2, 2.0, f1_x, f1t_x),  # d2
-        (w3, 1.0, f1t_x, f1t_x),  # d31
-        (w4, 1.0, f1t_x, f1t_x),  # d32
-        (w1, kappa, f1_t, s_f1_t),  # n1
-        (w2, kappa, f1t_x, s_f1_x),  # n2
-        (w2, kappa, f1_x, s_f1t_x),  # n31
-        (w1, kappa, f1_t, sp_f1t_t),  # n32
-        (w3, kappa, f1t_x, s_f1t_x),  # n41
-        (w4, kappa, f1t_x, s_f1t_x),  # n42
-        (w2, kappa, f1t_x, sp_f1t_x),  # n43
-    )
-    values = [scale * float(w @ (f * inner)) for w, scale, f, inner in table]
-    return assemble_h(c, values[:4], values[4:])
+    den, weights, z, rows = _compiled(scheme, int(order))
+    samples = (weights * np.sin(math.pi * c * z)).sum(axis=2)
+    num = np.einsum("ij,ij->i", rows, samples[_CONVOLUTION_OF_ROW])
+    return assemble_h(c, den, num.tolist())
 
 
 def dimreduct_check(

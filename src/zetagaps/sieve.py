@@ -108,7 +108,7 @@ def _integer(name: str, value) -> int:
     """value as an int; ValueError naming it unless an integral finite number (not a bool)."""
     real = isinstance(value, Real) and not isinstance(value, bool)
     if not (real and (isinstance(value, Integral) or float(value).is_integer())):
-        raise ValueError(f"{name} must be an integer, got {name}={value}")
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
     return int(value)
 
 

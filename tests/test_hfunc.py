@@ -162,8 +162,6 @@ def test_second_c_reuses_the_compiled_scheme(row3, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-scheme work redone at a second c")
 
-    monkeypatch.setattr(zetagaps.hfunc, "beta_convolve", forbidden)
-    monkeypatch.setattr(zetagaps.hfunc, "convolve", forbidden)
     monkeypatch.setattr(zetagaps.fracpoly, "_beta_grid", forbidden)
     monkeypatch.setattr(zetagaps.hfunc, "_beta_grid", forbidden)
     second = h_value(scheme, 0.6)

@@ -195,7 +195,8 @@ def test_threshold_certificate_beats_rounding_budget(monkeypatch):
 def test_certify_without_bracket_reuses_the_scan(row1, ramp_scheme, monkeypatch):
     h_calls = _count_calls(monkeypatch, zetagaps.optimizer, "h_value")
     # h > 1 on the whole grid: c_lo itself certifies
-    assert _certify(row1.scheme, OptimizeConfig(c_grid=(0.52, 0.53, 0.002))) == 0.52
+    margin = h_grid(row1.scheme, [0.52])[0] - 1.0
+    assert _certify(row1.scheme, OptimizeConfig(c_grid=(0.52, 0.53, 0.002))) == (0.52, margin)
     # h < 1 on the whole grid
     with pytest.raises(DomainError):
         _certify(ramp_scheme, OptimizeConfig())
@@ -340,6 +341,17 @@ def test_optimize_from_row1_meets_bound(row1):
     assert report.margin == pytest.approx(
         h_value(report.best_scheme, report.c_star).h - 1.0, abs=1e-15
     )
+
+
+def test_optimize_margin_is_the_certifying_evaluation(row1, monkeypatch):
+    # h is evaluated at c* once, by threshold_c's certificate, whose h - 1 is the margin:
+    # the start and the result each make two h_value calls, (hi, lo) of their bracket
+    h_calls = _count_calls(monkeypatch, zetagaps.optimizer, "h_value")
+    report = optimize_scheme(OptimizeConfig(max_iters=20), row1.scheme)
+    assert len(h_calls) == 4
+    assert h_calls[0][1] > h_calls[1][1] and h_calls[2][1] > h_calls[3][1]
+    assert report.c_star in (h_calls[0][1], h_calls[2][1])
+    assert report.margin == h_value(report.best_scheme, report.c_star).h - 1.0
 
 
 def test_optimize_deterministic(row1):

@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from zetagaps import quadcheck
 from zetagaps.fracpoly import DomainError, FracPoly, make
@@ -11,8 +13,7 @@ from zetagaps.hfunc import CoeffScheme, assemble_h, h_value
 from zetagaps.quadcheck import (
     _jacobi_rule,
     _kernel_rules,
-    _sine_convolution,
-    _sine_grid,
+    _unit_rule,
     beta_kernel_rule,
     dimreduct_check,
     gauss_legendre,
@@ -251,8 +252,36 @@ def test_components_match_exact_on_reference_rows(rows):
         assert exact.h == pytest.approx(numeric.h, abs=1e-9)
 
 
+def _sine_grid(c, order, gs):
+    """The set-up the reference's sine convolutions share: at the order + 1 Chebyshev points x
+    of [0, 1], mapped as Chebyshev.interpolate maps them, z = x*zeta, sin(pi c z)/zeta,
+    {g: g(x*(1 - zeta))} for g in gs, the Chebyshev-Vandermonde matrix of the points and
+    w_zeta.  (zeta, w_zeta) is Gauss-Legendre on [0, 1]; z = x*zeta turns sin(pi c z)/z dz
+    into sin(pi c x zeta)/zeta dzeta."""
+    zeta, w_zeta = _unit_rule(order)
+    cheb = chebpts1(order + 1)
+    x = (0.5 + 0.5 * cheb)[:, None]
+    z = x * zeta
+    rest = x * (1.0 - zeta)
+    sine = np.sin(math.pi * c * z) / zeta
+    return z, sine, {g: g.eval(rest) for g in gs}, chebvander(cheb, order), w_zeta
+
+
+def _sine_convolution(grid, h, g):
+    """Degree-order interpolant on [0, 1] of x -> int_0^x sin(pi c z)/z h(z) g(x - z) dz,
+    h None for 1, on the set-up grid of _sine_grid: numpy's Chebyshev.interpolate, with
+    this convolution's own product against the Vandermonde matrix."""
+    z, sine, g_rest, vander, w_zeta = grid
+    y = sine if h is None else sine * h.eval(z)
+    coef = np.dot(vander.T, (y * g_rest[g]) @ w_zeta)
+    coef[0] /= vander.shape[0]
+    coef[1:] /= 0.5 * vander.shape[0]
+    return Chebyshev(coef, domain=[0.0, 1.0])
+
+
 def _one_convolution_per_row(scheme, c, order):
-    """h_value_numeric with a sine convolution built for each numerator row on its own."""
+    """h_value_numeric with a sine convolution built for each numerator row on its own,
+    each an interpolant evaluated at its kernel's nodes (Clenshaw, by numpy's chebval)."""
     f1, f1t, big_p = scheme.f1, scheme.f1t, scheme.P
     one = FracPoly.from_coeffs([1.0])
     kappa = -2.0 * scheme.r / math.pi
@@ -272,35 +301,68 @@ def _one_convolution_per_row(scheme, c, order):
     return assemble_h(c, values[:4], values[4:])
 
 
-def test_three_sine_convolutions_per_call(row3, monkeypatch):
-    pairs = []
-
-    def counting(grid, h, g):
-        pairs.append((h, g))
-        return _sine_convolution(grid, h, g)
-
-    monkeypatch.setattr(quadcheck, "_sine_convolution", counting)
-    h_value_numeric(row3.scheme, row3.c, order=32)
-    s = row3.scheme  # h is 1 or P, g is f1 or f1t (FracPoly compares by identity)
-    assert [(h is s.P, g) for h, g in pairs] == [(False, s.f1), (False, s.f1t), (True, s.f1t)]
+def test_three_sine_convolutions_per_call(row3):
+    # the compile holds the sample weights of the numerator's three distinct convolutions
+    # (h, g) = (1, f1), (1, f1t), (P, f1t); a call's samples at the Chebyshev points are
+    # the reference's integrals there, summed in another order
+    s, c, order = row3.scheme, row3.c, 32
+    h_value_numeric(s, c, order)
+    _, weights, z, _ = quadcheck._compiled(s, order)
+    assert weights.shape == (3, order + 1, order) and z.shape == (order + 1, order)
+    samples = (weights * np.sin(math.pi * c * z)).sum(axis=2)
+    z_ref, sine, g_rest, _, w_zeta = _sine_grid(c, order, (s.f1, s.f1t))
+    for row, (h, g) in zip(samples, ((None, s.f1), (None, s.f1t), (s.P, s.f1t))):
+        inner = sine if h is None else sine * h.eval(z_ref)
+        reference = (inner * g_rest[g]) @ w_zeta
+        assert np.max(np.abs(row - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("c, order", [(0.5154, 48), (0.3, 32), (0.97, 64)])
-def test_shared_convolutions_are_bitwise_one_per_row(c, order):
+def test_compiled_rows_match_one_convolution_per_row(c, order):
+    # the compile pairs each row's kernel with a convolution's samples through one vector,
+    # the reference reads each interpolant at the nodes: the same sums in another order
+    # (3.5e-15 relative measured at most over these cases)
     for scheme in certify_batch():
-        shared = h_value_numeric(scheme, c, order).as_dict().values()
-        per_row = _one_convolution_per_row(scheme, c, order).as_dict().values()
-        assert [v.hex() for v in shared] == [v.hex() for v in per_row]
+        compiled = h_value_numeric(scheme, c, order).as_dict()
+        per_row = _one_convolution_per_row(scheme, c, order).as_dict()
+        for name in HB_FIELDS + ["h"]:
+            assert compiled[name] == pytest.approx(per_row[name], rel=1e-13), (scheme, name)
 
 
 def test_each_factor_once_per_node_array(row3, monkeypatch):
-    # f1 and f1t once on each of the two node arrays they are needed on, P on the outer
-    # rule's three and on the convolutions' z, and f1, f1t once at x - z: 9 of 25 before
+    # a compile evaluates f1 and f1t once on each of the two node arrays they are needed
+    # on, P on the outer rule's three and on the convolutions' z, and f1, f1t once at
+    # x - z (9, of 25 before factors were shared); a second c evaluates none of them
     evals = []
     real_eval = FracPoly.eval
     monkeypatch.setattr(FracPoly, "eval", lambda p, x: evals.append(p) or real_eval(p, x))
+    quadcheck._compiled.cache_clear()
     h_value_numeric(row3.scheme, row3.c, order=48)
-    assert len(evals) <= 13
+    assert len(evals) == 9
+    h_value_numeric(row3.scheme, row3.c - 0.001, order=48)
+    assert len(evals) == 9
+
+
+def test_second_c_reuses_the_compiled_rules(row1, monkeypatch):
+    # c enters only through the sine samples: a second c on the same (scheme, order)
+    # evaluates no polynomial, builds no Gauss-Jacobi rule and no Vandermonde matrix,
+    # and a warm call returns the same floats as a cold one
+    assert quadcheck._compiled.cache_info().maxsize == 1
+    s, c = row1.scheme, row1.c
+    quadcheck._compiled.cache_clear()
+    cold = h_value_numeric(s, c, 48).as_dict()
+    h_value_numeric(s, 0.3, 48)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-scheme work redone at a second c")
+
+    monkeypatch.setattr(FracPoly, "eval", forbidden)
+    monkeypatch.setattr(quadcheck, "_jacobi_rule", forbidden)
+    monkeypatch.setattr(quadcheck, "chebvander", forbidden)
+    warm = h_value_numeric(s, c, 48).as_dict()
+    assert [v.hex() for v in warm.values()] == [v.hex() for v in cold.values()]
+    with pytest.raises(AssertionError, match="per-scheme work"):
+        h_value_numeric(s, c, 32)  # another order compiles again
 
 
 def test_legendre_rule_built_once_per_order(row1, monkeypatch):
@@ -310,6 +372,7 @@ def test_legendre_rule_built_once_per_order(row1, monkeypatch):
         np.polynomial.legendre, "leggauss", lambda n: built.append(n) or real_leggauss(n)
     )
     quadcheck._legendre.cache_clear()
+    quadcheck._compiled.cache_clear()
     for _ in range(2):
         for order in (32, 48):
             h_value_numeric(row1.scheme, row1.c, order)

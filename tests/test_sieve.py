@@ -246,11 +246,12 @@ def test_coeffs_ak_validation(row1, tables_r118, tables_r1):
     assert not np.array_equal(coeffs_ak(s, tables_r1, tables_r1.limit), a_r1)
 
 
-@pytest.mark.parametrize("bad", [1000.5, math.nan, math.inf, True])
+@pytest.mark.parametrize("bad", [1000.5, math.nan, math.inf, True, "10"])
 def test_sieve_lengths_must_be_integers_naming_them(row1, tables_r118, bad):
-    with pytest.raises(ValueError, match=f"limit must be an integer, got limit={bad}"):
+    # the value is quoted as its repr: a string "10" must not read as the integer 10
+    with pytest.raises(ValueError, match=f"limit must be an integer, got limit={bad!r}$"):
         build_tables(1.18, bad)
-    with pytest.raises(ValueError, match=f"upto must be an integer, got upto={bad}"):
+    with pytest.raises(ValueError, match=f"upto must be an integer, got upto={bad!r}$"):
         coeffs_ak(row1.scheme, tables_r118, bad)
 
 
