@@ -116,10 +116,9 @@ def _load_config(path: str) -> dict:
 
 
 def _scheme_from_config(config: dict) -> CoeffScheme:
-    if "r" not in config:
-        raise CliError("config must set r")
-    if "f1" not in config:
-        raise CliError("config must set f1")
+    for key in ("r", "f1"):
+        if key not in config:
+            raise CliError(f"config must set {key}")
     try:
         return CoeffScheme(
             r=float(config["r"]),
@@ -182,8 +181,7 @@ def _require_c(args, config) -> float:
 
 def _cmd_eval(args, out) -> int:
     scheme, config = _resolve_scheme(args)
-    hb = h_value(scheme, _require_c(args, config))
-    _print_breakdown(hb, out)
+    _print_breakdown(h_value(scheme, _require_c(args, config)), out)
     return 0
 
 
@@ -211,10 +209,7 @@ def _cmd_verify_table(args, out) -> int:
                 f"margin={_fmt(row.margin)} (direct) {verdict}",
                 file=out,
             )
-        print(
-            "all rows pass" if report.all_passed else "some rows FAIL",
-            file=out,
-        )
+        print("all rows pass" if report.all_passed else "some rows FAIL", file=out)
     return 0 if report.all_passed else 2
 
 

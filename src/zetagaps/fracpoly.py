@@ -29,7 +29,7 @@ from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import Polynomial, polyval
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "DomainError",
@@ -124,14 +124,6 @@ class FracPoly:
         if self.is_zero or other.is_zero:
             return FracPoly.zero()
         return FracPoly(self.shift + other.shift, np.convolve(self.coeffs, other.coeffs))
-
-    def compose_one_minus(self) -> "FracPoly":
-        """Return x -> self(1 - x), by numpy's polynomial composition.
-
-        Only defined for integer exponents; fractional binomials would not
-        terminate.  hfunc never reflects; tests use this as a reference.
-        """
-        return FracPoly.from_coeffs(Polynomial(self.to_coeffs())(Polynomial([1.0, -1.0])).coef)
 
     def to_coeffs(self) -> np.ndarray:
         """Dense ascending-degree coefficients, the inverse of from_coeffs.

@@ -9,7 +9,8 @@ the denominator and seven in the numerator.  The functional is
                / (d1 + d2 + d31 + d32)
 
 and h(c) > 1 certifies that the liminf of normalized gaps between
-consecutive critical-line zeros is at most c.
+consecutive critical-line zeros is at most c.  In floats the one rule is
+h(c) - 1 > HBreakdown.budget, the rounding budget of h (HBreakdown.passed).
 
 Every component is one pairing <K, q> = int_0^1 K(1-u) q(u) du of one of
 four kernels with a product q of f1, f1t and their sine convolutions.  With
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -76,13 +78,19 @@ class DegenerateSchemeError(ArithmeticError):
     """The scheme's denominator quadratic form is numerically zero."""
 
 
+def _is(kind, value) -> bool:
+    """value is a kind (a numbers ABC) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CoeffScheme:
     """Coefficient scheme (r, f1, f1t, P) defining the mollified weights.
 
-    Invariants enforced at construction: r >= 1 with r**4 finite (r below about
-    1.16e77), all three polynomials have integer exponents, and P has no
-    constant term (so P(y)/y is again a polynomial).
+    Invariants enforced at construction: r is a real number, not a bool, with
+    r >= 1 and r**4 finite (r below about 1.16e77), all three polynomials have
+    integer exponents, and P has no constant term (so P(y)/y is again a
+    polynomial).
     """
 
     r: float
@@ -91,6 +99,8 @@ class CoeffScheme:
     P: FracPoly
 
     def __post_init__(self):
+        if not _is(Real, self.r):
+            raise ValueError(f"r must be a real number, got r={self.r!r}")
         if not (1.0 <= self.r and math.isfinite(self.r * self.r * (self.r * self.r))):
             raise ValueError(f"r must be >= 1 with a finite kernel scale r**4, got r={self.r!r}")
         for name in ("f1", "f1t", "P"):
@@ -243,6 +253,11 @@ class HBreakdown:
         terms = self.components()
         return _rounding_budget(terms[_DEN], terms[_NUM])
 
+    @property
+    def passed(self) -> bool:
+        """Whether h - 1 certifies c by _certifies, the one rule behind every PASS."""
+        return _certifies(self.h - 1.0, self.budget)
+
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -314,6 +329,12 @@ def _rounding_budget(den_terms, num_terms) -> float:
     den = sum(den_terms)
     spread = sum(map(abs, num_terms)) + abs(sum(num_terms) / den) * sum(map(abs, den_terms))
     return float(64.0 * np.finfo(float).eps * spread / abs(den))
+
+
+def _certifies(margin: float, budget: float) -> bool:
+    """The certificate rule: a margin h - 1 certifies c only above the rounding budget of h.
+    threshold_c's result, optimize's c_lo and verify-table's rows (RowCheck) all pass by it."""
+    return margin > budget
 
 
 def h_value(scheme: CoeffScheme, c: float) -> HBreakdown:

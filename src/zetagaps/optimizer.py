@@ -3,7 +3,10 @@
 h(c) - 1 changes sign once on the working range, so a bound is certified by
 locating a sign change on a grid (bracket_scan) and solving h(c) = 1 inside it
 by a bracketed Newton iteration (threshold_c), which returns a c whose h - 1
-exceeds the rounding budget of h (HBreakdown.budget).
+exceeds the rounding budget of h (HBreakdown.budget).  That one rule,
+HBreakdown.passed, decides every certificate: threshold_c's, the scan's lower
+end c_lo when the scan finds no sign change (optimize_scheme), and each
+published row of verify_table (RowCheck.passed).
 At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
 x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
 the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
@@ -25,6 +28,8 @@ from .hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
     HBreakdown,
+    _certifies,
+    _is,
     _ratio,
     _rounding_budget,
     h_grid,
@@ -93,11 +98,6 @@ class OptimizeConfig:
             raise ValueError("degrees need deg f1, deg f1t >= 0 and deg P >= 1")
 
 
-def _is(kind, value) -> bool:
-    """value is a kind (a numbers ABC) and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class OptimizeReport:
     best_scheme: CoeffScheme
@@ -118,15 +118,10 @@ def grid_points(c_lo, c_hi, step) -> list[float]:
 
 def bracket_scan(scheme, c_lo, c_hi, step):
     """First adjacent pair of grid_points where h - 1 changes sign, or None (one h_grid call)."""
-    return _scan(scheme, c_lo, c_hi, step)[0]
-
-
-def _scan(scheme, c_lo, c_hi, step):
-    """(bracket_scan's result, h(c_lo) - 1) from the one h_grid call."""
     grid = grid_points(c_lo, c_hi, step)
     v = h_grid(scheme, grid) - 1.0
     changes = np.flatnonzero(v[:-1] * v[1:] < 0.0)
-    return (grid[changes[0]], grid[changes[0] + 1]) if changes.size else None, float(v[0])
+    return (grid[changes[0]], grid[changes[0] + 1]) if changes.size else None
 
 
 def threshold_c(scheme, bracket, tol=1e-6) -> float:
@@ -138,8 +133,9 @@ def threshold_c(scheme, bracket, tol=1e-6) -> float:
     Once |h - 1| is within the rounding budget (HBreakdown.budget), a last step aims at
     h = 1 + 2 budget and the bracket becomes (that c - 4 budget / h', that c); bisection that
     narrows it to tol first stops there.  So the result, the upper end, sits at most tol (or
-    2 budget / h') above the root.  Two h_value calls check h - 1 > budget there and h < 1 at
-    the lower end, else ValueError, as when h - 1 does not rise through 0 across the bracket.
+    2 budget / h') above the root.  Two h_value calls check that the breakdown there passes
+    (HBreakdown.passed: h - 1 > budget) and h < 1 at the lower end, else ValueError, as when
+    h - 1 does not rise through 0 across the bracket.
     """
     return _threshold(scheme, bracket, tol)[0]
 
@@ -176,7 +172,7 @@ def _threshold(scheme, bracket, tol=1e-6) -> tuple[float, HBreakdown]:
         else:
             break
     certified = h_value(scheme, hi)
-    if not (certified.h - 1.0 > certified.budget and h_value(scheme, lo).h < 1.0):
+    if not (certified.passed and h_value(scheme, lo).h < 1.0):
         raise ValueError("h - 1 must change sign from - to + across the bracket")
     return float(hi), certified
 
@@ -276,15 +272,20 @@ def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, Co
 
 
 def _certify(scheme, config: OptimizeConfig) -> tuple[float, float]:
-    """(c, h(c) - 1): threshold_c in the first sign change of config.c_grid's scan, with
-    h - 1 from its certifying breakdown, else c_lo and the scan's h - 1 there if positive."""
-    bracket, v_lo = _scan(scheme, *config.c_grid)
+    """(c, h(c) - 1) of the breakdown that certifies c: threshold_c in the first sign change
+    of config.c_grid's scan, else c_lo if its breakdown passes, else DomainError."""
+    bracket = bracket_scan(scheme, *config.c_grid)
     if bracket is not None:
         c, certified = _threshold(scheme, bracket)
         return c, certified.h - 1.0
-    if v_lo > 0.0:
-        return float(config.c_grid[0]), v_lo
-    raise DomainError("h(c) - 1 has no sign change on the scan grid")
+    c_lo = float(config.c_grid[0])
+    at_lo = h_value(scheme, c_lo)
+    if not at_lo.passed:
+        raise DomainError(
+            f"h(c) - 1 has no sign change on the scan grid, and h(c_lo) - 1 = "
+            f"{at_lo.h - 1.0:.3e} is not above its rounding budget {at_lo.budget:.3e}"
+        )
+    return c_lo, at_lo.h - 1.0
 
 
 def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeReport:
@@ -328,8 +329,8 @@ class RowCheck:
 
     @property
     def passed(self) -> bool:
-        """threshold_c's rule: the margin exceeds the rounding budget of h."""
-        return self.margin > self.budget
+        """HBreakdown.passed's rule (hfunc._certifies): the margin exceeds the budget."""
+        return _certifies(self.margin, self.budget)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from numbers import Integral, Real
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .hfunc import CoeffScheme
+from .hfunc import CoeffScheme, _is
 
 __all__ = [
     "SieveTable",
@@ -106,8 +106,7 @@ class SieveTable:
 
 def _integer(name: str, value) -> int:
     """value as an int; ValueError naming it unless an integral finite number (not a bool)."""
-    real = isinstance(value, Real) and not isinstance(value, bool)
-    if not (real and (isinstance(value, Integral) or float(value).is_integer())):
+    if not (_is(Real, value) and (isinstance(value, Integral) or float(value).is_integer())):
         raise ValueError(f"{name} must be an integer, got {name}={value!r}")
     return int(value)
 

@@ -4,10 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import Polynomial
 
 from zetagaps import PRESETS, CoeffScheme, FracPoly
 
 HB_FIELDS = ["d1", "d2", "d31", "d32", "n1", "n2", "n31", "n32", "n41", "n42", "n43"]
+
+
+def compose_one_minus(p: FracPoly) -> FracPoly:
+    """x -> p(1 - x), by numpy's polynomial composition: the reflection that hfunc never
+    takes, as a test reference.  DomainError unless p has integer exponents (to_coeffs)."""
+    return FracPoly.from_coeffs(Polynomial(p.to_coeffs())(Polynomial([1.0, -1.0])).coef)
+
 
 WORKER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 

@@ -30,7 +30,7 @@ from zetagaps import (
 from zetagaps.hfunc import denominator_terms, numerator_terms
 from zetagaps.fracpoly import convolve, integrate_weighted
 
-from conftest import HB_FIELDS
+from conftest import HB_FIELDS, compose_one_minus
 
 
 def announce(capsys, index, ok, detail, elapsed):
@@ -230,7 +230,7 @@ def test_criterion_8_property_bundle(capsys, rows):
         p1 = FracPoly(scheme.P.shift - 1.0, scheme.P.coeffs)  # P(y)/y
         big_f = beta_convolve(a, scheme.f1t.mul(scheme.f1t))
         alt = scheme.r**4 * integrate_weighted(
-            1.0, big_f.mul(convolve(p1, p1).compose_one_minus())
+            1.0, big_f.mul(compose_one_minus(convolve(p1, p1)))
         )
         d31 = denominator_terms(scheme)[2]
         sym_worst = max(sym_worst, abs(d31 - alt) / abs(alt))

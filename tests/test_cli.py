@@ -357,9 +357,27 @@ def test_optimize_without_sign_change_is_math_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == (
-        "math error: h(c) - 1 has no sign change on the scan grid\n"
+        "math error: h(c) - 1 has no sign change on the scan grid, and h(c_lo) - 1 = "
+        "-1.330e-01 is not above its rounding budget 1.043e-14\n"
     )
     assert not trace.exists()
+
+
+def test_optimize_c_lo_within_the_budget_is_math_error(tmp_path, capsys):
+    # h - 1 > 0 on the whole grid from table1-row1, but at c_lo only 1.91e-14, below the
+    # rounding budget of h: c_lo certifies by threshold_c's rule or not at all
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text(
+        "r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\nP = [0, 0, 1]\n"
+        "c_lo = 0.5153970643207866\nc_hi = 0.53\nc_step = 0.001\n"
+    )
+    code, out = run_cli(["optimize", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "math error: h(c) - 1 has no sign change on the scan grid, and h(c_lo) - 1 = "
+        "1.910e-14 is not above its rounding budget 1.920e-14\n"
+    )
 
 
 def test_optimize_reads_scan_grid_and_ignores_bisection_tol(tmp_path):

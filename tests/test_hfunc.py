@@ -32,7 +32,7 @@ from zetagaps.hfunc import (
 
 from zetagaps.optimizer import grid_points
 
-from conftest import HB_FIELDS, certify_batch
+from conftest import HB_FIELDS, certify_batch, compose_one_minus
 
 
 def _scheme(r, f1, f1t, p):
@@ -52,6 +52,23 @@ def test_scheme_rejects_small_r():
         _scheme(0.9, [1.0], [], [])
     with pytest.raises(ValueError, match="finite"):
         _scheme(math.inf, [1.0], [], [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "r",
+    [True, np.bool_(True), "1.2", 1.2 + 0j, np.complex128(1.2)],
+    ids=["bool", "numpy-bool", "str", "complex", "numpy-complex"],
+)
+def test_scheme_rejects_r_that_is_not_a_real_number(r):
+    # True would evaluate as r = 1, and a string or complex r failed in the comparison
+    with pytest.raises(ValueError, match=re.escape(f"r must be a real number, got r={r!r}")):
+        _scheme(r, [1.0], [1.0], [0.0, 0.0, 1.0])
+
+
+def test_scheme_takes_numpy_real_r():
+    reference = h_value(_scheme(1.0, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5)
+    for r in (np.float64(1.0), np.int64(1), 1):
+        assert h_value(_scheme(r, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5) == reference
 
 
 def test_scheme_rejects_r_whose_kernel_scale_overflows():
@@ -336,6 +353,16 @@ def test_one_point_equals_grid_column(row3):
         assert numerator_terms(row3.scheme, c) == tuple(terms[:, k].tolist())
 
 
+def test_breakdown_passes_only_above_its_budget():
+    # d1 = 1 and n1 = 1/2 give a budget of 64 eps = 2**-46, so h - 1 can equal it exactly
+    def breakdown(h):
+        return HBreakdown(0.5, 1.0, 0.0, 0.0, 0.0, 0.5, *[0.0] * 6, h=h)
+
+    assert breakdown(1.0).budget == 2.0**-46
+    for margin, passed in ((2.0**-45, True), (2.0**-46, False), (0.0, False), (-(2.0**-45), False)):
+        assert breakdown(1.0 + margin).passed is passed
+
+
 def test_h_grid_wants_one_dimension(row1):
     with pytest.raises(TypeError):  # h_value takes one c
         h_value(row1.scheme, np.array([0.5, 0.51]))
@@ -393,7 +420,7 @@ def test_d31_weight_interchange_symmetry(rows):
         p1 = FracPoly(scheme.P.shift - 1.0, scheme.P.coeffs)  # P(y)/y
         big_f = beta_convolve(a, scheme.f1t.mul(scheme.f1t))
         alt = scheme.r**4 * integrate_weighted(
-            1.0, big_f.mul(convolve(p1, p1).compose_one_minus())
+            1.0, big_f.mul(compose_one_minus(convolve(p1, p1)))
         )
         _, _, d31, _ = denominator_terms(scheme)
         assert d31 == pytest.approx(alt, rel=1e-10)

@@ -193,14 +193,28 @@ def test_threshold_certificate_beats_rounding_budget(monkeypatch):
 
 
 def test_certify_without_bracket_reuses_the_scan(row1, ramp_scheme, monkeypatch):
+    # no sign change on the grid: one scan, then one h_value at c_lo, whose breakdown decides
     h_calls = _count_calls(monkeypatch, zetagaps.optimizer, "h_value")
-    # h > 1 on the whole grid: c_lo itself certifies
+    scans = _count_calls(monkeypatch, zetagaps.optimizer, "bracket_scan")
+    # h > 1 on the whole grid: c_lo itself certifies, at the scan's own h - 1 there
     margin = h_grid(row1.scheme, [0.52])[0] - 1.0
     assert _certify(row1.scheme, OptimizeConfig(c_grid=(0.52, 0.53, 0.002))) == (0.52, margin)
     # h < 1 on the whole grid
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no sign change on the scan grid"):
         _certify(ramp_scheme, OptimizeConfig())
-    assert h_calls == []
+    assert h_calls == [(row1.scheme, 0.52), (ramp_scheme, 0.5)]
+    assert len(scans) == 2
+
+
+def test_certify_c_lo_only_above_the_rounding_budget(row1):
+    # h - 1 > 0 on the whole grid, but at c_lo it is within the rounding budget of h: the
+    # c_lo fallback certifies by threshold_c's rule, so this grid certifies nothing
+    c_lo = 0.5153970643207866
+    at_lo = h_value(row1.scheme, c_lo)
+    assert 0.0 < at_lo.h - 1.0 <= at_lo.budget
+    assert bracket_scan(row1.scheme, c_lo, 0.53, 0.001) is None
+    with pytest.raises(DomainError, match=r"h\(c_lo\) - 1 = .* is not above its rounding budget"):
+        _certify(row1.scheme, OptimizeConfig(c_grid=(c_lo, 0.53, 0.001)))
 
 
 # ---------------------------------------------------------------- nelder_mead

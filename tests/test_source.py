@@ -1,5 +1,11 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+
+import zetagaps
+from zetagaps import fracpoly, hfunc, optimizer, presets, quadcheck, sieve
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "zetagaps"
 
@@ -17,34 +23,54 @@ def test_src_validates_with_exceptions_not_assert():
     assert found == []
 
 
-def _imports(source: str) -> dict[str, tuple[int, bool]]:
-    """{name: (line, on a line marked `# noqa: F401`)} for every name the module imports."""
+def _src_all(module: str) -> list[str] | None:
+    """__all__ of the src module `module` (as `from .module import *` reads it), or None."""
+    path = SRC / f"{module}.py"
+    return _declared_all(ast.parse(path.read_text()), _src_all) if path.exists() else None
+
+
+def _declared_all(tree: ast.Module, all_of) -> list[str] | None:
+    """The names a module's __all__ lists, or None if it has none: a literal assignment, and
+    `__all__ += module.__all__` adding all_of(module)."""
+    names = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names = list(ast.literal_eval(node.value))
+        elif isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "__all__":
+            names += all_of(node.value.value.id)
+    return names
+
+
+def _imports(source: str, all_of=_src_all) -> dict[str, tuple[int, bool]]:
+    """{name: (line, on a line marked `# noqa: F401`)} for every name the module imports;
+    `from .x import *` imports the names all_of(x) lists, or the name `*` if x has no
+    __all__ or is not relative."""
     lines = source.splitlines()
-    return {
-        alias.asname or alias.name.split(".")[0]: (
-            node.lineno, "# noqa: F401" in lines[node.lineno - 1]
-        )
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and getattr(node, "module", None) != "__future__"
-        for alias in node.names
-    }
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            getattr(node, "module", None) == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            star = alias.name == "*" and node.level == 1 and all_of(node.module)
+            for name in star or [alias.asname or alias.name.split(".")[0]]:
+                found[name] = (node.lineno, "# noqa: F401" in lines[node.lineno - 1])
+    return found
 
 
-def _import_findings(source: str) -> list[str]:
+def _import_findings(source: str, all_of=_src_all) -> list[str]:
     """Names a module imports but never reads, except those in its __all__ (which covers
     __init__.py's re-exports) and those on a line marked `# noqa: F401`; and the names on
     such a line that it does read or export, which the mark should not cover."""
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(_declared_all(tree, all_of) or [])
     return [
         f"{name} (line {lineno}{', used on a noqa line' if noqa else ''})"
-        for name, (lineno, noqa) in _imports(source).items()
+        for name, (lineno, noqa) in _imports(source, all_of).items()
         if (name in used) == noqa
     ]
 
@@ -67,11 +93,23 @@ def test_unused_import_check_flags_what_it_should():
         "from .a import hidden  # noqa: F401\n"
         "from .b import exported\n"
         "from .c import kept, called  # noqa: F401\n"
+        "from .d import *\n"
+        "from .e import *\n"
+        "from . import d\n"
         "__all__ = ['exported']\n"
+        "__all__ += d.__all__\n"
         "x = np.zeros(1) + len(sep) + called()\n"
     )
-    assert _import_findings(source) == [
-        "math (line 2)", "path (line 4)", "called (line 7, used on a noqa line)"
+    # .d's __all__ names are imported and re-exported by `__all__ += d.__all__`; .e has no
+    # __all__, so its star import stays the one name `*`, which nothing reads
+    all_of = {"d": ["public", "reexported"]}.get
+    assert _import_findings(source, all_of) == [
+        "math (line 2)", "path (line 4)", "called (line 7, used on a noqa line)", "* (line 9)"
+    ]
+    # a listed name the module neither reads nor re-exports is flagged at its star import
+    assert _import_findings(source.replace("__all__ += d.__all__\n", ""), all_of) == [
+        "math (line 2)", "path (line 4)", "called (line 7, used on a noqa line)",
+        "public (line 8)", "reexported (line 8)", "* (line 9)", "d (line 10)",
     ]
 
 
@@ -89,3 +127,28 @@ def test_noqa_imports_are_traced(perfbench_worker):
         if noqa
     }
     assert marked - traced == set()
+
+
+def test_package_reexports_each_module_all_in_order():
+    # the public API is declared once, in the modules' __all__ lists
+    modules = (fracpoly, hfunc, presets, quadcheck, sieve, optimizer)
+    assert zetagaps.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(zetagaps, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_star_import_binds_every_public_name_without_the_cli():
+    code = (
+        "import sys; from zetagaps import *; import zetagaps; "
+        "print(sorted(set(zetagaps.__all__) - set(globals())), 'zetagaps.cli' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] False"
