@@ -88,7 +88,8 @@ class CoeffScheme:
     """Coefficient scheme (r, f1, f1t, P) defining the mollified weights.
 
     Invariants enforced at construction: r is a real number, not a bool, with
-    r >= 1 and r**4 finite (r below about 1.16e77), all three polynomials have
+    r >= 1 and r**4 finite (r below about 1.16e77), kept as given if an int or
+    a float and stored as float(r) otherwise, all three polynomials have
     integer exponents, and P has no constant term (so P(y)/y is again a
     polynomial).
     """
@@ -101,6 +102,8 @@ class CoeffScheme:
     def __post_init__(self):
         if not _is(Real, self.r):
             raise ValueError(f"r must be a real number, got r={self.r!r}")
+        if not isinstance(self.r, (int, float)):  # a numpy float32 r would compute in float32
+            object.__setattr__(self, "r", float(self.r))
         if not (1.0 <= self.r and math.isfinite(self.r * self.r * (self.r * self.r))):
             raise ValueError(f"r must be >= 1 with a finite kernel scale r**4, got r={self.r!r}")
         for name in ("f1", "f1t", "P"):

@@ -40,7 +40,8 @@ and read at the kernel nodes off its degree-`order` interpolant.  Interpolating
 (numpy's Chebyshev.interpolate, the samples times the matrix T = vander.T / n
 with rows 1... doubled), reading at the nodes (their Chebyshev-Vandermonde
 matrix) and pairing with the weights are all linear in the samples, so a row's
-value is L @ samples with L = kappa (w f)(nodes) @ V(nodes) @ T.
+value is L @ samples with L = kappa (w f)(nodes) @ V(nodes) @ T, where
+(w f)(nodes) @ V(nodes) is summed seven degrees at a time (_on_chebyshev).
 
 Every rule comes from numpy: Gauss-Legendre from leggauss, built once per order
 per process and kept read-only (gauss_legendre hands out copies), each
@@ -168,6 +169,28 @@ def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.
     return [(t, wt)] + [(x, np.outer(w, wt).ravel()) for w in outer]
 
 
+def _on_chebyshev(rows: np.ndarray, nodes: np.ndarray, order: int) -> np.ndarray:
+    """rows @ chebvander(2 * nodes - 1, order), seven degrees at a time: T_k at the nodes
+    by chebvander's three-term recurrence in nine node vectors, so no nodes-by-(order + 1)
+    matrix is held (903 KB for K2-K4's nodes at order 48).  Seven degrees per product
+    keep the BLAS calls few: one degree per call made a cold compile slower than the
+    whole matrix."""
+    y = 2.0 * nodes - 1.0
+    two_y = 2.0 * y
+    t = np.empty((9, y.size))  # the last two T_k of the previous seven, then the next seven
+    t[0], t[1] = 1.0, y
+    out = np.empty((len(rows), order + 1))
+    out[:, :2] = rows @ t[:2].T
+    for k in range(2, order + 1, 7):
+        n = min(7, order + 1 - k)
+        for i in range(2, n + 2):
+            np.multiply(t[i - 1], two_y, out=t[i])
+            t[i] -= t[i - 2]
+        out[:, k : k + n] = rows @ t[2 : n + 2].T
+        t[:2] = t[n : n + 2]
+    return out
+
+
 @lru_cache(maxsize=1)  # one (scheme, order) at a time: an entry holds about 75 KB at order 48
 def _compiled(scheme: CoeffScheme, order: int) -> tuple:
     """The c-free part of h_value_numeric (module docs): the four denominator components,
@@ -190,9 +213,9 @@ def _compiled(scheme: CoeffScheme, order: int) -> tuple:
     )
     # (w * f)(nodes) @ V(nodes): the numerator's five distinct (kernel, f) pairs, one
     # product per node array; n32 repeats n1's pair, n43 n2's
-    on_t = np.array([w1 * f1_t]) @ chebvander(2.0 * t - 1.0, order)  # n1
+    on_t = _on_chebyshev(np.array([w1 * f1_t]), t, order)  # n1
     on_x = np.array([w2 * f1t_x, w2 * f1_x, w3 * f1t_x, w4 * f1t_x])  # n2, n31, n41, n42
-    paired = np.vstack([on_t, on_x @ chebvander(2.0 * x - 1.0, order)])[[0, 1, 2, 0, 3, 4, 1]]
+    paired = np.vstack([on_t, _on_chebyshev(on_x, x, order)])[[0, 1, 2, 0, 3, 4, 1]]
     interpolate = chebvander(cheb, order).T / (order + 1)
     interpolate[1:] *= 2.0
     return den, weights, z, -2.0 * scheme.r / math.pi * paired @ interpolate

@@ -33,11 +33,30 @@ numpy calls per block few.  The block arrays are reused, so finite_h
 allocates no K-sized array but a.  The numerator sum takes Lambda's support
 above sqrt(K) one cofactor m <= sqrt(K) at a time; one searchsorted counts,
 for every m, the entries at most K / m.
+
+The blocks are walked by at most two threads.  Each has its own block arrays
+and, as it finishes a block, takes the next block start from one shared list,
+so a thread slowed by other load takes fewer blocks.  numpy releases the
+GIL inside its ufunc loops, so one thread's logs, Horner steps and strided
+passes run while the other holds the GIL for its Python pass loop: a_k at
+K = 2,328,539 took 0.078 s on two threads against 0.113 s on one (2-vCPU
+Xeon).  What a block computes does not depend on the thread that computes
+it, so every output is bit for bit the same for any number of threads; with
+one usable CPU or one block the walk runs on the caller's thread.  A third
+thread's block arrays (about 2.6 MB) would take coeffs_ak's allocations at
+K = 1e6 past twice a's size.  The numerator sum stays on one thread: its
+dots on two threads, summed in order, took 0.028 s -> 0.029 s.  DENSE_PRIMES
+stays 256: at 64, a_k at K = 2,328,539 was 7-10% faster on two threads, but
+coeffs_ak's traced allocations at K = 1e6 rose from 1.79 to 1.86 times a's
+size, and the peak RSS of an oracle run at T = 1e9 by 0.4 MB.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -90,8 +109,11 @@ class SieveTable:
     @cached_property
     def liouville(self) -> np.ndarray:
         signed = np.zeros(self.limit + 1)  # lambda(k) d_r(k)
-        for lo, hi, _, l, _ in _blocks(self.r, self.primes, self.limit, np.zeros(1)):
+
+        def visit(lo, hi, k, l, s, spare):
             signed[lo:hi] = l
+
+        _walk(self.r, self.primes, self.limit, np.zeros(1), visit)
         liouville = np.sign(signed).astype(np.int8)
         self.dr = np.abs(signed, out=signed)
         for arr in (liouville, self.dr):
@@ -151,12 +173,26 @@ def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray):
-    """Yield (lo, hi, k, l, s) over blocks [lo, hi) of SIEVE_BLOCK integers
-    covering 1..limit: k = lo..hi-1 as float64, l = lambda(k) d_r(k) and
-    s = S_P(k) = sum of P(log p / log limit) over the primes p | k (P's
-    dense coefficients `p_coeffs`, with P(0) = 0; [0.0] for P = 0, where
-    s stays 0).  The three arrays are reused: the next block overwrites them.
+def _worker_count(blocks: int) -> int:
+    """Threads to walk `blocks` blocks on: two, or one with one usable CPU or one block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(2, cpus, blocks))
+
+
+def _walk(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray, visit) -> None:
+    """Call visit(lo, hi, k, l, s, spare) once per block [lo, hi) of SIEVE_BLOCK
+    integers covering 1..limit, on up to _worker_count threads: k = lo..hi-1
+    as float64, l = lambda(k) d_r(k), s = S_P(k) = sum of P(log p / log limit)
+    over the primes p | k (P's dense coefficients `p_coeffs`, with P(0) = 0;
+    [0.0] for P = 0, where s stays 0), and `spare` two rows of hi - lo that
+    visit may overwrite.  The rows are the calling worker's and its next block
+    overwrites them, so visit copies what it keeps into the slice [lo, hi) of
+    its output, which no other block writes.  An exception in any worker
+    stops the walk after the blocks under way and is raised here, after every
+    thread has ended.
 
     `primes` must hold every prime <= sqrt(limit).  Each pass p**j
     multiplies l by -(j - 1 + r)/j (lambda's sign and d_r's Gamma-ratio
@@ -178,37 +214,74 @@ def _blocks(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray):
     strided = list(zip(*(col[:dense].tolist() for col in (pj, p, factor, value))))
     sparse_pj, sparse_p = pj[dense:], p[dense:].astype(np.float64)
     sparse_factor, sparse_value = factor[dense:], value[dense:]
+    offsets = np.arange(min(SIEVE_BLOCK, limit), dtype=np.float64)
+    starts = list(range(1, limit + 1, SIEVE_BLOCK))[::-1]  # popped from the end
+    lock = threading.Lock()
+    # each worker's block arrays, allocated on the caller's thread: a helper's own
+    # allocation stayed resident in its malloc arena (peak RSS 1.8 MB higher at T = 1e9)
+    buffers = np.empty((_worker_count(len(starts)), 5, offsets.size))
 
-    size = min(SIEVE_BLOCK, limit)
-    offsets = np.arange(size, dtype=np.float64)
-    buffers = np.empty((5, size))
-    for lo in range(1, limit + 1, SIEVE_BLOCK):
-        n = min(SIEVE_BLOCK, limit + 1 - lo)
-        k, l, m, s, p_of_q = buffers[:, :n]
-        np.add(offsets[:n], lo, out=k)
-        l.fill(1.0)
-        m.fill(1.0)
-        s.fill(0.0)
-        for step, prime, f, v in strided:
-            start = -lo % step
-            l[start::step] *= f
-            m[start::step] *= prime
-            if v:  # adding 0 leaves s as it is (s is never -0.0)
-                s[start::step] += v
-        start = -lo % sparse_pj
-        count = (n - start + sparse_pj - 1) // sparse_pj  # hits in this block
-        which = np.repeat(np.arange(count.size), count)  # the pass of each hit
-        first = np.cumsum(count) - count  # its pass's first hit
-        hit = start[which] + sparse_pj[which] * (np.arange(which.size) - first[which])
-        np.multiply.at(l, hit, sparse_factor[which])
-        np.multiply.at(m, hit, sparse_p[which])
-        np.add.at(s, hit, sparse_value[which])
-        q = np.divide(k, m, out=m)
-        np.multiply(l, -r, out=l, where=q > 1.0)
-        np.log(q, out=q)
-        q /= log_lim
-        s += _horner(q, p_coeffs, p_of_q)
-        yield lo, lo + n, k, l, s
+    def work(own):
+        while True:
+            with lock:
+                if not starts:
+                    return
+                lo = starts.pop()
+            n = min(SIEVE_BLOCK, limit + 1 - lo)
+            k, l, s, m, p_of_q = own[:, :n]
+            np.add(offsets[:n], lo, out=k)
+            l.fill(1.0)
+            m.fill(1.0)
+            s.fill(0.0)
+            for step, prime, f, v in strided:
+                start = -lo % step
+                l[start::step] *= f
+                m[start::step] *= prime
+                if v:  # adding 0 leaves s as it is (s is never -0.0)
+                    s[start::step] += v
+            start = -lo % sparse_pj
+            count = (n - start + sparse_pj - 1) // sparse_pj  # hits in this block
+            # the hits pass by pass, in place: np.repeat(x, count) gives each hit its pass's x
+            hit = np.arange(count.sum())
+            hit -= np.repeat(np.cumsum(count) - count, count)  # its rank in its pass
+            hit *= np.repeat(sparse_pj, count)
+            hit += np.repeat(start, count)
+            np.multiply.at(l, hit, np.repeat(sparse_factor, count))
+            np.multiply.at(m, hit, np.repeat(sparse_p, count))
+            np.add.at(s, hit, np.repeat(sparse_value, count))
+            q = np.divide(k, m, out=m)
+            np.multiply(l, -r, out=l, where=q > 1.0)
+            np.log(q, out=q)
+            q /= log_lim
+            s += _horner(q, p_coeffs, p_of_q)
+            visit(lo, lo + n, k, l, s, own[3:, :n])
+
+    errors = []
+
+    def helper(own):
+        try:
+            work(own)
+        except BaseException as exc:  # raised again on the caller's thread below
+            errors.append(exc)
+            with lock:
+                starts.clear()
+
+    # a copied context carries the caller's np.errstate into the helper
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(helper, own))
+        for own in buffers[1:]
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        work(buffers[0])
+    finally:
+        with lock:
+            starts.clear()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def build_tables(r: float, limit: int) -> SieveTable:
@@ -252,9 +325,9 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     log_up = math.log(upto)
     f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
     a = np.zeros(upto + 1)
-    buffers = np.empty((2, min(SIEVE_BLOCK, upto)))
-    for lo, hi, k, l, s in _blocks(scheme.r, tables.primes, upto, scheme.P.to_coeffs()):
-        x, f = buffers[:, : hi - lo]
+
+    def visit(lo, hi, k, l, s, spare):
+        x, f = spare
         np.log(k, out=x)
         x /= log_up
         np.subtract(1.0, x, out=x)
@@ -262,6 +335,8 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
         s += _horner(x, f1, f)
         out = np.divide(l, np.sqrt(k, out=k), out=a[lo:hi])
         out *= s
+
+    _walk(scheme.r, tables.primes, upto, scheme.P.to_coeffs(), visit)
     return a
 
 

@@ -66,9 +66,14 @@ def test_scheme_rejects_r_that_is_not_a_real_number(r):
 
 
 def test_scheme_takes_numpy_real_r():
-    reference = h_value(_scheme(1.0, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5)
-    for r in (np.float64(1.0), np.int64(1), 1):
-        assert h_value(_scheme(r, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5) == reference
+    # an r that is neither an int nor a float is stored as a float: a float32 r kept as it
+    # is computed h in single precision (1.8e-8 off); an int r stays an int, and prints so
+    reference = h_value(_scheme(1.0, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5).as_dict()
+    for r in (np.float32(1.0), np.float64(1.0), np.int64(1), 1):
+        got = h_value(_scheme(r, [1.0], [1.0], [0.0, 0.0, 1.0]), 0.5).as_dict()
+        assert [v.hex() for v in got.values()] == [v.hex() for v in reference.values()], r
+    assert type(_scheme(np.float32(1.0), [1.0], [1.0], [0.0, 0.0, 1.0]).r) is float
+    assert repr(_scheme(1, [1.0], [1.0], [0.0, 0.0, 1.0]).r) == "1"
 
 
 def test_scheme_rejects_r_whose_kernel_scale_overflows():

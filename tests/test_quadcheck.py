@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,22 @@ def test_second_c_reuses_the_compiled_rules(row1, monkeypatch):
     assert [v.hex() for v in warm.values()] == [v.hex() for v in cold.values()]
     with pytest.raises(AssertionError, match="per-scheme work"):
         h_value_numeric(s, c, 32)  # another order compiles again
+
+
+def test_cold_compile_holds_no_vandermonde_matrix(row3):
+    # K2-K4's nodes by the order + 1 degrees would be 2,304 x 49 (903 KB); accumulating the
+    # rows against T_k seven degrees at a time holds nine node vectors (peak measured at
+    # 515 KB, 1,269 KB with the matrix): bound 700 KB
+    quadcheck._legendre(48)  # built once per process, not per compile
+    quadcheck._compiled.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        quadcheck._compiled(row3.scheme, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 700 * 1024, f"{(peak - start) / 1024:.0f} KB"
 
 
 def test_legendre_rule_built_once_per_order(row1, monkeypatch):

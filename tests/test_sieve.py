@@ -1,10 +1,12 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from zetagaps import sieve
 from zetagaps.fracpoly import FracPoly
 from zetagaps.hfunc import CoeffScheme, denominator_terms, h_value
 from zetagaps.presets import get_preset, preset_names
@@ -446,8 +448,8 @@ def test_finite_h_across_a_block_edge_matches_built_tables(row1):
 
 def test_finite_h_allocates_no_lambda_or_dr_table(row1):
     # only a is K-sized: block buffers and the numerator's weights add the
-    # rest (measured 1.83x 8 (K + 1) bytes); K-sized lambda and d_r tables
-    # add 9 (K + 1) bytes more (2.97x)
+    # rest (measured 2.01x 8 (K + 1) bytes with two threads' block buffers,
+    # 1.71x with one); K-sized lambda and d_r tables add 9 (K + 1) bytes more
     c, t_param = 0.5154, 4e8
     upto = int(t_param / math.log(t_param) ** 2)
     assert upto == 1_019_585
@@ -463,8 +465,9 @@ def test_finite_h_allocates_no_lambda_or_dr_table(row1):
 
 def test_coeffs_ak_allocates_one_k_sized_array(row1):
     # a_k is built blockwise over its own output buffer, so the traced peak
-    # is that buffer plus block-sized buffers (measured 1.60x 8 (K + 1)
-    # bytes); full-length arrays for k, x, S_P and the polynomials read 9.2x
+    # is that buffer plus block-sized buffers (measured 1.79x 8 (K + 1)
+    # bytes with two threads' buffers, 1.43x with one); full-length arrays
+    # for k, x, S_P and the polynomials read 9.2x
     upto = 10**6
     tables = build_tables(row1.scheme.r, upto)
     tracemalloc.start()
@@ -551,6 +554,102 @@ def test_scatter_matches_strided_passes_bitwise(limit):
             signed[lo:hi] = l
         assert np.array_equal(tables.liouville, np.sign(signed).astype(np.int8))
         assert np.array_equal(tables.dr, np.abs(signed))
+
+
+# ---------------------------------------------------------------- the walk on threads
+
+
+def _two_threads(monkeypatch):
+    """Run every walk on two threads, each of which sieves at least one block: a thread's
+    first visit waits at a barrier for the other's."""
+    real_walk = sieve._walk
+
+    def walk(r, primes, limit, p_coeffs, visit):
+        barrier, met = threading.Barrier(2, timeout=60), threading.local()
+
+        def meet_then_visit(*args):
+            if not getattr(met, "done", False):
+                met.done = True
+                barrier.wait()
+            visit(*args)
+
+        real_walk(r, primes, limit, p_coeffs, meet_then_visit)
+
+    monkeypatch.setattr(sieve, "_worker_count", lambda blocks: 2)
+    monkeypatch.setattr(sieve, "_walk", walk)
+
+
+def _sieve_outputs(scheme):
+    """a_k, lambda and d_r at K = 4 SIEVE_BLOCK + 3 (five blocks), then finite_h at T = 1e8
+    (K = 294,705, five blocks): every output of the walk."""
+    limit = 4 * SIEVE_BLOCK + 3
+    tables = build_tables(scheme.r, limit)
+    return (
+        coeffs_ak(scheme, tables, limit), tables.liouville, tables.dr,
+        finite_h(scheme, 0.5154, 1e8),
+    )
+
+
+def test_walk_gives_the_same_bits_on_one_or_two_threads(monkeypatch):
+    # which thread sieves a block changes nothing in it
+    for scheme in BITWISE_SCHEMES:
+        with monkeypatch.context() as patch:
+            patch.setattr(sieve, "_worker_count", lambda blocks: 1)
+            one = _sieve_outputs(scheme)
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            _two_threads(patch)
+            two = _sieve_outputs(scheme)
+        assert threading.active_count() == threads  # every worker joined
+        for x, y in zip(one[:3], two[:3]):
+            assert np.array_equal(x, y)
+        assert one[3] == two[3]
+
+
+@pytest.mark.parametrize("raised_on", ["caller", "helper"])
+def test_an_exception_in_either_worker_reaches_the_caller(row1, monkeypatch, raised_on):
+    # the other worker stops after its block and is joined before the exception is raised
+    _two_threads(monkeypatch)
+    caller, calls, real_horner = threading.get_ident(), threading.local(), sieve._horner
+
+    def horner(*args):
+        calls.n = getattr(calls, "n", 0) + 1
+        on_caller = threading.get_ident() == caller
+        if calls.n == 2 and on_caller == (raised_on == "caller"):  # past the barrier
+            raise RuntimeError(f"raised on the {raised_on}")
+        return real_horner(*args)
+
+    monkeypatch.setattr(sieve, "_horner", horner)
+    tables = build_tables(row1.scheme.r, 4 * SIEVE_BLOCK + 3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"raised on the {raised_on}"):
+        coeffs_ak(row1.scheme, tables, tables.limit)
+    assert threading.active_count() == threads
+
+
+def test_the_callers_errstate_reaches_both_workers(monkeypatch):
+    # numpy keeps np.errstate in a context variable, which a new thread does not inherit
+    # unless it runs in a copy of the caller's context
+    _two_threads(monkeypatch)
+    seen, real_horner = [], sieve._horner
+
+    def horner(*args):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return real_horner(*args)
+
+    monkeypatch.setattr(sieve, "_horner", horner)
+    limit = 4 * SIEVE_BLOCK + 3
+    tables = build_tables(1.0, limit)
+    plain = CoeffScheme(1.0, FracPoly.from_coeffs([1.0]), FracPoly.zero(), FracPoly.zero())
+    with np.errstate(over="raise"):
+        coeffs_ak(plain, tables, limit)
+    assert len({thread for thread, _ in seen}) == 2
+    assert {over for _, over in seen} == {"raise"}
+    # P(log q / log K) overflows for every large prime q > sqrt(K), which every block holds
+    huge_p = FracPoly.from_coeffs([0.0, 1e308, 1e308])
+    overflowing = CoeffScheme(1.0, FracPoly.from_coeffs([1.0]), FracPoly.zero(), huge_p)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        coeffs_ak(overflowing, tables, limit)
 
 
 # ---------------------------------------------------------------- prime log sums

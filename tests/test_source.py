@@ -152,3 +152,65 @@ def test_star_import_binds_every_public_name_without_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] False"
+
+
+def _process_spawners(source: str) -> list[str]:
+    """What a module does that could start a process: an import of multiprocessing or
+    subprocess, and ProcessPoolExecutor or os.fork imported or read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            found += [
+                f"{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in ("ProcessPoolExecutor", "fork")
+            ]
+        else:
+            modules = []
+        found += [
+            f"import {m} (line {node.lineno})"
+            for m in modules
+            if m.split(".")[0] in ("multiprocessing", "subprocess")
+        ]
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "ProcessPoolExecutor"
+            or (node.attr == "fork" and getattr(node.value, "id", None) == "os")
+        ):
+            found.append(f"{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_src_starts_threads_only_never_processes():
+    # the sieve's walk runs on threads, so no run can leave a process behind
+    found = {
+        path.name: spawners
+        for path in sorted(SRC.glob("*.py"))
+        if (spawners := _process_spawners(path.read_text()))
+    }
+    assert found == {}
+    assert sorted(_process_spawners(
+        "import subprocess\nfrom multiprocessing import Pool\n"
+        "from concurrent.futures import ProcessPoolExecutor\nimport os\nos.fork()\n"
+        "import concurrent.futures as cf\ncf.ProcessPoolExecutor()\nfrom os import fork\n"
+    )) == sorted([
+        "import subprocess (line 1)", "import multiprocessing (line 2)",
+        "ProcessPoolExecutor (line 3)", "fork (line 5)", "ProcessPoolExecutor (line 7)",
+        "fork (line 8)",
+    ])
+
+
+def test_cli_import_loads_no_executor():
+    # concurrent.futures would add about 4 ms to every import of the package
+    code = "import sys, zetagaps, zetagaps.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
