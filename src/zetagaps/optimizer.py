@@ -60,6 +60,9 @@ CERTIFY_STEPS = 64
 # Eigenvalues of the unit-diagonal denominator form at or below this are null directions.
 NULL_TOL = 1e-12
 
+# Most points a scan grid may have: h_grid's sine rows for this many c take 19 MB.
+_MAX_GRID_POINTS = 10**5
+
 
 @dataclass(frozen=True)
 class OptimizeConfig:
@@ -87,6 +90,7 @@ class OptimizeConfig:
             raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
         if not 0 < step < math.inf:
             raise ValueError("c_grid step must be positive and finite")
+        _grid_steps(lo, hi, step)
         if not (_is(Real, self.simplex_scale) and 0 < abs(self.simplex_scale) < math.inf):
             raise ValueError("simplex_scale must be nonzero and finite")
         if not (_is(Integral, self.max_iters) and self.max_iters >= 0):
@@ -107,13 +111,22 @@ class OptimizeReport:
 
 
 def grid_points(c_lo, c_hi, step) -> list[float]:
-    """The scan grid c_lo, c_lo + step, ..., ending at c_hi itself."""
+    """The scan grid c_lo, c_lo + step, ..., ending at c_hi itself: at most _MAX_GRID_POINTS."""
     if not (0.0 < c_lo < c_hi < 1.0):
         raise ValueError("need 0 < c_lo < c_hi < 1")
     if not 0 < step < math.inf:
         raise ValueError("step must be positive and finite")
-    n_steps = math.ceil((c_hi - c_lo) / step - 1e-9)
-    return [min(c_lo + i * step, c_hi) for i in range(n_steps + 1)]
+    return [min(c_lo + i * step, c_hi) for i in range(_grid_steps(c_lo, c_hi, step) + 1)]
+
+
+def _grid_steps(c_lo, c_hi, step) -> int:
+    """Steps of the scan grid, or ValueError naming step and the count of points when there
+    would be more than _MAX_GRID_POINTS."""
+    steps = (c_hi - c_lo) / step - 1e-9  # inf at a subnormal step
+    if not steps <= _MAX_GRID_POINTS - 1:
+        count = f"{steps + 1.0:.3g} grid points"
+        raise ValueError(f"step {step!r} gives {count}, over the limit of {_MAX_GRID_POINTS}")
+    return math.ceil(steps)
 
 
 def bracket_scan(scheme, c_lo, c_hi, step):

@@ -14,34 +14,32 @@ for the denominator, else one of three sine convolutions:
 Only the sine depends on c, so the work splits in two.  A compile, once per
 (scheme, order) and kept for the last pair (_compiled), builds the kernel
 rules, the four denominator components, the c-free sample weights of each
-convolution and, for each of the seven numerator rows, one vector L that
-pairs its kernel and f with a convolution's samples.  A call at c then takes
-the sine at the sample points, three weighted sums and seven dot products.
-K1 and K2-K4 have two node arrays, t and x; a compile evaluates f1 and f1t
-once on each array they are needed on.
+convolution at the kernel nodes that read it and, for each of the seven
+numerator rows, one vector L = kappa (w f)(nodes).  A call at c then takes
+the sine at the sample points, five weighted sums and seven dot products.
 
-With a = r**2, P1 = P(y)/y and BC(g) = x**(a-1) * g the Beta-kernel convolution,
-each kernel is one flattened Gauss-Jacobi rule (x, w), <K, phi> ~ w @ phi(x):
+With a = r**2, P1 = P(y)/y and BC(g)(y) = int_0^y (y-v)**(a-1) g(v) dv
+= y**a int_0^1 (1-t)**(a-1) g(yt) dt the Beta-kernel convolution, the kernels
+are K1(y) = y**(a-1), K2 = r^2 BC(P1), K3 = r^4 P1 * BC(P1) on the paper's
+double-P1 region, which equals r^4 BC(P1 * P1) as convolution commutes and
+associates, and K4 = r^2 BC(P1 P).  So K2-K4 are y**a times the polynomials
 
-    K1  the weight (1-t)**(a-1) on [0, 1];
-    K2  r^2 int_0^1 P1(1-u) int_0^u (u-v)**(a-1) phi(v) dv du, v = u*t;
-    K3  the same with the outer weight r^4 (P1 * P1)(1-u);
-    K4  the same with r^2 P1(1-u) P(1-u).
+    Pi_2(y) = a   int_0^1 (1-t)**(a-1) P1(yt) dt,
+    Pi_3(y) = a^2 int_0^1 (1-t)**(a-1) (P1 * P1)(yt) dt,
+    Pi_4(y) = a   int_0^1 (1-t)**(a-1) (P1 P)(yt) dt,
 
-K3 is r^4 P1 * BC(P1) on the paper's double-P1 region; convolution commutes
-and associates, so it equals r^4 BC(P1 * P1) and shares K2's nodes.  The outer
-weight (P1 * P1)(y) = y int_0^1 P1(ys) P1(y(1-s)) ds is one Gauss-Legendre sum
-per node, exact while deg P1 < order.  Jacobi weights absorb the singular
-factor (u-v)**(a-1) and the u**a that v = u*t leaves, so polynomial integrands
-are exact and entire ones converge spectrally.  The convolutions are entire too:
-each is sampled at the order + 1 Chebyshev points of [0, 1] by Gauss-Legendre
-in z = x*zeta, sum_k H_k sin(pi c z_k) with H_k = w_zeta/zeta h(z_k) g(x - z_k),
-and read at the kernel nodes off its degree-`order` interpolant.  Interpolating
-(numpy's Chebyshev.interpolate, the samples times the matrix T = vander.T / n
-with rows 1... doubled), reading at the nodes (their Chebyshev-Vandermonde
-matrix) and pairing with the weights are all linear in the samples, so a row's
-value is L @ samples with L = kappa (w f)(nodes) @ V(nodes) @ T, where
-(w f)(nodes) @ V(nodes) is summed seven degrees at a time (_on_chebyshev).
+and each kernel is one one-dimensional Gauss-Jacobi rule (x, w) of `order`
+nodes, <K, phi> ~ w @ phi(x): K1 on the weight (1-t)**(a-1), and K2-K4 on one
+rule for (1-x)**a = y**a whose weights carry Pi_K(1-x).  The compile sums each
+Pi_K by the t rule at the order**2 points y_i t_j, and (P1 * P1)(w) =
+w int_0^1 P1(ws) P1(w(1-s)) ds by Gauss-Legendre with max(2, deg P) nodes,
+exact as the integrand has degree 2 deg P1 in s.  Jacobi weights absorb the
+singular factors (1-t)**(a-1) and y**a, so polynomial integrands are exact and
+entire ones converge spectrally.  The convolutions are entire too: each is
+summed at the nodes that read it by Gauss-Legendre in z = x*zeta,
+sum_k H_k sin(pi c z_k) with H_k = w_zeta/zeta h(z_k) g(x - z_k), in five
+(node array, convolution) pairs t (1, f1), t (P, f1t), x (1, f1), x (1, f1t)
+and x (P, f1t).
 
 Every rule comes from numpy: Gauss-Legendre from leggauss, built once per order
 per process and kept read-only (gauss_legendre hands out copies), each
@@ -57,7 +55,6 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .fracpoly import DomainError, FracPoly
 from .hfunc import CoeffScheme, HBreakdown, assemble_h
@@ -110,7 +107,7 @@ def _jacobi_rule(alpha: float, beta: float, order: int) -> tuple[np.ndarray, np.
     on [-1, 1], the nodes are the eigenvalues of the symmetric tridiagonal matrix with
     diagonal a_n and off-diagonal sqrt(b_n), mapped to [0, 1], and the weights are
     B(alpha+1, beta+1) times the squared first components of the eigenvectors; on a
-    one-sided rule (alpha or beta 0, as for both callers) that is 1/(alpha + beta + 1).
+    one-sided rule (alpha or beta 0, as for every rule here) that is 1/(alpha + beta + 1).
     a_0 and b_1 are written cancelled, so alpha + beta in {0, -1} stays finite.  A
     recurrence that overflows (alpha + beta above about 1.3e154) is a ValueError naming
     alpha and beta.
@@ -155,55 +152,34 @@ def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flattened (x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs); K2-K4 share x."""
+    """(x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs); K2-K4 share x."""
     a, p = scheme.r * scheme.r, scheme.P.eval
-    t, wt = beta_kernel_rule(a, order)  # (1-t)**(a-1): every inner Beta kernel
-    u, wu = _jacobi_rule(0.0, a, order)  # u**a of v = u*t
-    s, ws = _unit_rule(order)
-    y = 1.0 - u
-    ys, y_rest = np.outer(y, s), np.outer(y, 1.0 - s)
-    p_y = p(y)
-    p1, p1p1 = p_y / y, y * ((p(ys) / ys * p(y_rest) / y_rest) @ ws)  # P1(y), (P1 * P1)(y)
-    x = np.outer(u, t).ravel()
-    outer = (a * wu * p1, a * a * wu * p1p1, a * wu * p1 * p_y)  # K2, K3, K4 (P2 = P1 * P)
-    return [(t, wt)] + [(x, np.outer(w, wt).ravel()) for w in outer]
+    t, wt = beta_kernel_rule(a, order)  # (1-t)**(a-1): K1 and every inner Beta kernel
+    x, wx = beta_kernel_rule(a + 1.0, order)  # (1-x)**a: the y**a of K2-K4, y = 1 - x
+    yt = np.outer(1.0 - x, t)
+    s, ws = _unit_rule(min(max(2, int(scheme.P.degree)), 128))  # exact on P1(ws) P1(w(1-s))
+    yts, yt_rest = yt[..., None] * s, yt[..., None] * (1.0 - s)
+    p_yt = p(yt)
+    p1 = p_yt / yt
+    p1p1 = yt * ((p(yts) / yts * p(yt_rest) / yt_rest) @ ws)  # (P1 * P1)(yt)
+    outer = (a * p1, a * a * p1p1, a * p1 * p_yt)  # Pi_K(y) = K(y) / y**a, K2-K4 (P2 = P1 P)
+    return [(t, wt)] + [(x, wx * (pi @ wt)) for pi in outer]
 
 
-def _on_chebyshev(rows: np.ndarray, nodes: np.ndarray, order: int) -> np.ndarray:
-    """rows @ chebvander(2 * nodes - 1, order), seven degrees at a time: T_k at the nodes
-    by chebvander's three-term recurrence in nine node vectors, so no nodes-by-(order + 1)
-    matrix is held (903 KB for K2-K4's nodes at order 48).  Seven degrees per product
-    keep the BLAS calls few: one degree per call made a cold compile slower than the
-    whole matrix."""
-    y = 2.0 * nodes - 1.0
-    two_y = 2.0 * y
-    t = np.empty((9, y.size))  # the last two T_k of the previous seven, then the next seven
-    t[0], t[1] = 1.0, y
-    out = np.empty((len(rows), order + 1))
-    out[:, :2] = rows @ t[:2].T
-    for k in range(2, order + 1, 7):
-        n = min(7, order + 1 - k)
-        for i in range(2, n + 2):
-            np.multiply(t[i - 1], two_y, out=t[i])
-            t[i] -= t[i - 2]
-        out[:, k : k + n] = rows @ t[2 : n + 2].T
-        t[:2] = t[n : n + 2]
-    return out
-
-
-@lru_cache(maxsize=1)  # one (scheme, order) at a time: an entry holds about 75 KB at order 48
+@lru_cache(maxsize=1)  # one (scheme, order) at a time: an entry holds about 130 KB at order 48
 def _compiled(scheme: CoeffScheme, order: int) -> tuple:
     """The c-free part of h_value_numeric (module docs): the four denominator components,
-    the sample weights H (3, order + 1, order) of the convolutions (1, f1), (1, f1t) and
-    (P, f1t), the z of their sines, and L (7, order + 1), each numerator row's vector."""
+    the z (2, order, order) of the sines at K1's nodes t and K2-K4's nodes x, the sample
+    weights H (5, order, order) of the pairs t (1, f1), t (P, f1t), x (1, f1), x (1, f1t)
+    and x (P, f1t), and L (7, order), each numerator row's kappa (w f)(nodes)."""
     f1, f1t = scheme.f1, scheme.f1t
     (t, w1), (x, w2), (_, w3), (_, w4) = _kernel_rules(scheme, order)
     zeta, w_zeta = _unit_rule(order)
-    cheb = chebpts1(order + 1)
-    points = (0.5 + 0.5 * cheb)[:, None]  # as Chebyshev.interpolate maps them onto [0, 1]
-    z, rest = points * zeta, points * (1.0 - zeta)
+    nodes = np.array([t, x])[..., None]
+    z, rest = nodes * zeta, nodes * (1.0 - zeta)
     f1_rest, f1t_rest = (w_zeta / zeta) * f1.eval(rest), (w_zeta / zeta) * f1t.eval(rest)
-    weights = np.array([f1_rest, f1t_rest, scheme.P.eval(z) * f1t_rest])
+    pf1t_rest = scheme.P.eval(z) * f1t_rest
+    weights = np.array([f1_rest[0], pf1t_rest[0], f1_rest[1], f1t_rest[1], pf1t_rest[1]])
     f1_t, f1_x, f1t_x = f1.eval(t), f1.eval(x), f1t.eval(x)  # each factor once per node array
     den = (
         float(w1 @ (f1_t * f1_t)),
@@ -211,25 +187,23 @@ def _compiled(scheme: CoeffScheme, order: int) -> tuple:
         float(w3 @ (f1t_x * f1t_x)),
         float(w4 @ (f1t_x * f1t_x)),
     )
-    # (w * f)(nodes) @ V(nodes): the numerator's five distinct (kernel, f) pairs, one
-    # product per node array; n32 repeats n1's pair, n43 n2's
-    on_t = _on_chebyshev(np.array([w1 * f1_t]), t, order)  # n1
-    on_x = np.array([w2 * f1t_x, w2 * f1_x, w3 * f1t_x, w4 * f1t_x])  # n2, n31, n41, n42
-    paired = np.vstack([on_t, _on_chebyshev(on_x, x, order)])[[0, 1, 2, 0, 3, 4, 1]]
-    interpolate = chebvander(cheb, order).T / (order + 1)
-    interpolate[1:] *= 2.0
-    return den, weights, z, -2.0 * scheme.r / math.pi * paired @ interpolate
+    rows = np.array(
+        [w1 * f1_t, w2 * f1t_x, w2 * f1_x, w1 * f1_t, w3 * f1t_x, w4 * f1t_x, w2 * f1t_x]
+    )
+    return den, weights, z, -2.0 * scheme.r / math.pi * rows
 
 
-# The convolution each of n1, n2, n31, n32, n41, n42, n43 pairs: 0 (1, f1), 1 (1, f1t), 2 (P, f1t)
-_CONVOLUTION_OF_ROW = np.array([0, 0, 1, 2, 1, 1, 2])
+# The pair (module docs) each of n1, n2, n31, n32, n41, n42, n43 reads, and the node array
+# each pair is sampled on: 0 t (1, f1), 1 t (P, f1t), 2 x (1, f1), 3 x (1, f1t), 4 x (P, f1t)
+_PAIR_OF_ROW = np.array([0, 2, 3, 1, 3, 3, 4])
+_NODES_OF_PAIR = np.array([0, 0, 1, 1, 1])
 
 
 def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -> HBreakdown:
     """Recompute the full h(c) breakdown by Gauss quadrature (module docs).
 
-    order, an integer in [16, 128], is the node count of every one-dimensional
-    rule and the Chebyshev degree of the three sine convolutions.  The sine
+    order, an integer in [16, 128], is the node count of every kernel rule (K1's
+    doubles as K2-K4's inner t rule) and of each sine convolution's rule.  The sine
     kernel is evaluated with np.sin, not the series, so the route is
     independent of hfunc's term algebra.  Everything but the sine samples is
     compiled once per (scheme, order) and reused while that pair repeats.
@@ -238,8 +212,8 @@ def h_value_numeric(scheme: CoeffScheme, c: float, order: int = DEFAULT_ORDER) -
     if not (0.0 < c < 1.0):
         raise DomainError("c must lie strictly between 0 and 1")
     den, weights, z, rows = _compiled(scheme, int(order))
-    samples = (weights * np.sin(math.pi * c * z)).sum(axis=2)
-    num = np.einsum("ij,ij->i", rows, samples[_CONVOLUTION_OF_ROW])
+    samples = np.einsum("pik,pik->pi", weights, np.sin(math.pi * c * z)[_NODES_OF_PAIR])
+    num = np.einsum("ij,ij->i", rows, samples[_PAIR_OF_ROW])
     return assemble_h(c, den, num.tolist())
 
 

@@ -277,6 +277,18 @@ def test_scan_validation(capsys):
         )
 
 
+def test_scan_rejects_a_grid_too_large(capsys):
+    # 3e298 points would never return; the grid's own limit is one error line
+    code, out = run_cli(
+        ["scan", "--preset", "table1-row1", "--clo", "0.5", "--chi", "0.53", "--step", "1e-300"]
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: step 1e-300 gives 3e+298 grid points, over the limit of 100000\n"
+    )
+
+
 # ---------------------------------------------------------------- optimize
 
 
@@ -440,6 +452,26 @@ def test_optimize_reports_the_bad_setting(tmp_path, capsys):
     assert out == ""
     assert capsys.readouterr().err == (
         "error: invalid optimizer settings: max_iters must be a nonnegative integer, got -1\n"
+    )
+    assert not trace.exists()
+
+
+def test_optimize_rejects_a_grid_too_large(tmp_path, capsys):
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text(
+        "r = 1.18\nf1 = [1.95, 1.47, -1.07, -0.29]\nf1t = [-0.7, -1.92]\nP = [0, 0, 1]\n"
+        "c_lo = 0.5\nc_hi = 0.53\nc_step = 1e-300\n"
+    )
+    trace = tmp_path / "trace.csv"
+    code, out = run_cli(
+        ["optimize", "--config", str(cfg), "--trace-out", str(trace),
+         "--scheme-out", str(tmp_path / "best.cfg")]
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: invalid optimizer settings: step 1e-300 gives 3e+298 grid points, "
+        "over the limit of 100000\n"
     )
     assert not trace.exists()
 

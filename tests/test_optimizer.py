@@ -131,6 +131,23 @@ def test_bracket_scan_validation(row1):
             bracket_scan(row1.scheme, 0.50, 0.53, step)
 
 
+def test_grid_points_are_bounded(row1):
+    # a tiny step asked for 0.03 / 1e-300 = 3e298 points, and a subnormal one for inf
+    too_many = r"step 1e-300 gives 3e\+298 grid points, over the limit of 100000"
+    with pytest.raises(ValueError, match=too_many):
+        grid_points(0.50, 0.53, 1e-300)
+    with pytest.raises(ValueError, match=too_many):
+        bracket_scan(row1.scheme, 0.50, 0.53, 1e-300)
+    with pytest.raises(ValueError, match="step 5e-324 gives inf grid points"):
+        grid_points(0.50, 0.53, 5e-324)
+    with pytest.raises(ValueError, match=too_many):
+        OptimizeConfig(c_grid=(0.50, 0.53, 1e-300))
+    # 100,001 points is one too many; 90,001 pass
+    with pytest.raises(ValueError, match=r"gives 1e\+05 grid points"):
+        grid_points(0.1, 0.2, 1e-6)
+    assert len(grid_points(0.1, 0.19, 1e-6)) == 90_001
+
+
 # ---------------------------------------------------------------- threshold_c
 
 

@@ -91,13 +91,14 @@ def test_beta_kernel_rule_rejects_infinite_and_overflowing_a():
 
 # ---------------------------------------------------------------- Gauss-Jacobi
 
-# (alpha, beta) of the rules: (a-1, 0) for K1 and every inner Beta kernel, (0, a) for the
-# outer u of K2-K4 and (0, a+1) for that of the test-local double-P1 rule below, at
-# a = r**2 for r = 1 (alpha + beta = 0 in K1), the presets' r = 1.18 and the r = 1.3 below
+# (alpha, beta) of the rules: (a-1, 0) for K1 and every inner Beta kernel, (a, 0) for
+# K2-K4, (0, a) for the outer u of the test-local product rule below and (0, a+1) for that
+# of the double-P1 rule, at a = r**2 for r = 1 (alpha + beta = 0 in K1), the presets'
+# r = 1.18 and the r = 1.3 below
 JACOBI_CASES = [
     (alpha, beta)
     for a in (1.0, 1.3924, 1.69)
-    for alpha, beta in ((a - 1.0, 0.0), (0.0, a), (0.0, a + 1.0))
+    for alpha, beta in ((a - 1.0, 0.0), (a, 0.0), (0.0, a), (0.0, a + 1.0))
 ]
 
 
@@ -188,10 +189,49 @@ def test_jacobi_rule_rejects_infinite_weights_and_overflowing_rules():
         _jacobi_rule(0.0, 1e160, 16)
 
 
-# ---------------------------------------------------------------- K3 on K2's nodes
+# ---------------------------------------------------------------- K2-K4 on one rule
 
 # P = x, x + x^2, 0.3x - 0.5x^2 + x^3 and x^4, as ascending coefficients
 P_SHAPES = ([0, 1], [0, 1, 1], [0, 0.3, -0.5, 1], [0, 0, 0, 0, 1])
+
+
+def _moment_schemes(rows):
+    # the presets, then row1's f1 and f1t with each P of P_SHAPES at r = 1 and 1.3
+    schemes = [p.scheme for p in rows]
+    return schemes + [
+        CoeffScheme(r=r, f1=rows[0].scheme.f1, f1t=rows[0].scheme.f1t, P=FracPoly.from_coeffs(q))
+        for r in (1.0, 1.3)
+        for q in P_SHAPES
+    ]
+
+
+def _product_rule(scheme, order):
+    # K2-K4 as flattened order^2 product rules on x = u*t: u^a outer Gauss-Jacobi nodes
+    # carrying r^2 P1(1-u), r^4 (P1 * P1)(1-u) (an order-node Gauss-Legendre sum) and
+    # r^2 P1(1-u) P(1-u), times (1-t)^(a-1) inner ones
+    a, p = scheme.r * scheme.r, scheme.P.eval
+    t, wt = beta_kernel_rule(a, order)
+    u, wu = _jacobi_rule(0.0, a, order)
+    s, ws = _unit_rule(order)
+    y = 1.0 - u
+    ys, y_rest = np.outer(y, s), np.outer(y, 1.0 - s)
+    p_y = p(y)
+    p1, p1p1 = p_y / y, y * ((p(ys) / ys * p(y_rest) / y_rest) @ ws)
+    x = np.outer(u, t).ravel()
+    outer = (a * wu * p1, a * a * wu * p1p1, a * wu * p1 * p_y)
+    return [(x, np.outer(w, wt).ravel()) for w in outer]
+
+
+def test_k2_to_k4_match_the_product_rule(rows):
+    # K(y) = y^a Pi_K(y) with Pi_K a polynomial, so one order-node rule on y^a has the
+    # moments of the order^2 product rule on x = u*t, to rounding
+    for scheme in _moment_schemes(rows):
+        _, *kernels = _kernel_rules(scheme, 24)
+        for k, ((x, w), (xr, wr)) in enumerate(zip(kernels, _product_rule(scheme, 24)), 2):
+            for m in range(21):
+                assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14), (
+                    scheme, k, m
+                )
 
 
 def _double_p1_rule(scheme, order):
@@ -209,16 +249,10 @@ def _double_p1_rule(scheme, order):
 
 def test_k3_shares_k2_nodes_and_matches_the_double_p1_rule(rows):
     # convolution commutes and associates, so r^4 P1 * BC(P1) = r^4 BC(P1 * P1): the
-    # order^2 rule on K2's nodes has the moments of the literal order^3 one
-    schemes = [p.scheme for p in rows]
-    schemes += [
-        CoeffScheme(r=r, f1=rows[0].scheme.f1, f1t=rows[0].scheme.f1t, P=FracPoly.from_coeffs(q))
-        for r in (1.0, 1.3)
-        for q in P_SHAPES
-    ]
-    for scheme in schemes:
+    # order-node rule on K2's nodes has the moments of the literal order^3 one
+    for scheme in _moment_schemes(rows):
         (_, _), (x2, _), (x, w), (x4, _) = _kernel_rules(scheme, 24)
-        assert x.size == 24 * 24 and x2 is x and x4 is x
+        assert x.size == 24 and x2 is x and x4 is x
         xr, wr = _double_p1_rule(scheme, 24)
         for m in range(21):
             assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14), (scheme, m)
@@ -227,10 +261,10 @@ def test_k3_shares_k2_nodes_and_matches_the_double_p1_rule(rows):
 # ---------------------------------------------------------------- h agreement
 
 
-def test_components_match_exact_on_reference_rows(rows):
-    # to perfbench's cross-check tolerance, at c near both ends of (0, 1), at
-    # r = 1 (r^2 an integer) and r = 1.3 with row1's polynomials, and for P of
-    # degree 1 to 4 with row3's f1 and f1t
+def _reference_cases(rows):
+    # (name, scheme, c): the presets at c near both ends of (0, 1) and at their own c, row1's
+    # polynomials at r = 1 (r^2 an integer) and r = 1.3, and P of degree 1 to 4 with row3's
+    # f1 and f1t at r = 1, 1.18 and 1.5
     cases = [(p.name, p.scheme, c) for p in rows for c in (0.01, p.c, 0.99)]
     base = rows[0]
     for r in (1.0, 1.3):
@@ -243,7 +277,12 @@ def test_components_match_exact_on_reference_rows(rows):
                 r=r, f1=row3.scheme.f1, f1t=row3.scheme.f1t, P=FracPoly.from_coeffs(big_p)
             )
             cases.append((f"{row3.name} r={r} P={big_p}", scheme, row3.c))
-    for name, scheme, c in cases:
+    return cases
+
+
+def test_components_match_exact_on_reference_rows(rows):
+    # to perfbench's cross-check tolerance
+    for name, scheme, c in _reference_cases(rows):
         exact = h_value(scheme, c)
         numeric = h_value_numeric(scheme, c, order=48)
         for f in HB_FIELDS:
@@ -251,6 +290,21 @@ def test_components_match_exact_on_reference_rows(rows):
                 getattr(numeric, f), rel=1e-13
             ), f"{name} c={c}: {f}"
         assert exact.h == pytest.approx(numeric.h, abs=1e-9)
+
+
+def test_components_match_exact_at_every_order(rows):
+    # worst measured 8.7e-15 (order 128), 4.4e-15 at order 48; the order^2 product rule read
+    # through a Chebyshev interpolant measured 5.1e-14 at order 128: bound 2e-14, with no
+    # absolute floor (approx's default 1e-12 would pass any error on n43, about 3e-5)
+    cases = _reference_cases(rows)
+    assert len(cases) == 23
+    for order in (16, 32, 48, 64, 128):
+        for name, scheme, c in cases:
+            exact, numeric = h_value(scheme, c), h_value_numeric(scheme, c, order)
+            for f in HB_FIELDS:
+                assert getattr(exact, f) == pytest.approx(
+                    getattr(numeric, f), rel=2e-14, abs=0.0
+                ), f"{name} c={c} order={order}: {f}"
 
 
 def _sine_grid(c, order, gs):
@@ -304,17 +358,22 @@ def _one_convolution_per_row(scheme, c, order):
 
 def test_three_sine_convolutions_per_call(row3):
     # the compile holds the sample weights of the numerator's three distinct convolutions
-    # (h, g) = (1, f1), (1, f1t), (P, f1t); a call's samples at the Chebyshev points are
-    # the reference's integrals there, summed in another order
+    # (h, g) = (1, f1), (1, f1t), (P, f1t) in five pairs, each at the kernel nodes that
+    # read it; a call's samples are the reference's integrals there, summed in another order
     s, c, order = row3.scheme, row3.c, 32
     h_value_numeric(s, c, order)
     _, weights, z, _ = quadcheck._compiled(s, order)
-    assert weights.shape == (3, order + 1, order) and z.shape == (order + 1, order)
-    samples = (weights * np.sin(math.pi * c * z)).sum(axis=2)
-    z_ref, sine, g_rest, _, w_zeta = _sine_grid(c, order, (s.f1, s.f1t))
-    for row, (h, g) in zip(samples, ((None, s.f1), (None, s.f1t), (s.P, s.f1t))):
-        inner = sine if h is None else sine * h.eval(z_ref)
-        reference = (inner * g_rest[g]) @ w_zeta
+    assert weights.shape == (5, order, order) and z.shape == (2, order, order)
+    samples = (weights * np.sin(math.pi * c * z)[[0, 0, 1, 1, 1]]).sum(axis=2)
+    (t, _), (x, _), _, _ = _kernel_rules(s, order)
+    zeta, w_zeta = _unit_rule(order)
+    pairs = ((t, None, s.f1), (t, s.P, s.f1t), (x, None, s.f1), (x, None, s.f1t), (x, s.P, s.f1t))
+    for row, (nodes, h, g) in zip(samples, pairs):
+        z_ref = np.outer(nodes, zeta)
+        inner = np.sin(math.pi * c * z_ref) / zeta
+        if h is not None:
+            inner *= h.eval(z_ref)
+        reference = (inner * g.eval(np.outer(nodes, 1.0 - zeta))) @ w_zeta
         assert np.max(np.abs(row - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
@@ -332,8 +391,8 @@ def test_compiled_rows_match_one_convolution_per_row(c, order):
 
 def test_each_factor_once_per_node_array(row3, monkeypatch):
     # a compile evaluates f1 and f1t once on each of the two node arrays they are needed
-    # on, P on the outer rule's three and on the convolutions' z, and f1, f1t once at
-    # x - z (9, of 25 before factors were shared); a second c evaluates none of them
+    # on, P three times for the outer weights Pi_K and once on the convolutions' z, and
+    # f1, f1t once at x - z on both node arrays (9); a second c evaluates none of them
     evals = []
     real_eval = FracPoly.eval
     monkeypatch.setattr(FracPoly, "eval", lambda p, x: evals.append(p) or real_eval(p, x))
@@ -346,8 +405,8 @@ def test_each_factor_once_per_node_array(row3, monkeypatch):
 
 def test_second_c_reuses_the_compiled_rules(row1, monkeypatch):
     # c enters only through the sine samples: a second c on the same (scheme, order)
-    # evaluates no polynomial, builds no Gauss-Jacobi rule and no Vandermonde matrix,
-    # and a warm call returns the same floats as a cold one
+    # evaluates no polynomial and builds no Gauss-Jacobi rule, and a warm call returns
+    # the same floats as a cold one
     assert quadcheck._compiled.cache_info().maxsize == 1
     s, c = row1.scheme, row1.c
     quadcheck._compiled.cache_clear()
@@ -359,7 +418,6 @@ def test_second_c_reuses_the_compiled_rules(row1, monkeypatch):
 
     monkeypatch.setattr(FracPoly, "eval", forbidden)
     monkeypatch.setattr(quadcheck, "_jacobi_rule", forbidden)
-    monkeypatch.setattr(quadcheck, "chebvander", forbidden)
     warm = h_value_numeric(s, c, 48).as_dict()
     assert [v.hex() for v in warm.values()] == [v.hex() for v in cold.values()]
     with pytest.raises(AssertionError, match="per-scheme work"):
@@ -367,9 +425,9 @@ def test_second_c_reuses_the_compiled_rules(row1, monkeypatch):
 
 
 def test_cold_compile_holds_no_vandermonde_matrix(row3):
-    # K2-K4's nodes by the order + 1 degrees would be 2,304 x 49 (903 KB); accumulating the
-    # rows against T_k seven degrees at a time holds nine node vectors (peak measured at
-    # 515 KB, 1,269 KB with the matrix): bound 700 KB
+    # a Chebyshev-Vandermonde matrix of 2,304 order^2 product-rule nodes by 49 degrees
+    # would be 903 KB; the one-dimensional rules sample the sines at 2 x 48 nodes (peak
+    # measured at 437 KB, 1,269 KB with the matrix): bound 700 KB
     quadcheck._legendre(48)  # built once per process, not per compile
     quadcheck._compiled.cache_clear()
     tracemalloc.start()
@@ -383,6 +441,7 @@ def test_cold_compile_holds_no_vandermonde_matrix(row3):
 
 
 def test_legendre_rule_built_once_per_order(row1, monkeypatch):
+    # and the exact inner rule of P1 * P1, at deg P = 2 nodes for row1, once per process
     built = []
     real_leggauss = np.polynomial.legendre.leggauss
     monkeypatch.setattr(
@@ -393,7 +452,7 @@ def test_legendre_rule_built_once_per_order(row1, monkeypatch):
     for _ in range(2):
         for order in (32, 48):
             h_value_numeric(row1.scheme, row1.c, order)
-    assert sorted(built) == [32, 48]
+    assert sorted(built) == [2, 32, 48]
     assert quadcheck._legendre.cache_info().maxsize == 127  # one entry per valid order
     nodes, weights = quadcheck._legendre(48)
     for array in (nodes, weights):
