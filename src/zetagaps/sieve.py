@@ -13,42 +13,54 @@ with g_c(n) = 2 sin(pi c log n / log T) / (pi log n) and K = floor(T / log(T)**2
 for empirical comparison against the limit computed by hfunc.  No error-term
 bookkeeping is attempted; the comparison is a trend check, not an equality.
 
-The denominator converges fast (sum a_k**2 / log K meets the limit d1 to
-1.3e-5 at T = 1e6 for f1 = 1 - u).  The numerator converges logarithmically
-slowly, for two measured reasons.  The kernel argument carries
-theta = log K / log T (0.62 at T = 1e6), and the prime sum converges at the
-rate set by Mertens' constant, sum_{p <= x} log p / p = log x - 1.33...;
-at T = 1e6 (K = 5239, c = 0.6, f1 = 1 - u) the two cost factors of 0.645 and
-0.638, and the finite numerator is 0.411 of the limit one.
+The denominator converges fast only for P = 0: sum a_k**2 / log K meets the
+limit d1 to 1.3e-5 at T = 1e6 for f1 = 1 - u.  With P != 0 its cross terms
+converge logarithmically slowly too: for table1-row1 the finite
+(d31 + d32) / d1 is 27.5% above the limit's at T = 1e6 and 18.8% above it at
+T = 1e9.  The numerator converges logarithmically slowly, for two measured
+reasons.  The kernel argument carries theta = log K / log T (0.62 at
+T = 1e6), and the prime sum converges at the rate set by Mertens' constant,
+sum_{p <= x} log p / p = log x - 1.33...; at T = 1e6 (K = 5239, c = 0.6,
+f1 = 1 - u) the two cost factors of 0.645 and 0.638, and the finite
+numerator is 0.411 of the limit one.
 
 Every stage splits its per-prime work at sqrt(K): each k <= K has at most
-one prime factor p > sqrt(K), and that factor has exponent 1.  lambda d_r,
+one prime factor q > sqrt(K), and that factor has exponent 1.  lambda d_r,
 S_P and a_k are sieved in blocks of SIEVE_BLOCK integers, one pass per prime
-power p**j <= K with p <= sqrt(K); k over its sqrt(K)-smooth part is then 1
-or the large prime.  The passes of the primes up to DENSE_PRIMES =
-sqrt(SIEVE_BLOCK) are dense strided slices.  The larger primes hit a block
-at most SIEVE_BLOCK / DENSE_PRIMES times per pass, so the hits of all their
-passes are listed and applied in one scatter per block, which keeps the
-numpy calls per block few.  The block arrays are reused, so finite_h
-allocates no K-sized array but a.  The numerator sum takes Lambda's support
-above sqrt(K) one cofactor m <= sqrt(K) at a time; one searchsorted counts,
-for every m, the entries at most K / m.
+power p**j <= K with p <= sqrt(K).  The passes of the primes up to
+DENSE_PRIMES = sqrt(SIEVE_BLOCK) are dense strided slices.  The larger
+primes hit a block at most SIEVE_BLOCK / DENSE_PRIMES times per pass, so the
+hits of all their passes are listed and applied in one scatter per block,
+which keeps the numpy calls per block few.  The large prime q of k = m q
+has a cofactor m <= K / q < sqrt(K), so each block lists its k = m q from
+two searchsorted over the primes above sqrt(K), for all m at once, and
+applies them in one more scatter, with P(log q / log K) evaluated once per
+prime for the whole walk.  A block is three rows (k, lambda d_r, S_P), reused
+from block to block, and coeffs_ak's own slice of a serves as its Horner
+scratch, so finite_h allocates no K-sized array but a.  The numerator sum
+builds its weights w(n) in place in two arrays over Lambda's support, and
+takes the support above sqrt(K) one cofactor k <= sqrt(K) at a time; one
+searchsorted counts, for every k, the entries at most K / k.
 
-The blocks are walked by at most two threads.  Each has its own block arrays
-and, as it finishes a block, takes the next block start from one shared list,
-so a thread slowed by other load takes fewer blocks.  numpy releases the
-GIL inside its ufunc loops, so one thread's logs, Horner steps and strided
-passes run while the other holds the GIL for its Python pass loop: a_k at
-K = 2,328,539 took 0.078 s on two threads against 0.113 s on one (2-vCPU
-Xeon).  What a block computes does not depend on the thread that computes
-it, so every output is bit for bit the same for any number of threads; with
-one usable CPU or one block the walk runs on the caller's thread.  A third
-thread's block arrays (about 2.6 MB) would take coeffs_ak's allocations at
-K = 1e6 past twice a's size.  The numerator sum stays on one thread: its
-dots on two threads, summed in order, took 0.028 s -> 0.029 s.  DENSE_PRIMES
-stays 256: at 64, a_k at K = 2,328,539 was 7-10% faster on two threads, but
-coeffs_ak's traced allocations at K = 1e6 rose from 1.79 to 1.86 times a's
-size, and the peak RSS of an oracle run at T = 1e9 by 0.4 MB.
+The blocks are walked by at most two threads, by two only when each gets at
+least WORKER_BLOCKS blocks; a single one is the caller's.  Each has its own
+block rows (1.6 MB) and, as it finishes a block, takes the next block start
+from one shared list, so a thread slowed by other load takes fewer blocks.
+numpy releases the GIL inside its ufunc loops, so one thread's logs, Horner
+steps and strided passes run while the other holds the GIL for its Python
+pass loop: a_k at
+K = 2,328,539 (36 blocks) took 0.080-0.100 s on two threads against
+0.100-0.107 s on one (medians of 9 calls, three rounds, 2-vCPU Xeon).  At
+T = 3e8 (13 blocks) two threads took 27-29 ms against 29-34 ms; at T = 1e8
+(5 blocks) they saved at most 1.2 ms of 12-14 and raised the peak RSS of
+`zetagaps oracle` from 36.8 to 39.1 MB, hence WORKER_BLOCKS = 4.  What a
+block computes does not depend on the thread that computes it, so every
+output is bit for bit the same for any number of threads.  The numerator
+sum stays on one thread: its dots on two threads, summed in order, took
+0.028 s -> 0.029 s.  DENSE_PRIMES stays 256: at 64, a_k at K = 2,328,539 was
+about 7% faster on two threads (medians of 21 calls, 77-78 against
+82-83 ms), but coeffs_ak's traced allocations at K = 1e6 rose from 1.71-1.73
+to 1.74-1.75 times a's size.
 """
 
 from __future__ import annotations
@@ -85,6 +97,9 @@ SIEVE_BLOCK = 2**16
 # primes up to this sieve a block by strided passes, the larger by one scatter
 DENSE_PRIMES = math.isqrt(SIEVE_BLOCK)
 
+# a second thread walks the blocks only if each of two gets this many
+WORKER_BLOCKS = 4
+
 
 @dataclass
 class SieveTable:
@@ -110,7 +125,7 @@ class SieveTable:
     def liouville(self) -> np.ndarray:
         signed = np.zeros(self.limit + 1)  # lambda(k) d_r(k)
 
-        def visit(lo, hi, k, l, s, spare):
+        def visit(lo, hi, k, l, s):
             signed[lo:hi] = l
 
         _walk(self.r, self.primes, self.limit, np.zeros(1), visit)
@@ -134,15 +149,20 @@ def _integer(name: str, value) -> int:
 
 
 def _primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n via a boolean Eratosthenes sieve."""
+    """All primes <= n via a boolean Eratosthenes sieve over the odd numbers."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
+    # index i stands for 2 i + 1, but index 0 for the prime 2
+    odd_prime = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd_prime[i]:
+            p = 2 * i + 1
+            odd_prime[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd_prime).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def _above_root(values: np.ndarray, limit: int) -> int:
@@ -174,35 +194,44 @@ def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _worker_count(blocks: int) -> int:
-    """Threads to walk `blocks` blocks on: two, or one with one usable CPU or one block."""
+    """Threads to walk `blocks` blocks on: two, or one with one usable CPU or with
+    fewer than WORKER_BLOCKS blocks for each of two."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(2, cpus, blocks))
+    return 2 if cpus >= 2 and blocks >= 2 * WORKER_BLOCKS else 1
+
+
+def _ranks(count: np.ndarray) -> np.ndarray:
+    """Each hit's rank in its group, for groups of `count` hits listed one after another."""
+    rank = np.arange(count.sum())
+    rank -= np.repeat(np.cumsum(count) - count, count)
+    return rank
 
 
 def _walk(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray, visit) -> None:
-    """Call visit(lo, hi, k, l, s, spare) once per block [lo, hi) of SIEVE_BLOCK
+    """Call visit(lo, hi, k, l, s) once per block [lo, hi) of SIEVE_BLOCK
     integers covering 1..limit, on up to _worker_count threads: k = lo..hi-1
-    as float64, l = lambda(k) d_r(k), s = S_P(k) = sum of P(log p / log limit)
+    as float64, l = lambda(k) d_r(k) and s = S_P(k) = sum of P(log p / log limit)
     over the primes p | k (P's dense coefficients `p_coeffs`, with P(0) = 0;
-    [0.0] for P = 0, where s stays 0), and `spare` two rows of hi - lo that
-    visit may overwrite.  The rows are the calling worker's and its next block
-    overwrites them, so visit copies what it keeps into the slice [lo, hi) of
-    its output, which no other block writes.  An exception in any worker
-    stops the walk after the blocks under way and is raised here, after every
-    thread has ended.
+    [0.0] for P = 0, where s stays 0).  The rows are the calling worker's and
+    its next block overwrites them, so visit may overwrite them too and copies
+    what it keeps into the slice [lo, hi) of its output, which no other block
+    writes.  An exception in any worker stops the walk after the blocks under
+    way and is raised here, after every thread has ended.
 
-    `primes` must hold every prime <= sqrt(limit).  Each pass p**j
-    multiplies l by -(j - 1 + r)/j (lambda's sign and d_r's Gamma-ratio
-    recurrence) and the smooth part m of k by p; for j = 1 it adds
-    P(log p / log limit) to s.  The passes of the primes p <= DENSE_PRIMES
-    are strided slices in one loop; the hits of all the others are listed
-    pass by pass and applied in one scatter per block.  Both run the passes
-    p ascending, then j, so every product and sum is taken in one order.
-    q = k / m (exact below 2**53) is then 1 or the prime factor above
-    sqrt(limit), which multiplies l by -r last and adds P(log q / log limit) (0 at q = 1).
+    `primes` must hold every prime <= limit.  Each pass p**j with
+    p <= sqrt(limit) multiplies l by -(j - 1 + r)/j (lambda's sign and d_r's
+    Gamma-ratio recurrence); for j = 1 it adds P(log p / log limit) to s.  The
+    passes of the primes p <= DENSE_PRIMES are strided slices in one loop; the
+    hits of all the others are listed pass by pass and applied in one scatter
+    per block.  Both run the passes p ascending, then j, so every product and
+    sum is taken in one order.  Last, the prime factor q above sqrt(limit), if
+    k has one, multiplies l by -r and adds P(log q / log limit) to s: k = m q
+    with a cofactor m < sqrt(limit), so two searchsorted over the large
+    primes, one per block end, list for every m the q with m q in the block.
+    P is evaluated at the large primes once per walk.
     """
     passes = np.array(list(_small_powers(primes, limit)), dtype=np.int64).reshape(-1, 3)
     p, j, pj = passes.T
@@ -211,15 +240,22 @@ def _walk(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray, visit)
     # what a pass adds to s: P(log p / log limit) for j = 1, else 0
     value = np.where(j == 1, polyval(np.log(p) / log_lim, p_coeffs), 0.0)
     dense = int(np.searchsorted(p, DENSE_PRIMES, side="right"))
-    strided = list(zip(*(col[:dense].tolist() for col in (pj, p, factor, value))))
-    sparse_pj, sparse_p = pj[dense:], p[dense:].astype(np.float64)
-    sparse_factor, sparse_value = factor[dense:], value[dense:]
+    strided = list(zip(*(col[:dense].tolist() for col in (pj, factor, value))))
+    sparse_pj, sparse_factor, sparse_value = pj[dense:], factor[dense:], value[dense:]
+    # the primes q above sqrt(limit) (there is one: Bertrand), P(log q / log limit),
+    # and every cofactor m with m q <= limit for some q
+    large = primes[_above_root(primes, limit) : np.searchsorted(primes, limit, side="right")]
+    x = np.log(large.astype(np.float64))
+    x /= log_lim
+    p_large = _horner(x, p_coeffs, np.empty_like(x))
+    del x  # not held through the walk
+    cofactors = np.arange(1, limit // int(large[0]) + 1)
     offsets = np.arange(min(SIEVE_BLOCK, limit), dtype=np.float64)
     starts = list(range(1, limit + 1, SIEVE_BLOCK))[::-1]  # popped from the end
     lock = threading.Lock()
     # each worker's block arrays, allocated on the caller's thread: a helper's own
     # allocation stayed resident in its malloc arena (peak RSS 1.8 MB higher at T = 1e9)
-    buffers = np.empty((_worker_count(len(starts)), 5, offsets.size))
+    buffers = np.empty((_worker_count(len(starts)), 3, offsets.size))
 
     def work(own):
         while True:
@@ -228,33 +264,41 @@ def _walk(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray, visit)
                     return
                 lo = starts.pop()
             n = min(SIEVE_BLOCK, limit + 1 - lo)
-            k, l, s, m, p_of_q = own[:, :n]
-            np.add(offsets[:n], lo, out=k)
+            k, l, s = own[:, :n]
             l.fill(1.0)
-            m.fill(1.0)
             s.fill(0.0)
-            for step, prime, f, v in strided:
+            for step, f, v in strided:
                 start = -lo % step
                 l[start::step] *= f
-                m[start::step] *= prime
                 if v:  # adding 0 leaves s as it is (s is never -0.0)
                     s[start::step] += v
             start = -lo % sparse_pj
             count = (n - start + sparse_pj - 1) // sparse_pj  # hits in this block
             # the hits pass by pass, in place: np.repeat(x, count) gives each hit its pass's x
-            hit = np.arange(count.sum())
-            hit -= np.repeat(np.cumsum(count) - count, count)  # its rank in its pass
+            hit = _ranks(count)
             hit *= np.repeat(sparse_pj, count)
             hit += np.repeat(start, count)
             np.multiply.at(l, hit, np.repeat(sparse_factor, count))
-            np.multiply.at(m, hit, np.repeat(sparse_p, count))
             np.add.at(s, hit, np.repeat(sparse_value, count))
-            q = np.divide(k, m, out=m)
-            np.multiply(l, -r, out=l, where=q > 1.0)
-            np.log(q, out=q)
-            q /= log_lim
-            s += _horner(q, p_coeffs, p_of_q)
-            visit(lo, lo + n, k, l, s, own[3:, :n])
+            del hit  # the hit lists are a block's largest temporaries: one at a time
+            # the large primes cofactor by cofactor: m large[first:first + count] lies in the block
+            first = np.searchsorted(large, (lo - 1) // cofactors, side="right")
+            count = np.searchsorted(large, (lo + n - 1) // cofactors, side="right")
+            count -= first
+            index = _ranks(count)
+            index += np.repeat(first, count)
+            # each hit's P(log q / log limit), held in k's row until k is set: a block's k
+            # are distinct, so the hits fit ("clip" writes into out, which the default
+            # mode buffers; index is in range, so none is clipped)
+            p_of_q = np.take(p_large, index, out=k[: index.size], mode="clip")
+            hit = large[index]
+            del index
+            hit *= np.repeat(cofactors, count)
+            hit -= lo
+            np.multiply.at(l, hit, -r)
+            np.add.at(s, hit, p_of_q)
+            np.add(offsets[:n], lo, out=k)
+            visit(lo, lo + n, k, l, s)
 
     errors = []
 
@@ -315,8 +359,9 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     polyval, in place).
 
     lambda(k) d_r(k) and S_P(k) come from the block sieve at scheme.r, which
-    reads of `tables` only the primes up to sqrt(upto); the result is the one
-    K-sized array allocated.
+    reads of `tables` only the primes up to upto; the result is the one
+    K-sized array allocated, and each block's slice of it is the sieve's
+    Horner scratch until it takes that block's a_k.
     """
     upto = _integer("upto", upto)
     if upto < 2 or upto > tables.limit:
@@ -326,15 +371,15 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
     f1, f1t = scheme.f1.to_coeffs(), scheme.f1t.to_coeffs()
     a = np.zeros(upto + 1)
 
-    def visit(lo, hi, k, l, s, spare):
-        x, f = spare
-        np.log(k, out=x)
+    def visit(lo, hi, k, l, s):
+        f = a[lo:hi]  # Horner's scratch row until it takes a_k
+        l /= np.sqrt(k, out=f)
+        x = np.log(k, out=k)
         x /= log_up
         np.subtract(1.0, x, out=x)
         s *= _horner(x, f1t, f)
         s += _horner(x, f1, f)
-        out = np.divide(l, np.sqrt(k, out=k), out=a[lo:hi])
-        out *= s
+        np.multiply(l, s, out=f)
 
     _walk(scheme.r, tables.primes, upto, scheme.P.to_coeffs(), visit)
     return a
@@ -364,20 +409,30 @@ def finite_h_from_coeffs(
             f"len(a) - 1 = {upto} must lie in [2, tables.limit = {tables.limit}]"
         )
     den = float(a[1:] @ a[1:])
-    support = tables.prime_powers[tables.prime_powers <= upto]
-    log_n = np.log(support)
-    g = 2.0 * np.sin(math.pi * c * log_n / math.log(t_param)) / (math.pi * log_n)
-    w = tables.mangoldt[: support.size] * g / np.sqrt(support)
+    support = tables.prime_powers[: np.searchsorted(tables.prime_powers, upto, side="right")]
+    # w = Lambda(n) * (2 sin(pi c log n / log T) / (pi log n)) / sqrt(n), in two arrays
+    scratch = np.log(support)
+    w = np.multiply(scratch, math.pi * c)
+    w /= math.log(t_param)
+    np.sin(w, out=w)
+    w *= 2.0
+    scratch *= math.pi
+    w /= scratch
+    w *= tables.mangoldt[: support.size]
+    w /= np.sqrt(support, out=scratch)
     split = _above_root(support, upto)
     num = 0.0
     for n, wn in zip(support[:split].tolist(), w[:split].tolist()):
         m = upto // n
         num += wn * float(a[1 : m + 1] @ a[n::n][:m])
-    large, w_large = support[split:], w[split:]
+    # the a_{nk} of one k are gathered into scratch's tail, free once w is built
+    large, w_large, a_nk = support[split:], w[split:], scratch[split:]
     # the first counts[k - 1] entries n of large have n k <= K; they never increase with k
     counts = np.searchsorted(large, upto // np.arange(1, math.isqrt(upto) + 1), side="right")
     for k, n in enumerate(counts[counts > 0].tolist(), start=1):
-        num += float(a[k]) * float(w_large[:n] @ a[k * large[:n]])
+        # mode "clip" writes into out ("raise" buffers it); n k <= K, so none is clipped
+        np.take(a, k * large[:n], out=a_nk[:n], mode="clip")
+        num += float(a[k]) * float(w_large[:n] @ a_nk[:n])
     return c - num / den, num, den
 
 

@@ -229,7 +229,7 @@ def test_k2_to_k4_match_the_product_rule(rows):
         _, *kernels = _kernel_rules(scheme, 24)
         for k, ((x, w), (xr, wr)) in enumerate(zip(kernels, _product_rule(scheme, 24)), 2):
             for m in range(21):
-                assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14), (
+                assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14, abs=0.0), (
                     scheme, k, m
                 )
 
@@ -255,7 +255,9 @@ def test_k3_shares_k2_nodes_and_matches_the_double_p1_rule(rows):
         assert x.size == 24 and x2 is x and x4 is x
         xr, wr = _double_p1_rule(scheme, 24)
         for m in range(21):
-            assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14), (scheme, m)
+            assert float(w @ x**m) == pytest.approx(
+                float(wr @ xr**m), rel=1e-14, abs=0.0
+            ), (scheme, m)
 
 
 # ---------------------------------------------------------------- h agreement
@@ -287,7 +289,7 @@ def test_components_match_exact_on_reference_rows(rows):
         numeric = h_value_numeric(scheme, c, order=48)
         for f in HB_FIELDS:
             assert getattr(exact, f) == pytest.approx(
-                getattr(numeric, f), rel=1e-13
+                getattr(numeric, f), rel=1e-13, abs=0.0
             ), f"{name} c={c}: {f}"
         assert exact.h == pytest.approx(numeric.h, abs=1e-9)
 
@@ -386,7 +388,9 @@ def test_compiled_rows_match_one_convolution_per_row(c, order):
         compiled = h_value_numeric(scheme, c, order).as_dict()
         per_row = _one_convolution_per_row(scheme, c, order).as_dict()
         for name in HB_FIELDS + ["h"]:
-            assert compiled[name] == pytest.approx(per_row[name], rel=1e-13), (scheme, name)
+            assert compiled[name] == pytest.approx(per_row[name], rel=1e-13, abs=0.0), (
+                scheme, name
+            )
 
 
 def test_each_factor_once_per_node_array(row3, monkeypatch):

@@ -196,6 +196,14 @@ def test_primes(tables_r118):
     assert primes.size == 9592  # pi(10**5)
 
 
+def test_primes_up_to_matches_trial_division():
+    # the sieve runs over the odd numbers: every n below 200, odd and even
+    for n in range(200):
+        expect = [k for k in range(2, n + 1) if _factorize(k) == {k: 1}]
+        primes = sieve._primes_up_to(n)
+        assert primes.dtype == np.int64 and primes.tolist() == expect, n
+
+
 # ---------------------------------------------------------------- coefficients
 
 
@@ -448,8 +456,9 @@ def test_finite_h_across_a_block_edge_matches_built_tables(row1):
 
 def test_finite_h_allocates_no_lambda_or_dr_table(row1):
     # only a is K-sized: block buffers and the numerator's weights add the
-    # rest (measured 2.01x 8 (K + 1) bytes with two threads' block buffers,
-    # 1.71x with one); K-sized lambda and d_r tables add 9 (K + 1) bytes more
+    # rest (measured 1.94-1.95x 8 (K + 1) bytes with two threads' block
+    # buffers, 1.68x with one); K-sized lambda and d_r tables add 9 (K + 1)
+    # bytes more
     c, t_param = 0.5154, 4e8
     upto = int(t_param / math.log(t_param) ** 2)
     assert upto == 1_019_585
@@ -465,9 +474,10 @@ def test_finite_h_allocates_no_lambda_or_dr_table(row1):
 
 def test_coeffs_ak_allocates_one_k_sized_array(row1):
     # a_k is built blockwise over its own output buffer, so the traced peak
-    # is that buffer plus block-sized buffers (measured 1.79x 8 (K + 1)
-    # bytes with two threads' buffers, 1.43x with one); full-length arrays
-    # for k, x, S_P and the polynomials read 9.2x
+    # is that buffer plus block-sized buffers and P at the primes above
+    # sqrt(K) (measured 1.70-1.74x 8 (K + 1) bytes with two threads' buffers,
+    # 1.44x with one); full-length arrays for k, x, S_P and the polynomials
+    # read 9.2x
     upto = 10**6
     tables = build_tables(row1.scheme.r, upto)
     tracemalloc.start()
@@ -542,8 +552,13 @@ BITWISE_SCHEMES = [get_preset(name).scheme for name in preset_names()] + [
 
 # 257 * 263 = 67,591: two primes above the dense cutoff 256 meet at one k
 # past the first block edge (the large prime there at K = 67,591; both are
-# scattered at K = 200,000)
-@pytest.mark.parametrize("limit", BLOCK_LIMITS + [200_000, 257 * 263])
+# scattered at K = 200,000).  Between K = 257**2 - 1 and 257**2, both past the
+# first block edge, 257 moves from the large primes to the scattered passes.  At
+# K = 400,000 a few S_P(k) of the presets change in the last bit if the large
+# prime's P(log q / log K) is added before the scattered passes' values.
+@pytest.mark.parametrize(
+    "limit", BLOCK_LIMITS + [200_000, 257 * 263, 257**2 - 1, 257**2, 400_000]
+)
 def test_scatter_matches_strided_passes_bitwise(limit):
     for scheme in BITWISE_SCHEMES:
         tables = build_tables(scheme.r, limit)
@@ -606,6 +621,15 @@ def test_walk_gives_the_same_bits_on_one_or_two_threads(monkeypatch):
         assert one[3] == two[3]
 
 
+def test_second_worker_needs_worker_blocks_each(monkeypatch):
+    # T = 1e8 (5 blocks) runs on one thread, T = 1e9 (36 blocks) on two
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    least = 2 * sieve.WORKER_BLOCKS
+    assert [sieve._worker_count(b) for b in (1, 5, least - 1, least, 36)] == [1, 1, 1, 2, 2]
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sieve._worker_count(36) == 1
+
+
 @pytest.mark.parametrize("raised_on", ["caller", "helper"])
 def test_an_exception_in_either_worker_reaches_the_caller(row1, monkeypatch, raised_on):
     # the other worker stops after its block and is joined before the exception is raised
@@ -645,9 +669,10 @@ def test_the_callers_errstate_reaches_both_workers(monkeypatch):
         coeffs_ak(plain, tables, limit)
     assert len({thread for thread, _ in seen}) == 2
     assert {over for _, over in seen} == {"raise"}
-    # P(log q / log K) overflows for every large prime q > sqrt(K), which every block holds
-    huge_p = FracPoly.from_coeffs([0.0, 1e308, 1e308])
-    overflowing = CoeffScheme(1.0, FracPoly.from_coeffs([1.0]), FracPoly.zero(), huge_p)
+    # f1(x) = max float + 1e308 x overflows in the visit's Horner step at every k < K
+    # (x > 0), so in every block, on either thread
+    huge_f1 = FracPoly.from_coeffs([np.finfo(np.float64).max, 1e308])
+    overflowing = CoeffScheme(1.0, huge_f1, FracPoly.zero(), FracPoly.zero())
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         coeffs_ak(overflowing, tables, limit)
 
