@@ -31,11 +31,11 @@ import sys
 
 import numpy as np
 
-from .fracpoly import DomainError, FracPoly, beta_convolve, make
+from .fracpoly import DomainError, FracPoly
 from .hfunc import CoeffScheme, DegenerateSchemeError, HBreakdown, h_grid, h_value
 from .optimizer import OptimizeConfig, grid_points, optimize_scheme, verify_table
 from .presets import get_preset, preset_names
-from .quadcheck import beta_kernel_rule, dimreduct_check, h_value_numeric
+from .quadcheck import _kernel_rules, dimreduct_check, h_value_numeric
 from .sieve import finite_h, mertens_deficit
 
 __all__ = ["main", "main_entry"]
@@ -283,8 +283,8 @@ def _cmd_scan(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    """Quick self-check suite: Beta identities, the nested-integral reduction,
-    the prime-log-sum bound, and quadrature-vs-exact agreement."""
+    """Quick self-check suite: the kernel moments against quadrature, the nested-integral
+    reduction, the prime-log-sum bound, and quadrature-vs-exact agreement."""
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -293,26 +293,25 @@ def _cmd_check(args, out) -> int:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})", file=out)
 
-    # Beta-kernel convolutions against the oracle's Gauss-Jacobi rule, which is exact on
-    # these quartics: int_0^u (u-v)**(a-1) p(v) dv = u**a int_0^1 (1-t)**(a-1) p(u t) dt
+    # the kernel moments h reads, <K, x**n> (CoeffScheme.kernels), against the oracle's
+    # Gauss-Jacobi rules (Golub-Welsch), which are exact on these polynomials
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(5):
-        a = float(rng.uniform(0.6, 2.8))
-        poly = make([(float(rng.uniform(-2, 2)), k) for k in range(5)])
-        conv = beta_convolve(a, poly)
-        t, w = beta_kernel_rule(a, 8)
-        for u in (0.3, 1.0):
-            ref = u**a * float(w @ poly.eval(u * t))
-            worst = max(worst, abs(conv.eval(u) - ref) / max(abs(ref), 1e-30))
-    report("beta-convolution vs quadrature", worst < 1e-10, f"max rel err {worst:.2e}")
+        r = 1.0 + float(rng.uniform(0.6, 2.8)) / 5.6
+        p = FracPoly.from_coeffs([0.0] + [float(rng.uniform(-2, 2)) for _ in range(5)])
+        scheme = CoeffScheme(r, FracPoly.from_coeffs([1.0]), FracPoly.zero(), p)
+        for mu, (x, w) in zip(scheme.kernels, _kernel_rules(scheme, 48)):
+            ref = w @ np.power.outer(x, np.arange(mu.size))
+            worst = max(worst, float(np.max(abs(mu - ref) / np.maximum(abs(ref), 1e-30))))
+    report("kernel moments vs quadrature", worst < 1e-10, f"max rel err {worst:.2e}")
 
     # nested-integral reduction identity
     worst = 0.0
     for _ in range(5):
         m = int(rng.integers(1, 4))
         a_vec = [int(rng.integers(1, 4)) for _ in range(m)]
-        poly = make([(float(rng.uniform(-1, 1)), k) for k in range(4)])
+        poly = FracPoly.from_coeffs([float(rng.uniform(-1, 1)) for _ in range(4)])
         lhs, rhs = dimreduct_check(m, a_vec, poly, float(rng.uniform(1.5, math.e**3)))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     report("nested-integral reduction", worst < 1e-9, f"max rel err {worst:.2e}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -34,7 +34,6 @@ from numpy.polynomial.polynomial import polyval
 __all__ = [
     "DomainError",
     "FracPoly",
-    "make",
     "beta_convolve",
     "convolve",
     "integrate_weighted",
@@ -42,11 +41,6 @@ __all__ = [
     "sinc_truncation_bound",
     "SINE_TERMS",
 ]
-
-# make() accepts exponents whose differences are within this of integers.
-# In this application every polynomial is one power of x (0, r**2, ...)
-# times an ordinary polynomial, so the tolerance only absorbs input noise.
-MERGE_TOL = 1e-9
 
 # Terms of the sine series; the first omitted one is 3.8e-39 at c = 1.
 SINE_TERMS = 24
@@ -136,28 +130,6 @@ class FracPoly:
         if not self.shift.is_integer():
             raise DomainError("expected integer exponents")
         return np.concatenate([np.zeros(int(self.shift)), self.coeffs])
-
-
-def make(terms: Iterable[tuple[float, float]]) -> FracPoly:
-    """Build a FracPoly from (coefficient, exponent) pairs, summing repeats.
-
-    Raises DomainError for a negative exponent, or for exponents that do not
-    differ by integers (to within MERGE_TOL).
-    """
-    pairs = list(terms)
-    if not pairs:
-        return FracPoly.zero()
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected a sequence of (coefficient, exponent) pairs")
-    exps = arr[:, 1]
-    shift = float(exps.min())
-    offsets = (exps - shift).round()
-    if (abs(exps - shift - offsets) > MERGE_TOL).any():
-        raise DomainError("exponents must differ from each other by integers")
-    if shift < 0:
-        raise DomainError("exponents must be nonnegative")
-    return FracPoly(shift, np.bincount(offsets.astype(int), weights=arr[:, 0]))
 
 
 def _beta_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:

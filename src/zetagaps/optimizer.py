@@ -85,12 +85,7 @@ class OptimizeConfig:
         if not (isinstance(self.c_grid, (tuple, list)) and len(self.c_grid) == 3
                 and all(_is(Real, v) for v in self.c_grid)):
             raise ValueError(f"c_grid must be three numbers (lo, hi, step), got {self.c_grid!r}")
-        lo, hi, step = self.c_grid
-        if not (0.0 < lo < hi < 1.0):
-            raise ValueError("c_grid must satisfy 0 < lo < hi < 1")
-        if not 0 < step < math.inf:
-            raise ValueError("c_grid step must be positive and finite")
-        _grid_steps(lo, hi, step)
+        _grid_steps(*self.c_grid)
         if not (_is(Real, self.simplex_scale) and 0 < abs(self.simplex_scale) < math.inf):
             raise ValueError("simplex_scale must be nonzero and finite")
         if not (_is(Integral, self.max_iters) and self.max_iters >= 0):
@@ -112,16 +107,17 @@ class OptimizeReport:
 
 def grid_points(c_lo, c_hi, step) -> list[float]:
     """The scan grid c_lo, c_lo + step, ..., ending at c_hi itself: at most _MAX_GRID_POINTS."""
-    if not (0.0 < c_lo < c_hi < 1.0):
-        raise ValueError("need 0 < c_lo < c_hi < 1")
-    if not 0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
     return [min(c_lo + i * step, c_hi) for i in range(_grid_steps(c_lo, c_hi, step) + 1)]
 
 
 def _grid_steps(c_lo, c_hi, step) -> int:
-    """Steps of the scan grid, or ValueError naming step and the count of points when there
-    would be more than _MAX_GRID_POINTS."""
+    """Steps of the scan grid, or ValueError unless 0 < c_lo < c_hi < 1 and step is positive
+    and finite, or naming step and the count of points when there would be more than
+    _MAX_GRID_POINTS."""
+    if not (0.0 < c_lo < c_hi < 1.0):
+        raise ValueError("need 0 < c_lo < c_hi < 1")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     steps = (c_hi - c_lo) / step - 1e-9  # inf at a subnormal step
     if not steps <= _MAX_GRID_POINTS - 1:
         count = f"{steps + 1.0:.3g} grid points"

@@ -74,7 +74,6 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .hfunc import CoeffScheme, _is
 
@@ -231,24 +230,28 @@ def _walk(r: float, primes: np.ndarray, limit: int, p_coeffs: np.ndarray, visit)
     k has one, multiplies l by -r and adds P(log q / log limit) to s: k = m q
     with a cofactor m < sqrt(limit), so two searchsorted over the large
     primes, one per block end, list for every m the q with m q in the block.
-    P is evaluated at the large primes once per walk.
+    P is evaluated at every prime <= limit once per walk, in one table that
+    the j = 1 passes and the large primes read.
     """
+    # P(log p / log limit) at every prime p <= limit
+    primes = primes[: np.searchsorted(primes, limit, side="right")]
+    x = primes.astype(np.float64)
+    np.log(x, out=x)
+    x /= math.log(limit)
+    p_of_prime = _horner(x, p_coeffs, np.empty_like(x))
+    del x  # not held through the walk
     passes = np.array(list(_small_powers(primes, limit)), dtype=np.int64).reshape(-1, 3)
     p, j, pj = passes.T
     factor = -(j - 1 + r) / j
-    log_lim = math.log(limit)
     # what a pass adds to s: P(log p / log limit) for j = 1, else 0
-    value = np.where(j == 1, polyval(np.log(p) / log_lim, p_coeffs), 0.0)
+    value = np.where(j == 1, p_of_prime[np.searchsorted(primes, p)], 0.0)
     dense = int(np.searchsorted(p, DENSE_PRIMES, side="right"))
     strided = list(zip(*(col[:dense].tolist() for col in (pj, factor, value))))
     sparse_pj, sparse_factor, sparse_value = pj[dense:], factor[dense:], value[dense:]
-    # the primes q above sqrt(limit) (there is one: Bertrand), P(log q / log limit),
+    # the primes q above sqrt(limit) (there is one: Bertrand) with their P(log q / log limit),
     # and every cofactor m with m q <= limit for some q
-    large = primes[_above_root(primes, limit) : np.searchsorted(primes, limit, side="right")]
-    x = np.log(large.astype(np.float64))
-    x /= log_lim
-    p_large = _horner(x, p_coeffs, np.empty_like(x))
-    del x  # not held through the walk
+    root = _above_root(primes, limit)
+    large, p_large = primes[root:], p_of_prime[root:]
     cofactors = np.arange(1, limit // int(large[0]) + 1)
     offsets = np.arange(min(SIEVE_BLOCK, limit), dtype=np.float64)
     starts = list(range(1, limit + 1, SIEVE_BLOCK))[::-1]  # popped from the end
@@ -355,8 +358,8 @@ def coeffs_ak(scheme: CoeffScheme, tables: SieveTable, upto: int) -> np.ndarray:
 
     with x_k = log(upto / k) / log(upto) and S_P(k) the sum of
     P(log p / log(upto)) over the distinct primes p dividing k.  f1, f1t and
-    P are evaluated from their dense coefficients by Horner's rule (numpy's
-    polyval, in place).
+    P are evaluated from their dense coefficients by Horner's rule, in place
+    (_horner).
 
     lambda(k) d_r(k) and S_P(k) come from the block sieve at scheme.r, which
     reads of `tables` only the primes up to upto; the result is the one

@@ -17,6 +17,14 @@ def compose_one_minus(p: FracPoly) -> FracPoly:
     return FracPoly.from_coeffs(Polynomial(p.to_coeffs())(Polynomial([1.0, -1.0])).coef)
 
 
+def from_terms(terms) -> FracPoly:
+    """The sum of the (coefficient, exponent) pairs c x**e, repeats summed: a test shorthand
+    for FracPoly(shift, coeffs), whose exponents lie whole numbers above the smallest."""
+    c, e = np.array(list(terms), dtype=float).reshape(-1, 2).T
+    shift = e.min() if e.size else 0.0
+    return FracPoly(shift, np.bincount(np.rint(e - shift).astype(int), weights=c))
+
+
 WORKER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 

@@ -21,7 +21,6 @@ from zetagaps import (
     finite_h,
     h_value,
     h_value_numeric,
-    make,
     mertens_deficit,
     optimize_scheme,
     threshold_c,
@@ -117,7 +116,7 @@ def test_criterion_5_reduction_identity(capsys):
     for _ in range(20):
         m = int(rng.integers(1, 4))
         a = [int(rng.integers(1, 4)) for _ in range(m)]
-        poly = make([(float(rng.uniform(-2, 2)), float(k)) for k in range(5)])
+        poly = FracPoly.from_coeffs([float(rng.uniform(-2, 2)) for _ in range(5)])
         d_limit = float(rng.uniform(1.2, math.e**4))
         lhs, rhs = dimreduct_check(m, a, poly, d_limit)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
@@ -241,7 +240,7 @@ def test_criterion_8_property_bundle(capsys, rows):
     bc_worst = 0.0
     for _ in range(10):
         a = float(rng.uniform(0.5, 3.0))
-        poly = make([(float(rng.uniform(-3, 3)), float(k)) for k in range(7)])
+        poly = FracPoly.from_coeffs([float(rng.uniform(-3, 3)) for _ in range(7)])
         conv = beta_convolve(a, poly)
         for u in (0.1, 0.5, 1.0):
             ref, _ = quad(

@@ -579,7 +579,7 @@ def test_import_loads_no_heavy_scipy_subpackage():
 def test_exact_path_imports_no_scipy():
     # fracpoly and hfunc take every Beta value from one ladder (fracpoly._beta_grid), the
     # optimizer's eigen search uses numpy.linalg, quadcheck builds its Gauss rules with
-    # numpy and `zetagaps check` takes its Beta-convolution reference from quadcheck;
+    # numpy and `zetagaps check` takes its kernel-moment reference from quadcheck's rules;
     # scipy is a test dependency only
     import zetagaps
 
@@ -594,7 +594,7 @@ def test_exact_path_imports_no_scipy():
 def test_quadrature_oracle_loads_no_scipy():
     # import scipy.special alone takes 0.25-0.30 s, scipy.linalg another 0.07-0.12 s and
     # scipy.integrate 0.63 s and 49 MB.  The check call runs all four self-checks, the
-    # Beta convolutions against quadcheck's Gauss-Jacobi rule.
+    # kernel moments against quadcheck's Gauss-Jacobi rules first.
     import zetagaps
 
     src = str(pathlib.Path(zetagaps.__file__).resolve().parents[1])
@@ -602,10 +602,10 @@ def test_quadrature_oracle_loads_no_scipy():
         "import io, sys, math; "
         "from zetagaps import PRESETS; "
         "from zetagaps.cli import main; "
-        "from zetagaps.fracpoly import make; "
+        "from zetagaps.fracpoly import FracPoly; "
         "from zetagaps.quadcheck import dimreduct_check, h_value_numeric; "
         "row1 = PRESETS[0]; h_value_numeric(row1.scheme, row1.c); "
-        "dimreduct_check(2, (1, 2), make([(1.0, 0.0), (0.5, 2.0)]), math.e**3); "
+        "dimreduct_check(2, (1, 2), FracPoly.from_coeffs([1.0, 0.0, 0.5]), math.e**3); "
         "assert main(['check'], io.StringIO()) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )

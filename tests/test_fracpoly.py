@@ -18,46 +18,31 @@ from zetagaps.fracpoly import (
     beta_convolve,
     convolve,
     integrate_weighted,
-    make,
     sinc_coeffs,
     sinc_truncation_bound,
 )
 from zetagaps.hfunc import _sine_table
 
-from conftest import compose_one_minus
+from conftest import compose_one_minus, from_terms
 
 ROW1_F1 = [(1.95, 0.0), (1.47, 1.0), (-1.07, 2.0), (-0.29, 3.0)]
 
 
-# ---------------------------------------------------------------- make / eval
+# ---------------------------------------------------------------- construction / eval
 
 
-def test_make_merges_equal_exponents():
-    p = make([(1.0, 0.0), (1.0, 0.0)])
-    assert p.terms == [(2.0, 0.0)]
+def test_zero_coefficients_fold_into_the_zero_element():
+    p = FracPoly(3.0, [0.0])
+    assert p.is_zero and p.shift == 0.0
 
 
-def test_make_drops_zero_coefficients():
-    assert make([(0.0, 3.0)]).is_zero
-
-
-def test_make_row1_polynomial():
-    p = make(ROW1_F1)
-    assert p.terms == ROW1_F1
-
-
-def test_make_rejects_negative_exponent():
+def test_rejects_negative_shift():
     with pytest.raises(DomainError):
-        make([(1.0, -0.5)])
-
-
-def test_make_rejects_exponents_not_an_integer_apart():
-    with pytest.raises(DomainError):
-        make([(1.0, 0.0), (1.0, 0.5)])
+        FracPoly(-0.5, [1.0])
 
 
 def test_eval_constant_term_at_zero():
-    assert make(ROW1_F1).eval(0.0) == 1.95
+    assert from_terms(ROW1_F1).eval(0.0) == 1.95
 
 
 def test_eval_zero_poly():
@@ -66,20 +51,20 @@ def test_eval_zero_poly():
 
 def test_eval_row1_at_one():
     # direct coefficient sum: 1.95 + 1.47 - 1.07 - 0.29
-    assert make(ROW1_F1).eval(1.0) == pytest.approx(2.06, abs=1e-12)
+    assert from_terms(ROW1_F1).eval(1.0) == pytest.approx(2.06, abs=1e-12)
 
 
 def test_eval_zero_to_the_zero_is_one():
-    assert make([(2.0, 0.0)]).eval(0.0) == 2.0
+    assert from_terms([(2.0, 0.0)]).eval(0.0) == 2.0
 
 
 def test_eval_rejects_negative_argument():
     with pytest.raises(DomainError):
-        make(ROW1_F1).eval(-0.1)
+        from_terms(ROW1_F1).eval(-0.1)
 
 
 def test_eval_vectorized_matches_scalar():
-    p = make(ROW1_F1)
+    p = from_terms(ROW1_F1)
     xs = np.linspace(0.0, 1.0, 7)
     out = p.eval(xs)
     assert out.shape == xs.shape
@@ -110,25 +95,25 @@ def test_to_coeffs_zero_poly():
 
 def test_to_coeffs_rejects_fractional_exponents():
     with pytest.raises(DomainError):
-        make([(1.0, 0.5)]).to_coeffs()
+        from_terms([(1.0, 0.5)]).to_coeffs()
 
 
 # ---------------------------------------------------------------- mul
 
 
 def test_mul_difference_of_squares():
-    one_plus = make([(1.0, 0.0), (1.0, 1.0)])
-    one_minus = make([(1.0, 0.0), (-1.0, 1.0)])
+    one_plus = from_terms([(1.0, 0.0), (1.0, 1.0)])
+    one_minus = from_terms([(1.0, 0.0), (-1.0, 1.0)])
     assert one_plus.mul(one_minus).terms == [(1.0, 0.0), (-1.0, 2.0)]
 
 
 def test_mul_adds_exponents():
-    p = make([(1.0, 0.3924)]).mul(make([(1.0, 1.0)]))
+    p = from_terms([(1.0, 0.3924)]).mul(from_terms([(1.0, 1.0)]))
     assert p.terms == [(1.0, 1.3924)]
 
 
 def test_mul_row1_square_at_zero():
-    f1 = make(ROW1_F1)
+    f1 = from_terms(ROW1_F1)
     assert f1.mul(f1).eval(0.0) == pytest.approx(3.8025, abs=1e-12)
 
 
@@ -136,11 +121,11 @@ def test_mul_row1_square_at_zero():
 
 
 def test_compose_linear():
-    assert compose_one_minus(make([(1.0, 1.0)])).terms == [(1.0, 0.0), (-1.0, 1.0)]
+    assert compose_one_minus(from_terms([(1.0, 1.0)])).terms == [(1.0, 0.0), (-1.0, 1.0)]
 
 
 def test_compose_square():
-    assert compose_one_minus(make([(1.0, 2.0)])).terms == [
+    assert compose_one_minus(from_terms([(1.0, 2.0)])).terms == [
         (1.0, 0.0),
         (-2.0, 1.0),
         (1.0, 2.0),
@@ -149,7 +134,7 @@ def test_compose_square():
 
 def test_compose_row2_p1():
     # P1 = x + 0.036 x^2 reflected: (1-x) + 0.036 (1-x)^2 = 1.036 - 1.072 x + 0.036 x^2
-    p1 = make([(1.0, 1.0), (0.036, 2.0)])
+    p1 = from_terms([(1.0, 1.0), (0.036, 2.0)])
     reflected = compose_one_minus(p1)
     expect = [(1.036, 0.0), (-1.072, 1.0), (0.036, 2.0)]
     for (c, e), (ce, ee) in zip(reflected.terms, expect):
@@ -162,7 +147,7 @@ def test_compose_row2_p1():
 
 def test_compose_rejects_fractional_exponents():
     with pytest.raises(DomainError):
-        compose_one_minus(make([(1.0, 1.5)]))
+        compose_one_minus(from_terms([(1.0, 1.5)]))
 
 
 # ---------------------------------------------------------------- beta_convolve
@@ -170,17 +155,17 @@ def test_compose_rejects_fractional_exponents():
 
 def test_beta_convolve_constant_a1():
     # int_0^u dv = u
-    assert beta_convolve(1.0, make([(1.0, 0.0)])).terms == [(1.0, 1.0)]
+    assert beta_convolve(1.0, from_terms([(1.0, 0.0)])).terms == [(1.0, 1.0)]
 
 
 def test_beta_convolve_constant_a2():
     # int_0^u (u-v) dv = u^2/2
-    assert beta_convolve(2.0, make([(1.0, 0.0)])).terms == [(0.5, 2.0)]
+    assert beta_convolve(2.0, from_terms([(1.0, 0.0)])).terms == [(0.5, 2.0)]
 
 
 def test_beta_convolve_fractional_vs_quadrature():
     a = 1.3924
-    conv = beta_convolve(a, make([(1.0, 1.0)]))
+    conv = beta_convolve(a, from_terms([(1.0, 1.0)]))
     assert conv.terms[0][1] == pytest.approx(a + 1.0, abs=1e-15)
     assert conv.terms[0][0] == pytest.approx(scipy_beta(a, 2.0), rel=1e-14)
     for u in (0.25, 0.5, 1.0):
@@ -195,7 +180,7 @@ def test_beta_convolve_randomized_vs_quadrature():
     rng = np.random.default_rng(11)
     for _ in range(20):
         a = float(rng.uniform(0.5, 3.0))
-        p = make([(float(rng.uniform(-3, 3)), float(k)) for k in range(7)])
+        p = from_terms([(float(rng.uniform(-3, 3)), float(k)) for k in range(7)])
         conv = beta_convolve(a, p)
         for u in (0.1, 0.5, 1.0):
             ref, _ = quad(
@@ -207,7 +192,7 @@ def test_beta_convolve_randomized_vs_quadrature():
 
 def test_beta_convolve_rejects_nonpositive_a():
     with pytest.raises(DomainError):
-        beta_convolve(0.0, make([(1.0, 0.0)]))
+        beta_convolve(0.0, from_terms([(1.0, 0.0)]))
 
 
 # ---------------------------------------------------------------- convolve
@@ -215,21 +200,21 @@ def test_beta_convolve_rejects_nonpositive_a():
 
 def test_convolve_constants():
     # int_0^u 1 dv = u
-    assert convolve(make([(1.0, 0.0)]), make([(1.0, 0.0)])).terms == [(1.0, 1.0)]
+    assert convolve(from_terms([(1.0, 0.0)]), from_terms([(1.0, 0.0)])).terms == [(1.0, 1.0)]
 
 
 def test_convolve_symmetry():
     rng = np.random.default_rng(5)
-    p = make([(float(rng.uniform(-2, 2)), float(k)) for k in range(4)])
-    q = make([(float(rng.uniform(-2, 2)), float(k)) for k in range(3)])
+    p = from_terms([(float(rng.uniform(-2, 2)), float(k)) for k in range(4)])
+    q = from_terms([(float(rng.uniform(-2, 2)), float(k)) for k in range(3)])
     lhs, rhs = convolve(p, q), convolve(q, p)
     for x in np.linspace(0.0, 1.0, 9):
         assert lhs.eval(float(x)) == pytest.approx(rhs.eval(float(x)), rel=1e-12, abs=1e-14)
 
 
 def test_convolve_vs_quadrature():
-    p = make([(1.0, 0.0), (-0.7, 2.0)])
-    q = make([(0.5, 1.0), (1.2, 3.0)])
+    p = from_terms([(1.0, 0.0), (-0.7, 2.0)])
+    q = from_terms([(0.5, 1.0), (1.2, 3.0)])
     conv = convolve(p, q)
     from scipy.integrate import quad as _quad
 
@@ -243,28 +228,28 @@ def test_convolve_vs_quadrature():
 
 def test_integrate_weighted_constant():
     a = 1.3924
-    assert integrate_weighted(a, make([(1.0, 0.0)])) == pytest.approx(1.0 / a, rel=1e-14)
-    assert integrate_weighted(a, make([(1.0, 0.0)])) == pytest.approx(0.718184, abs=5e-7)
+    assert integrate_weighted(a, from_terms([(1.0, 0.0)])) == pytest.approx(1.0 / a, rel=1e-14)
+    assert integrate_weighted(a, from_terms([(1.0, 0.0)])) == pytest.approx(0.718184, abs=5e-7)
 
 
 def test_integrate_weighted_plain():
-    assert integrate_weighted(1.0, make([(1.0, 1.0)])) == 0.5
+    assert integrate_weighted(1.0, from_terms([(1.0, 1.0)])) == 0.5
 
 
 def test_integrate_weighted_a2():
-    assert integrate_weighted(2.0, make([(1.0, 1.0)])) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert integrate_weighted(2.0, from_terms([(1.0, 1.0)])) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
 def test_integrate_weighted_a1_is_exact_termwise():
     rng = np.random.default_rng(9)
-    p = make([(float(rng.uniform(-5, 5)), float(k) + 0.3924) for k in range(8)])
+    p = from_terms([(float(rng.uniform(-5, 5)), float(k) + 0.3924) for k in range(8)])
     termwise = float(np.sum(p.coeffs * (1.0 / (p.exponents + 1.0))))
     assert integrate_weighted(1.0, p) == termwise
 
 
 def test_integrate_weighted_rejects_nonpositive_a():
     with pytest.raises(DomainError):
-        integrate_weighted(-1.0, make([(1.0, 0.0)]))
+        integrate_weighted(-1.0, from_terms([(1.0, 0.0)]))
 
 
 # ---------------------------------------------------------------- pairing
@@ -279,14 +264,14 @@ def test_pair_with_power_kernel_is_integrate_weighted():
     # <x**(a-1), q> = int_0^1 (1-u)**(a-1) q(u) du
     a = 1.18**2
     for shift in (0.0, 0.5):
-        q = make([(c, e + shift) for c, e in ROW1_F1])
-        got = _pair(make([(1.0, a - 1.0)]), q)
+        q = from_terms([(c, e + shift) for c, e in ROW1_F1])
+        got = _pair(from_terms([(1.0, a - 1.0)]), q)
         assert got == pytest.approx(integrate_weighted(a, q), rel=1e-15, abs=0)
 
 
 def test_pair_fractional_vs_quadrature():
-    k = make([(1.0, 0.3924), (-0.6, 1.3924)])  # k(1-u) = (1-u)**0.3924 * (1 - 0.6 (1-u))
-    q = make([(0.5, 0.5), (1.2, 2.5)])  # q(u) = u**0.5 * (0.5 + 1.2 u**2)
+    k = from_terms([(1.0, 0.3924), (-0.6, 1.3924)])  # k(1-u) = (1-u)**0.3924 * (1 - 0.6 (1-u))
+    q = from_terms([(0.5, 0.5), (1.2, 2.5)])  # q(u) = u**0.5 * (0.5 + 1.2 u**2)
     ref, _ = quad(
         lambda u: (1.0 - 0.6 * (1.0 - u)) * (0.5 + 1.2 * u * u), 0.0, 1.0,
         weight="alg", wvar=(0.5, 0.3924), epsabs=1e-15, epsrel=1e-14,
@@ -300,7 +285,7 @@ def test_moments_and_convolve_stay_finite_past_gamma_overflow():
     x, y = np.array([151.3924, 152.3924]), np.arange(171.0, 182.0)
     expect = [[scipy_beta(xi, yj) for yj in y[[0, -1]]] for xi in x]
     np.testing.assert_allclose(_beta_grid(x, y)[:, [0, -1]], expect, rtol=1e-12, atol=0)
-    conv = convolve(make([(1.0, 175.0)]), make([(2.0, 3.0)]))
+    conv = convolve(from_terms([(1.0, 175.0)]), from_terms([(2.0, 3.0)]))
     assert conv.terms == [(pytest.approx(2.0 * scipy_beta(176.0, 4.0), rel=1e-12), 179.0)]
 
 
@@ -409,7 +394,7 @@ coeff_st = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infin
 def frac_polys(draw, fractional=True):
     shift = draw(st.sampled_from([0.0, 0.5, 1.3924, 2.25])) if fractional else 0.0
     offsets = draw(st.sets(st.integers(min_value=0, max_value=5), min_size=0, max_size=5))
-    return make([(draw(coeff_st), shift + k) for k in sorted(offsets)])
+    return from_terms([(draw(coeff_st), shift + k) for k in sorted(offsets)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

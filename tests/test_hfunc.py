@@ -15,7 +15,6 @@ from zetagaps.fracpoly import (
     beta_convolve,
     convolve,
     integrate_weighted,
-    make,
     sinc_coeffs,
     sinc_truncation_bound,
 )
@@ -113,7 +112,7 @@ def test_scheme_rejects_fractional_exponents():
     with pytest.raises(ValueError):
         CoeffScheme(
             r=1.1,
-            f1=make([(1.0, 0.5)]),
+            f1=FracPoly(0.5, [1.0]),
             f1t=FracPoly.zero(),
             P=FracPoly.zero(),
         )

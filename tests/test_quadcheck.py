@@ -9,7 +9,7 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from zetagaps import quadcheck
-from zetagaps.fracpoly import DomainError, FracPoly, make
+from zetagaps.fracpoly import DomainError, FracPoly
 from zetagaps.hfunc import CoeffScheme, assemble_h, h_value
 from zetagaps.quadcheck import (
     _jacobi_rule,
@@ -525,18 +525,18 @@ def test_quadcheck_stays_independent_of_the_exact_route():
 
 
 def test_dimreduct_simplest_case():
-    lhs, rhs = dimreduct_check(1, (1,), make([(1.0, 0.0)]), math.e)
+    lhs, rhs = dimreduct_check(1, (1,), FracPoly.from_coeffs([1.0]), math.e)
     assert lhs == pytest.approx(0.5, abs=1e-12)
     assert rhs == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dimreduct_a2():
-    lhs, rhs = dimreduct_check(1, (2,), make([(1.0, 0.0)]), math.e)
+    lhs, rhs = dimreduct_check(1, (2,), FracPoly.from_coeffs([1.0]), math.e)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_dimreduct_two_levels_cubic():
-    poly = make([(0.3, 0.0), (-1.2, 1.0), (0.5, 2.0), (2.0, 3.0)])
+    poly = FracPoly.from_coeffs([0.3, -1.2, 0.5, 2.0])
     lhs, rhs = dimreduct_check(2, (1, 2), poly, math.e**3)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -546,14 +546,14 @@ def test_dimreduct_randomized():
     for _ in range(20):
         m = int(rng.integers(1, 4))
         a = [int(rng.integers(1, 4)) for _ in range(m)]
-        poly = make([(float(rng.uniform(-2, 2)), float(k)) for k in range(5)])
+        poly = FracPoly.from_coeffs([float(rng.uniform(-2, 2)) for _ in range(5)])
         d_limit = float(rng.uniform(1.2, math.e**4))
         lhs, rhs = dimreduct_check(m, a, poly, d_limit)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1e-12)
 
 
 def test_dimreduct_validation():
-    one = make([(1.0, 0.0)])
+    one = FracPoly.from_coeffs([1.0])
     with pytest.raises(ValueError):
         dimreduct_check(0, (), one, math.e)
     with pytest.raises(ValueError):

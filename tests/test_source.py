@@ -129,6 +129,44 @@ def test_noqa_imports_are_traced(perfbench_worker):
     assert marked - traced == set()
 
 
+def _names(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name a module reads, binds, defines or imports, but numpy's
+    attributes (np.convolve is not fracpoly's), and of every string constant (an __all__
+    entry names what it lists)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if getattr(getattr(node, "value", None), "id", None) == "np":
+            continue
+        for field in ("id", "attr", "name", "asname", "arg"):
+            if isinstance(value := getattr(node, field, None), str):
+                found.append((value, node.lineno))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append((node.value, node.lineno))
+    return found
+
+
+def test_fractional_algebra_is_named_only_in_fracpoly():
+    # h runs on integer polynomials (CoeffScheme.kernels); the fractional-shift algebra is
+    # kept for the benchmark's tracer, which patches hfunc's re-export of it, and no CLI
+    # command, demo or quickstart line reaches it.  make, a second constructor, is gone.
+    fractional = {"beta_convolve", "convolve", "integrate_weighted"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for name, line in _names(path.read_text()):
+            reexport = path.name == "hfunc.py" and "# noqa: F401" in lines[line - 1]
+            if name == "make" or (
+                name in fractional and path.name != "fracpoly.py" and not reexport
+            ):
+                found.append(f"{path.name}:{line} {name}")
+    assert found == []
+    source = "from .f import make as m\nm(x.convolve, np.convolve, arg=1)\n__all__ = ['make']\n"
+    assert sorted(_names(source)) == [
+        ("__all__", 3), ("arg", 2), ("convolve", 2), ("m", 1), ("m", 2), ("make", 1),
+        ("make", 3), ("np", 2), ("x", 2),
+    ]
+
+
 def test_package_reexports_each_module_all_in_order():
     # the public API is declared once, in the modules' __all__ lists
     modules = (fracpoly, hfunc, presets, quadcheck, sieve, optimizer)
