@@ -53,6 +53,7 @@ from functools import cache, cached_property
 from numbers import Real
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, _sinc_rows
 
@@ -159,19 +160,17 @@ class CoeffScheme:
     def forms(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric (A, B), d_i = x A[i] x and M[i, j] = x B[i, j] x, x the dense f1 | f1t.
 
-        Built on first use, from (r, P) and the width alone, by writing kernel moments into
-        the (f, g) block that _TERMS gives each row: A[i] the scaled Hankel block of its
-        kernel, B[i] the block of _coefficient_pairings.  h_value never builds them."""
+        Built on first use, from (r, P) and the width alone: A[i] and B[i] are the symmetric
+        parts of block matrices that hold, in the (f, g) block that _TERMS gives each row, the
+        scaled Hankel block of its kernel moments or its block of _coefficient_pairings
+        (_symmetric_blocks).  h_value never builds them."""
         w = self.dense.shape[1]
         hankel = self.kernels[_K[_DEN, None, None], np.add.outer(np.arange(w), np.arange(w))]
-        a = np.zeros((4, 2, w, 2, w))
-        a[np.arange(4), _F[_DEN], :, _G[_DEN]] = hankel * _SCALE[_DEN, None, None]
-        b = np.zeros((7, SINE_TERMS, 2, w, 2, w))
-        b[np.arange(7), :, _F[_NUM], :, _G[_NUM]] = _coefficient_pairings(
-            self.kernels[_K[_NUM]], self.dense[_H[_NUM]]
+        pairings = _coefficient_pairings(self.kernels[_K[_NUM]], self.dense[_H[_NUM]])
+        return (
+            _symmetric_blocks(hankel * _SCALE[_DEN, None, None], _F[_DEN], _G[_DEN]),
+            _symmetric_blocks(pairings, _F[_NUM], _G[_NUM]),
         )
-        a, b = a.reshape(4, 2 * w, 2 * w), b.reshape(7, SINE_TERMS, 2 * w, 2 * w)
-        return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
 
 
 # The eleven components in HBreakdown order: the kernel K1..K4, the dense rows
@@ -197,10 +196,31 @@ def _pairings(mu: np.ndarray, f: np.ndarray, h: np.ndarray, g: np.ndarray) -> np
 
 def _coefficient_pairings(mu: np.ndarray, h: np.ndarray) -> np.ndarray:
     """X[i, j, m, l] = <K_i, x**m ((x**(2j) h_i) * x**l)>, _pairings with f and g the monomials
-    x**m and x**l: sum_k h_ik B(2j+k+1, l+1) mu_i(2j+k+l+m+1), one gather of mu."""
+    x**m and x**l: sum_k h_ik B(2j+k+1, l+1) mu_i(2j+k+l+m+1), over a window view of mu.  Where
+    h_i is the constant 1 that sum is its k = 0 term, mu_i(2j+l+m+1) B(2j+1, l+1), the same float
+    wherever mu is finite."""
     w = h.shape[1]
-    degree, betas = _sine_table(w)
-    return np.einsum("ijklm,jkl,ik->ijml", mu[:, degree[..., None] + np.arange(w)], betas, h)
+    _, betas = _sine_table(w)
+    # window[i, j, k, l, m] = mu_i(2j+k+l+m+1)
+    window = sliding_window_view(mu, (w, w, w), axis=(1, 1, 1))[:, 1 : 2 * SINE_TERMS : 2]
+    x = window[:, :, 0] * betas[:, None, 0]
+    rest = np.flatnonzero((h != np.eye(1, w)).any(axis=1))
+    x[rest] = np.einsum("ijklm,jkl,ik->ijml", window[rest], betas, h[rest])
+    return x
+
+
+def _symmetric_blocks(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """0.5 (Y + Y^T) for Y[i] the 2 x 2 block matrix with x[i] in block (f[i], g[i]) and zero
+    blocks elsewhere, over the last two axes of x.  Written block by block, each float as in the
+    whole sum: 0.5 (x + x^T) in a diagonal block, else 0.5 (x + 0) and its transpose."""
+    n, w = len(x), x.shape[-1]
+    diagonal = (f == g).reshape((n,) + (1,) * (x.ndim - 1))
+    half = 0.5 * (x + np.where(diagonal, x.swapaxes(-1, -2), 0.0))
+    y = np.zeros((n, *x.shape[1:-2], 2, w, 2, w))
+    rows = np.arange(n)
+    y[rows, ..., f, :, g, :] = half
+    y[rows, ..., g, :, f, :] = half.swapaxes(-1, -2)  # a diagonal half is symmetric
+    return y.reshape(*y.shape[:-4], 2 * w, 2 * w)
 
 
 @cache

@@ -10,7 +10,8 @@ published row of verify_table (RowCheck.passed).
 At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
 x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
 the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
-with the eigenvector as coefficients (_best_threshold).  A simplex search
+with the eigenvector as coefficients (_best_threshold: at most NEWTON_STEPS
+Newton steps, stopping once a step is exactly 0).  A simplex search
 over r and the coefficients of P that no gauge of h fixes lowers that root
 (optimize_scheme).
 """
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from numbers import Integral, Real
 
 import numpy as np
 
-from .fracpoly import _SINE_POWERS, DomainError, FracPoly, _sinc_rows, sinc_coeffs
+from .fracpoly import _SINE_POWERS, SINE_TERMS, DomainError, FracPoly, _sinc_rows, sinc_coeffs
 from .hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
@@ -53,7 +55,7 @@ __all__ = [
 R_MIN, R_MAX = 1.0, 1.5
 # The simplex search stops once its diameter (max norm) drops below this.
 DIAMETER_TOL = 1e-7
-# Newton steps on c - lambda_min(c) = 1 from the start's threshold.
+# Newton steps on c - lambda_min(c) = 1 from the start's threshold at most; a step of 0 ends them.
 NEWTON_STEPS = 5
 # Newton or bisection steps of threshold_c at most; 64 halvings exhaust any bracket in (0, 1).
 CERTIFY_STEPS = 64
@@ -260,24 +262,43 @@ def _denominator_basis(a: np.ndarray) -> np.ndarray:
 def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, CoeffScheme]:
     """(root, scheme) minimizing the threshold over f1, f1t of the given degrees at (r, P).
 
-    r is clipped to [R_MIN, R_MAX].  NEWTON_STEPS from c solve c - lambda_min(c) = 1, with
-    lambda'(c) = v B'(c) v (Hellmann-Feynman) for the A-normalised eigenvector v = (f1, f1t).
+    r is clipped to [R_MIN, R_MAX].  At most NEWTON_STEPS Newton steps from c, stopping once a
+    step is exactly 0, solve c - lambda_min(c) = 1, with lambda'(c) = v B'(c) v
+    (Hellmann-Feynman) for the A-normalised eigenvector v = (f1, f1t).
     """
     d1, d2, _ = degrees
     r = float(np.clip(r, R_MIN, R_MAX))
-    a, b = CoeffScheme(r, *(FracPoly.from_coeffs(np.ones(d + 1)) for d in (d1, d2)), P).forms
-    w = a.shape[1] // 2
-    keep = np.r_[: d1 + 1, w : w + d2 + 1]
-    z = _denominator_basis(a.sum(axis=0)[np.ix_(keep, keep)])
-    b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, keep[:, None], keep]) @ z
+    a, b = CoeffScheme(r, *_unit_polys(d1, d2), P).forms
+    kept = _kept(d1, d2, a.shape[1] // 2)
+    z = _denominator_basis(a.sum(axis=0)[kept])
+    b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, kept[0], kept[1]]) @ z
+    series = b.reshape(SINE_TERMS, -1)  # B(c) = s(c) @ series, one matrix-vector product
     for _ in range(NEWTON_STEPS):
         s = sinc_coeffs(c)
-        lam, vecs = np.linalg.eigh(np.tensordot(s, b, 1))
+        lam, vecs = np.linalg.eigh((s @ series).reshape(b.shape[1:]))
         v = vecs[:, 0]
         # s_j'(c) = (2j + 1) s_j(c) / c
-        c -= (c - lam[0] - 1.0) / (1.0 - (_SINE_POWERS * s / c) @ (b @ v @ v))
+        step = (c - lam[0] - 1.0) / (1.0 - (_SINE_POWERS * s / c) @ (b @ v @ v))
+        c -= step
+        if step == 0.0:  # a fixed point: every further step would repeat this one
+            break
     f1, f1t = (FracPoly.from_coeffs(part) for part in np.split(z @ v, [d1 + 1]))
     return c, CoeffScheme(r, f1, f1t, P)
+
+
+@cache
+def _unit_polys(d1: int, d2: int) -> tuple[FracPoly, FracPoly]:
+    """f1 and f1t of degrees d1 and d2 with every coefficient 1: the forms depend on their
+    degrees only, through the width of the scheme."""
+    return FracPoly.from_coeffs(np.ones(d1 + 1)), FracPoly.from_coeffs(np.ones(d2 + 1))
+
+
+@cache
+def _kept(d1: int, d2: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.ix_ of the entries of x = (f1 | f1t) at width w that degrees d1 and d2 use."""
+    keep = np.r_[: d1 + 1, w : w + d2 + 1]
+    keep.setflags(write=False)
+    return np.ix_(keep, keep)
 
 
 def _certify(scheme, config: OptimizeConfig) -> tuple[float, float]:

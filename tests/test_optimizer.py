@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from zetagaps.fracpoly import DomainError, FracPoly
+from zetagaps.fracpoly import _SINE_POWERS, DomainError, FracPoly, sinc_coeffs
 import zetagaps.hfunc
 import zetagaps.optimizer
 from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
 from zetagaps.presets import PRESETS
 from zetagaps.optimizer import (
     CERTIFY_STEPS,
+    NEWTON_STEPS,
+    R_MAX,
+    R_MIN,
     OptimizeConfig,
     RowCheck,
     TableReport,
@@ -347,6 +352,70 @@ def test_best_threshold_ignores_p_x_coefficient(row1, degrees):
 def test_best_threshold_clamps_r(row1):
     for r, clamped in ((9.0, 1.5), (0.5, 1.0)):
         assert _best_threshold(r, row1.scheme.P, (3, 1, 2), row1.c)[1].r == clamped
+
+
+def _full_newton_threshold(r, P, degrees, c):
+    # _best_threshold's loop written out without its shortcuts: all NEWTON_STEPS steps, each
+    # rebuilding B(c) by tensordot, with f1, f1t and keep built afresh
+    d1, d2, _ = degrees
+    r = float(np.clip(r, R_MIN, R_MAX))
+    ones = (FracPoly.from_coeffs(np.ones(d + 1)) for d in (d1, d2))
+    a, b = CoeffScheme(r, *ones, P).forms
+    w = a.shape[1] // 2
+    keep = np.r_[: d1 + 1, w : w + d2 + 1]
+    z = _denominator_basis(a.sum(axis=0)[np.ix_(keep, keep)])
+    b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, keep[:, None], keep]) @ z
+    for _ in range(NEWTON_STEPS):
+        s = sinc_coeffs(c)
+        lam, vecs = np.linalg.eigh(np.tensordot(s, b, 1))
+        v = vecs[:, 0]
+        c -= (c - lam[0] - 1.0) / (1.0 - (_SINE_POWERS * s / c) @ (b @ v @ v))
+    f1, f1t = (FracPoly.from_coeffs(part) for part in np.split(z @ v, [d1 + 1]))
+    return c, CoeffScheme(r, f1, f1t, P)
+
+
+def _hex(root, scheme):
+    coeffs = [p.to_coeffs().tolist() for p in (scheme.f1, scheme.f1t, scheme.P)]
+    return float(root).hex(), float(scheme.r).hex(), [[x.hex() for x in row] for row in coeffs]
+
+
+_P_WIDE = ([0.0, 0.0, 1e6, 0.0, 1.0], [0.0, 0.0, -1e3, 1e3, 1.0], [0.0, 0.0, -0.5, -0.5, 1.0])
+_EIGEN_CASES = {
+    **{p.name: (p.scheme.r, p.scheme.P, _degrees(p.scheme)) for p in PRESETS},
+    **{f"{d}-P{i}": (1.18, FracPoly.from_coeffs(p), d)
+       for d in ((5, 3, 4), (7, 4, 5)) for i, p in enumerate(_P_WIDE)},
+    **{f"r={r}": (r, PRESETS[0].scheme.P, (3, 1, 2)) for r in (9.0, 0.5)},  # clipped r
+}
+
+
+@pytest.mark.parametrize("c", [0.05, 0.5154, 0.95])
+@pytest.mark.parametrize("r, P, degrees", _EIGEN_CASES.values(), ids=_EIGEN_CASES)
+def test_best_threshold_is_bitwise_the_full_newton_loop(r, P, degrees, c):
+    # stopping at a step of exactly 0 and the one product per step change no bit of the
+    # root or of the eigenvector scheme, from every start
+    got = _hex(*_best_threshold(r, P, degrees, c))
+    assert got == _hex(*_full_newton_threshold(r, P, degrees, c))
+
+
+def test_best_threshold_stops_at_the_fixed_point(row1, monkeypatch):
+    # one eigen-solve for the denominator basis, then one per Newton step: an optimize run
+    # from row1 stops early often enough to stay below 1 + NEWTON_STEPS solves a call
+    solves = []
+    eigh, best = np.linalg.eigh, zetagaps.optimizer._best_threshold
+
+    def counting_eigh(m):
+        solves[-1] += 1
+        return eigh(m)
+
+    def counting_best(*args):
+        solves.append(0)
+        return best(*args)
+
+    monkeypatch.setattr(zetagaps.optimizer.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(zetagaps.optimizer, "_best_threshold", counting_best)
+    optimize_scheme(OptimizeConfig(), row1.scheme)
+    assert solves and max(solves) <= 1 + NEWTON_STEPS
+    assert sum(solves) < (1 + NEWTON_STEPS) * len(solves)
 
 
 def test_denominator_basis_drops_null_directions():
