@@ -48,12 +48,11 @@ evaluation needs no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from numbers import Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracpoly import SINE_TERMS, DomainError, FracPoly, _beta_grid, _sinc_rows
 
@@ -99,6 +98,7 @@ class CoeffScheme:
     f1: FracPoly
     f1t: FracPoly
     P: FracPoly
+    dense: np.ndarray = field(init=False, repr=False, compare=False)  # rows f1, f1t, P, 1, padded
 
     def __post_init__(self):
         if not _is(Real, self.r):
@@ -107,20 +107,17 @@ class CoeffScheme:
             object.__setattr__(self, "r", float(self.r))
         if not (1.0 <= self.r and math.isfinite(self.r * self.r * (self.r * self.r))):
             raise ValueError(f"r must be >= 1 with a finite kernel scale r**4, got r={self.r!r}")
+        rows = []
         for name in ("f1", "f1t", "P"):
             try:
-                getattr(self, name).to_coeffs()
+                rows.append(getattr(self, name).to_coeffs())
             except DomainError as exc:
                 raise ValueError(f"{name} must have integer exponents") from exc
-        if self.P.to_coeffs()[0] != 0.0:
-            raise ValueError("P must vanish at 0 (no constant term)")
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """Rows f1, f1t, P and 1 of dense coefficients, zero-padded to one width."""
-        rows = [p.to_coeffs() for p in (self.f1, self.f1t, self.P)] + [np.ones(1)]
         width = max(row.size for row in rows)
-        return np.array([np.concatenate([row, np.zeros(width - row.size)]) for row in rows])
+        rows = [np.concatenate([row, np.zeros(width - row.size)]) for row in rows + [np.ones(1)]]
+        object.__setattr__(self, "dense", np.array(rows))
+        if self.dense[2, 0] != 0.0:
+            raise ValueError("P must vanish at 0 (no constant term)")
 
     @cached_property
     def kernels(self) -> np.ndarray:
@@ -158,18 +155,15 @@ class CoeffScheme:
 
     @cached_property
     def forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric (A, B), d_i = x A[i] x and M[i, j] = x B[i, j] x, x the dense f1 | f1t.
-
-        Built on first use, from (r, P) and the width alone: A[i] and B[i] are the symmetric
-        parts of block matrices that hold, in the (f, g) block that _TERMS gives each row, the
-        scaled Hankel block of its kernel moments or its block of _coefficient_pairings
-        (_symmetric_blocks).  h_value never builds them."""
+        """Symmetric (A, B) with D = x A x and sum_i M[i, j] = x B[j] x for x the dense f1 | f1t,
+        built on first use from (r, P) and the width alone: _summed_blocks of the rows' scaled
+        Hankel blocks of kernel moments (A) or _coefficient_pairings (B).  h_value never does."""
         w = self.dense.shape[1]
         hankel = self.kernels[_K[_DEN, None, None], np.add.outer(np.arange(w), np.arange(w))]
         pairings = _coefficient_pairings(self.kernels[_K[_NUM]], self.dense[_H[_NUM]])
         return (
-            _symmetric_blocks(hankel * _SCALE[_DEN, None, None], _F[_DEN], _G[_DEN]),
-            _symmetric_blocks(pairings, _F[_NUM], _G[_NUM]),
+            _summed_blocks(hankel * _SCALE[_DEN, None, None], _F[_DEN], _G[_DEN]),
+            _summed_blocks(pairings, _F[_NUM], _G[_NUM]),
         )
 
 
@@ -201,26 +195,29 @@ def _coefficient_pairings(mu: np.ndarray, h: np.ndarray) -> np.ndarray:
     wherever mu is finite."""
     w = h.shape[1]
     _, betas = _sine_table(w)
-    # window[i, j, k, l, m] = mu_i(2j+k+l+m+1)
-    window = sliding_window_view(mu, (w, w, w), axis=(1, 1, 1))[:, 1 : 2 * SINE_TERMS : 2]
+    # window[i, j, k, l, m] = mu_i(2j+k+l+m+1), a view that numpy bounds-checks against mu's buffer
+    i, n = mu.strides
+    window = np.ndarray((len(mu), SINE_TERMS, w, w, w), float, mu, n, (i, 2 * n, n, n, n))
     x = window[:, :, 0] * betas[:, None, 0]
     rest = np.flatnonzero((h != np.eye(1, w)).any(axis=1))
     x[rest] = np.einsum("ijklm,jkl,ik->ijml", window[rest], betas, h[rest])
     return x
 
 
-def _symmetric_blocks(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """0.5 (Y + Y^T) for Y[i] the 2 x 2 block matrix with x[i] in block (f[i], g[i]) and zero
-    blocks elsewhere, over the last two axes of x.  Written block by block, each float as in the
-    whole sum: 0.5 (x + x^T) in a diagonal block, else 0.5 (x + 0) and its transpose."""
-    n, w = len(x), x.shape[-1]
-    diagonal = (f == g).reshape((n,) + (1,) * (x.ndim - 1))
-    half = 0.5 * (x + np.where(diagonal, x.swapaxes(-1, -2), 0.0))
-    y = np.zeros((n, *x.shape[1:-2], 2, w, 2, w))
-    rows = np.arange(n)
-    y[rows, ..., f, :, g, :] = half
-    y[rows, ..., g, :, f, :] = half.swapaxes(-1, -2)  # a diagonal half is symmetric
-    return y.reshape(*y.shape[:-4], 2 * w, 2 * w)
+def _summed_blocks(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_i 0.5 (Y_i + Y_i^T), Y_i the 2 x 2 block matrix with x[i] in block (f[i], g[i]) and zero
+    blocks elsewhere, over the last two axes of x.  Added onto zeros block by block in row order,
+    each float as in that whole sum: 0.5 (x + x^T) into a diagonal block, else 0.5 x into (f, g)
+    and 0.5 x^T into (g, f)."""
+    xt = np.ascontiguousarray(x.swapaxes(-1, -2))  # contiguous, as every block of y
+    y = np.zeros((2, 2, *x.shape[1:]))  # y[p, q] is block (p, q)
+    for xi, xti, fi, gi in zip(x, xt, f.tolist(), g.tolist()):
+        if fi == gi:
+            y[fi, fi] += 0.5 * (xi + xti)
+        else:
+            y[fi, gi] += 0.5 * xi
+            y[gi, fi] += 0.5 * xti
+    return np.moveaxis(y, (0, 1), (-4, -2)).reshape(*x.shape[1:-2], 2 * x.shape[-1], -1)
 
 
 @cache

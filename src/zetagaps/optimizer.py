@@ -10,10 +10,10 @@ published row of verify_table (RowCheck.passed).
 At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
 x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
 the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
-with the eigenvector as coefficients (_best_threshold: at most NEWTON_STEPS
-Newton steps, stopping once a step is exactly 0).  A simplex search
-over r and the coefficients of P that no gauge of h fixes lowers that root
-(optimize_scheme).
+with the eigenvector as coefficients (_eigen_root: at most NEWTON_STEPS Newton
+steps, stopping once a step is exactly 0).  A simplex search over r and the
+coefficients of P that no gauge of h fixes lowers that root (optimize_scheme),
+and the eigenvector becomes a scheme once, at its end (_best_threshold).
 """
 
 from __future__ import annotations
@@ -259,31 +259,34 @@ def _denominator_basis(a: np.ndarray) -> np.ndarray:
     return s[:, None] * v[:, live] / np.sqrt(lam[live])
 
 
-def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, CoeffScheme]:
-    """(root, scheme) minimizing the threshold over f1, f1t of the given degrees at (r, P).
-
-    r is clipped to [R_MIN, R_MAX].  At most NEWTON_STEPS Newton steps from c, stopping once a
-    step is exactly 0, solve c - lambda_min(c) = 1, with lambda'(c) = v B'(c) v
-    (Hellmann-Feynman) for the A-normalised eigenvector v = (f1, f1t).
-    """
+def _eigen_root(r: float, P: FracPoly, degrees, c: float) -> tuple[float, float, np.ndarray]:
+    """(root, r, x) for r clipped to [R_MIN, R_MAX]: the least threshold over f1, f1t of the given
+    degrees at (r, P), reached at their coefficients x = (f1 | f1t) = Z v.  At most NEWTON_STEPS
+    Newton steps from c, stopping once a step is exactly 0, solve c - lambda_min(c) = 1, with
+    lambda'(c) = v B'(c) v (Hellmann-Feynman) for the A-normalised eigenvector v and
+    s_j'(c) = (2j + 1) s_j(c) / c."""
     d1, d2, _ = degrees
     r = float(np.clip(r, R_MIN, R_MAX))
     a, b = CoeffScheme(r, *_unit_polys(d1, d2), P).forms
-    kept = _kept(d1, d2, a.shape[1] // 2)
-    z = _denominator_basis(a.sum(axis=0)[kept])
-    b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, kept[0], kept[1]]) @ z
+    kept = _kept(d1, d2, len(a) // 2)
+    z = _denominator_basis(a[kept])
+    b = z.T @ (-2.0 * r / math.pi * b[:, kept[0], kept[1]]) @ z
     series = b.reshape(SINE_TERMS, -1)  # B(c) = s(c) @ series, one matrix-vector product
     for _ in range(NEWTON_STEPS):
         s = sinc_coeffs(c)
         lam, vecs = np.linalg.eigh((s @ series).reshape(b.shape[1:]))
         v = vecs[:, 0]
-        # s_j'(c) = (2j + 1) s_j(c) / c
         step = (c - lam[0] - 1.0) / (1.0 - (_SINE_POWERS * s / c) @ (b @ v @ v))
         c -= step
         if step == 0.0:  # a fixed point: every further step would repeat this one
             break
-    f1, f1t = (FracPoly.from_coeffs(part) for part in np.split(z @ v, [d1 + 1]))
-    return c, CoeffScheme(r, f1, f1t, P)
+    return c, r, z @ v
+
+
+def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, CoeffScheme]:
+    """(root, scheme) of _eigen_root, the scheme's f1 and f1t its coefficients x."""
+    root, r, x = _eigen_root(r, P, degrees, c)
+    return root, CoeffScheme(r, *map(FracPoly.from_coeffs, np.split(x, [degrees[0] + 1])), P)
 
 
 @cache
@@ -335,14 +338,14 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
     p = np.pad(p, (0, d_p + 1 - p.size))
     free = slice(2 if d1 > d2 else 1, d_p)  # P's searched coefficients
 
-    def best(v):  # r = v[0], P's free coefficients v[1:], top coefficient 1
+    def best(f, v):  # f at r = v[0] and P's free coefficients v[1:], top coefficient 1
         p_v = np.zeros(d_p + 1)
         p_v[free], p_v[-1] = v[1:], 1.0
-        return _best_threshold(v[0], FracPoly.from_coeffs(p_v), config.degrees, c_start)
+        return f(v[0], FracPoly.from_coeffs(p_v), config.degrees, c_start)
 
     v0 = np.r_[start.r, p[free] / (p[-1] or 1.0)]
-    v, _, trace = nelder_mead(lambda v: best(v)[0], v0, config)
-    scheme = best(v)[1]
+    v, _, trace = nelder_mead(lambda v: best(_eigen_root, v)[0], v0, config)
+    scheme = best(_best_threshold, v)[1]
     c_star, margin = _certify(scheme, config)
     if c_start <= c_star:
         scheme, c_star, margin = start, c_start, margin_start

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import Polynomial
 
+import zetagaps.hfunc
 from zetagaps import PRESETS, CoeffScheme, FracPoly
 
 HB_FIELDS = ["d1", "d2", "d31", "d32", "n1", "n2", "n31", "n32", "n41", "n42", "n43"]
@@ -23,6 +24,32 @@ def from_terms(terms) -> FracPoly:
     c, e = np.array(list(terms), dtype=float).reshape(-1, 2).T
     shift = e.min() if e.size else 0.0
     return FracPoly(shift, np.bincount(np.rint(e - shift).astype(int), weights=c))
+
+
+# Reference construction of the forms: every coefficient of x = (f1 | f1t) is a one-hot
+# unit row, pushed through the general pairing T[i, j, a, b] = <K_i, f_ia ((x**(2j) h_i) * g_ib)>
+# by einsum.  Rows n1..n43: kernel, and dense rows (f1, f1t, P, 1) of f, h and g.
+REF_K, REF_F, REF_H, REF_G = np.array(
+    [[0, 1, 1, 0, 2, 3, 1], [0, 1, 0, 0, 1, 1, 1], [3, 3, 3, 2, 3, 3, 2], [0, 0, 1, 1, 1, 1, 1]]
+)
+
+
+def reference_pairings(mu, f, h, g):
+    nu = np.array([[np.correlate(m, fa, "valid") for fa in fi] for m, fi in zip(mu, f)])
+    degree, betas = zetagaps.hfunc._sine_table(h.shape[1])
+    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, degree] * betas, h, g)
+
+
+def reference_forms(scheme):
+    """The forms row by row, (A_i, B_i) with d_i = x A_i x and M[i, j] = x B_ij x: summed over
+    rows in row order, the floats CoeffScheme.forms gives."""
+    w = scheme.dense.shape[1]
+    unit = np.eye(2 * w).reshape(2 * w, 2, w).transpose(1, 0, 2)
+    hankel = scheme.kernels[:, np.add.outer(np.arange(w), np.arange(w))]
+    hankel[1] *= 2.0
+    a = np.einsum("iam,iml,ibl->iab", unit[[0, 0, 1, 1]], hankel, unit[[0, 1, 1, 1]])
+    b = reference_pairings(scheme.kernels[REF_K], unit[REF_F], scheme.dense[REF_H], unit[REF_G])
+    return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
 
 
 WORKER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"

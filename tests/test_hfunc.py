@@ -31,7 +31,17 @@ from zetagaps.hfunc import (
 
 from zetagaps.optimizer import grid_points
 
-from conftest import HB_FIELDS, certify_batch, compose_one_minus
+from conftest import (
+    HB_FIELDS,
+    REF_F,
+    REF_G,
+    REF_H,
+    REF_K,
+    certify_batch,
+    compose_one_minus,
+    reference_forms,
+    reference_pairings,
+)
 
 
 def _scheme(r, f1, f1t, p):
@@ -202,7 +212,7 @@ def test_h_path_runs_no_fracpoly_convolution(row2, monkeypatch):
     s = row2.scheme
     scheme = CoeffScheme(s.r * 1.001, s.f1, s.f1t, s.P)
     assert h_value(scheme, row2.c).h == h_grid(scheme, [0.3, row2.c])[1]
-    assert scheme.forms[0].shape == (4, 2 * scheme.dense.shape[1], 2 * scheme.dense.shape[1])
+    assert scheme.forms[0].shape == (2 * scheme.dense.shape[1], 2 * scheme.dense.shape[1])
 
 
 # ---------------------------------------------------------------- quadratic forms
@@ -210,48 +220,29 @@ def test_h_path_runs_no_fracpoly_convolution(row2, monkeypatch):
 
 @pytest.mark.parametrize("r", [None, 1.0, 1.3])
 def test_forms_reproduce_every_component(rows, r):
-    # d_i = x A[i] x and n_i = kappa sum_j s_j(c) x B[i, j] x for x = (f1 | f1t)
+    # d_i = x A_i x and n_i = kappa sum_j s_j(c) x B_ij x for x = (f1 | f1t) and the reference
+    # rows A_i, B_i; D = x A x and N = kappa sum_j s_j(c) x B_j x for the summed forms
     for preset in rows:
         s = preset.scheme
         scheme = CoeffScheme(r or s.r, s.f1, s.f1t, s.P)
+        a_rows, b_rows = reference_forms(scheme)
         a, b = scheme.forms
-        assert np.array_equal(a, a.swapaxes(1, 2)) and np.array_equal(b, b.swapaxes(2, 3))
+        assert np.array_equal(a, a.T) and np.array_equal(b, b.swapaxes(1, 2))
         x = scheme.dense[:2].ravel()
+        kappa = -2.0 * scheme.r / math.pi
         for c in (0.01, preset.c, 0.99):
             exact = h_value(scheme, c)
-            kappa = -2.0 * scheme.r / math.pi
-            forms = [*(x @ a @ x), *(kappa * (x @ b @ x) @ sinc_coeffs(c))]
+            forms = [*(x @ a_rows @ x), *(kappa * (x @ b_rows @ x) @ sinc_coeffs(c))]
             for f, value in zip(HB_FIELDS, forms):
                 assert value == pytest.approx(getattr(exact, f), rel=1e-14, abs=0.0), (f, c)
-
-
-# Reference construction of the forms: every coefficient of x = (f1 | f1t) is a one-hot
-# unit row, pushed through the general pairing T[i, j, a, b] = <K_i, f_ia ((x**(2j) h_i) * g_ib)>
-# by einsum.  Rows n1..n43: kernel, and dense rows (f1, f1t, P, 1) of f, h and g.
-_REF_K, _REF_F, _REF_H, _REF_G = np.array(
-    [[0, 1, 1, 0, 2, 3, 1], [0, 1, 0, 0, 1, 1, 1], [3, 3, 3, 2, 3, 3, 2], [0, 0, 1, 1, 1, 1, 1]]
-)
-
-
-def _reference_pairings(mu, f, h, g):
-    nu = np.array([[np.correlate(m, fa, "valid") for fa in fi] for m, fi in zip(mu, f)])
-    degree, betas = zetagaps.hfunc._sine_table(h.shape[1])
-    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, degree] * betas, h, g)
-
-
-def _reference_forms(scheme):
-    w = scheme.dense.shape[1]
-    unit = np.eye(2 * w).reshape(2 * w, 2, w).transpose(1, 0, 2)
-    hankel = scheme.kernels[:, np.add.outer(np.arange(w), np.arange(w))]
-    hankel[1] *= 2.0
-    a = np.einsum("iam,iml,ibl->iab", unit[[0, 0, 1, 1]], hankel, unit[[0, 1, 1, 1]])
-    b = _reference_pairings(scheme.kernels[_REF_K], unit[_REF_F], scheme.dense[_REF_H], unit[_REF_G])
-    return 0.5 * (a + a.swapaxes(1, 2)), 0.5 * (b + b.swapaxes(2, 3))
+            summed = (x @ a @ x, kappa * (x @ b @ x) @ sinc_coeffs(c))
+            for value, part in zip(summed, (exact.denominator, exact.numerator)):
+                assert value == pytest.approx(part, rel=1e-14, abs=0.0), c
 
 
 def _reference_moments(scheme):
     d = scheme.dense
-    return _reference_pairings(scheme.kernels[_REF_K], d[_REF_F, None], d[_REF_H], d[_REF_G, None])[
+    return reference_pairings(scheme.kernels[REF_K], d[REF_F, None], d[REF_H], d[REF_G, None])[
         ..., 0, 0
     ]
 
@@ -270,10 +261,11 @@ def _reference_denominator(scheme):
 
 
 def _assert_forms_bitwise(scheme):
+    # the reference rows summed in row order: every float, zero signs included
     a, b = scheme.forms
-    a_ref, b_ref = _reference_forms(scheme)
-    assert a.shape == a_ref.shape and np.array_equal(a, a_ref)
-    assert b.shape == b_ref.shape and np.array_equal(b, b_ref)
+    a_ref, b_ref = (rows.sum(axis=0) for rows in reference_forms(scheme))
+    assert a.shape == a_ref.shape and np.array_equal(a.view(np.int64), a_ref.view(np.int64))
+    assert b.shape == b_ref.shape and np.array_equal(b.view(np.int64), b_ref.view(np.int64))
     assert np.array_equal(scheme.moments, _reference_moments(scheme))
     assert denominator_terms(scheme) == _reference_denominator(scheme)
 
@@ -311,6 +303,16 @@ def test_h_value_leaves_the_forms_unbuilt(row1):
     scheme = CoeffScheme(row1.scheme.r, row1.scheme.f1, row1.scheme.f1t, row1.scheme.P)
     h_value(scheme, row1.c)
     assert "forms" not in vars(scheme)
+
+
+def test_a_new_scheme_reads_its_polynomials_once(row1, monkeypatch):
+    # construction builds the dense rows it validates, and every later stage reads those rows:
+    # one to_coeffs call for each of f1, f1t and P
+    calls, to_coeffs = [], FracPoly.to_coeffs
+    monkeypatch.setattr(FracPoly, "to_coeffs", lambda p: calls.append(p) or to_coeffs(p))
+    s = row1.scheme
+    h_value(CoeffScheme(s.r * 1.001, s.f1, s.f1t, s.P), row1.c)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------- h assembly

@@ -25,9 +25,11 @@ from zetagaps.optimizer import (
     _best_threshold,
     _certify,
     _denominator_basis,
+    _eigen_root,
+    _unit_polys,
 )
 
-from conftest import certify_batch
+from conftest import certify_batch, reference_forms
 
 
 def _count_calls(monkeypatch, module, name):
@@ -355,28 +357,33 @@ def test_best_threshold_clamps_r(row1):
 
 
 def _full_newton_threshold(r, P, degrees, c):
-    # _best_threshold's loop written out without its shortcuts: all NEWTON_STEPS steps, each
-    # rebuilding B(c) by tensordot, with f1, f1t and keep built afresh
+    # _eigen_root written out without its shortcuts: the reference forms' rows summed, all
+    # NEWTON_STEPS steps, each rebuilding B(c) by tensordot, with f1, f1t and keep built afresh
     d1, d2, _ = degrees
     r = float(np.clip(r, R_MIN, R_MAX))
     ones = (FracPoly.from_coeffs(np.ones(d + 1)) for d in (d1, d2))
-    a, b = CoeffScheme(r, *ones, P).forms
-    w = a.shape[1] // 2
+    a, b = (rows.sum(axis=0) for rows in reference_forms(CoeffScheme(r, *ones, P)))
+    w = a.shape[0] // 2
     keep = np.r_[: d1 + 1, w : w + d2 + 1]
-    z = _denominator_basis(a.sum(axis=0)[np.ix_(keep, keep)])
-    b = z.T @ (-2.0 * r / math.pi * b.sum(axis=0)[:, keep[:, None], keep]) @ z
+    z = _denominator_basis(a[np.ix_(keep, keep)])
+    b = z.T @ (-2.0 * r / math.pi * b[:, keep[:, None], keep]) @ z
     for _ in range(NEWTON_STEPS):
         s = sinc_coeffs(c)
         lam, vecs = np.linalg.eigh(np.tensordot(s, b, 1))
         v = vecs[:, 0]
         c -= (c - lam[0] - 1.0) / (1.0 - (_SINE_POWERS * s / c) @ (b @ v @ v))
-    f1, f1t = (FracPoly.from_coeffs(part) for part in np.split(z @ v, [d1 + 1]))
-    return c, CoeffScheme(r, f1, f1t, P)
+    return c, r, z @ v
 
 
-def _hex(root, scheme):
-    coeffs = [p.to_coeffs().tolist() for p in (scheme.f1, scheme.f1t, scheme.P)]
-    return float(root).hex(), float(scheme.r).hex(), [[x.hex() for x in row] for row in coeffs]
+def _hex(*floats):
+    return [x.hex() for x in np.hstack(floats).tolist()]
+
+
+def _report_hex(report):
+    s = report.best_scheme
+    coeffs = (p.to_coeffs() for p in (s.f1, s.f1t, s.P))
+    trace = [f for _, f in report.trace]
+    return _hex(report.c_star, report.margin, s.r, *coeffs, trace), [i for i, _ in report.trace]
 
 
 _P_WIDE = ([0.0, 0.0, 1e6, 0.0, 1.0], [0.0, 0.0, -1e3, 1e3, 1.0], [0.0, 0.0, -0.5, -0.5, 1.0])
@@ -391,38 +398,65 @@ _EIGEN_CASES = {
 @pytest.mark.parametrize("c", [0.05, 0.5154, 0.95])
 @pytest.mark.parametrize("r, P, degrees", _EIGEN_CASES.values(), ids=_EIGEN_CASES)
 def test_best_threshold_is_bitwise_the_full_newton_loop(r, P, degrees, c):
-    # stopping at a step of exactly 0 and the one product per step change no bit of the
-    # root or of the eigenvector scheme, from every start
-    got = _hex(*_best_threshold(r, P, degrees, c))
-    assert got == _hex(*_full_newton_threshold(r, P, degrees, c))
+    # the summed forms, stopping at a step of exactly 0 and the one product per step change no
+    # bit of the root, r or the eigenvector, from every start; the scheme holds that vector
+    got = _eigen_root(r, P, degrees, c)
+    assert _hex(*got) == _hex(*_full_newton_threshold(r, P, degrees, c))
+    root, scheme = _best_threshold(r, P, degrees, c)
+    coeffs = (p.to_coeffs() for p in (scheme.f1, scheme.f1t))
+    assert _hex(root, scheme.r, *coeffs) == _hex(*got)
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, 2), (5, 3, 4)], ids=["3-1-2", "5-3-4"])
+def test_optimize_scheme_is_bitwise_the_full_newton_search(row1, degrees, monkeypatch):
+    # the whole search with _full_newton_threshold as its objective, and for its final
+    # scheme: the same c*, margin, scheme and trace, bit for bit
+    config = OptimizeConfig(degrees=degrees)
+    got = _report_hex(optimize_scheme(config, row1.scheme))
+    monkeypatch.setattr(zetagaps.optimizer, "_eigen_root", _full_newton_threshold)
+    assert got == _report_hex(optimize_scheme(config, row1.scheme))
 
 
 def test_best_threshold_stops_at_the_fixed_point(row1, monkeypatch):
     # one eigen-solve for the denominator basis, then one per Newton step: an optimize run
-    # from row1 stops early often enough to stay below 1 + NEWTON_STEPS solves a call
-    solves = []
-    eigh, best = np.linalg.eigh, zetagaps.optimizer._best_threshold
+    # from row1 stops early often enough to stay below 1 + NEWTON_STEPS solves a call; and
+    # of the schemes it builds, one per objective call holds the unit f1, f1t, and one more
+    # the eigenvector of the search's end
+    solves, built = [], []
+    eigh, root, scheme = np.linalg.eigh, zetagaps.optimizer._eigen_root, CoeffScheme
 
     def counting_eigh(m):
         solves[-1] += 1
         return eigh(m)
 
-    def counting_best(*args):
+    def counting_root(*args):
         solves.append(0)
-        return best(*args)
+        return root(*args)
 
     monkeypatch.setattr(zetagaps.optimizer.np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(zetagaps.optimizer, "_best_threshold", counting_best)
+    monkeypatch.setattr(zetagaps.optimizer, "_eigen_root", counting_root)
+    monkeypatch.setattr(zetagaps.optimizer, "CoeffScheme", lambda *a: built.append(a) or scheme(*a))
     optimize_scheme(OptimizeConfig(), row1.scheme)
     assert solves and max(solves) <= 1 + NEWTON_STEPS
     assert sum(solves) < (1 + NEWTON_STEPS) * len(solves)
+    eigenvector = [args for args in built if args[1] is not _unit_polys(3, 1)[0]]
+    assert len(built) == len(solves) + 1 and len(eigenvector) == 1
+
+
+def test_objective_reads_its_polynomials_once(row1, monkeypatch):
+    # the search's objective builds one scheme, whose construction calls to_coeffs on its
+    # f1, f1t and P, and no eigenvector scheme
+    calls, to_coeffs = [], FracPoly.to_coeffs
+    monkeypatch.setattr(FracPoly, "to_coeffs", lambda p: calls.append(p) or to_coeffs(p))
+    _eigen_root(1.18 + 1e-9, row1.scheme.P, (3, 1, 2), row1.c)
+    assert len(calls) == 3
 
 
 def test_denominator_basis_drops_null_directions():
     with pytest.raises(DegenerateSchemeError):
         _denominator_basis(np.zeros((3, 3)))
     # P = x makes the denominator form singular at degrees (3, 1)
-    a = _scheme(1.18, np.ones(4), np.ones(2), [0.0, 1.0]).forms[0].sum(axis=0)
+    a = _scheme(1.18, np.ones(4), np.ones(2), [0.0, 1.0]).forms[0]
     keep = np.r_[:4, 4:6]
     z = _denominator_basis(a[np.ix_(keep, keep)])
     assert z.shape == (6, 4)
