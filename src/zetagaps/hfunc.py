@@ -34,8 +34,9 @@ nested integrals onto the kernel, so nothing is reflected u -> 1 - u.  A
 scheme compiles once, into the kernel moments <K, x**m> (CoeffScheme.kernels),
 the four denominator components (CoeffScheme.den_terms) and, as c enters only
 through sin(pi c v)/v = sum_j s_j(c) v**(2j), the c-free sine moments of the
-numerator (CoeffScheme.moments).  h_grid evaluates h on a whole array of c in
-one call, each value the same float that h_value gives at that c.
+numerator (CoeffScheme.moments).  The kernel moments and the search's forms in
+(f1 | f1t) read (r, P) alone (_kernel_moments, _forms).  h_grid evaluates h on a
+whole array of c in one call, each value the same float that h_value gives at c.
 
 Every component is normalized by the common prefactor A_r * r^2 * (log T)^(r^2)
 shared by all eleven integrals, which removes the (otherwise unspecified)
@@ -121,22 +122,8 @@ class CoeffScheme:
 
     @cached_property
     def kernels(self) -> np.ndarray:
-        """Rows mu_K(n) = <K, x**n> of K1..K4, n up to the top numerator degree: beta_n, then
-        scale * sum_k Q[k] B(n+1, k+1) beta_(n+k+1) for Q = P1, P1 * P1 and P2 (module docs)."""
-        a, p = self.r * self.r, self.dense[2]
-        w, unit = p.size, _unit_betas(p.size)
-        m, k = len(unit), np.arange(2 * w)
-        p1 = np.append(p[1:], 0.0)  # P1, padded: at width 1 it would be empty
-        beta = _beta_grid(np.array([a]), np.arange(1.0, m + 2 * w + 1))[0]
-        # quietly: an overflow reaches den_terms as inf or NaN, and DegenerateSchemeError names it
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = np.zeros((3, 2 * w))
-            q[0, :w] = p1
-            p1p1 = np.outer(p1, p1) * unit[:w, :w]  # y**i * y**j = B(i+1, j+1) y**(i+j+1)
-            q[1] = np.bincount(np.add.outer(k[:w], k[1 : w + 1]).ravel(), p1p1.ravel(), 2 * w)
-            q[2, :-1] = np.convolve(p1, p)
-            mu = q @ (unit[:m, : 2 * w] * beta[np.add.outer(np.arange(m), k) + 1]).T
-            return np.vstack([beta[:m], mu * np.array([a, a * a, a])[:, None]])
+        """_kernel_moments at the scheme's r and P."""
+        return _kernel_moments(self.r, self.dense[2])
 
     @cached_property
     def den_terms(self) -> tuple[float, float, float, float]:
@@ -153,20 +140,6 @@ class CoeffScheme:
         d, mu = self.dense, self.kernels[_K[_NUM]]
         return _pairings(mu, d[_F[_NUM]], d[_H[_NUM]], d[_G[_NUM]])
 
-    @cached_property
-    def forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric (A, B) with D = x A x and sum_i M[i, j] = x B[j] x for x the dense f1 | f1t,
-        built on first use from (r, P) and the width alone: _summed_blocks of the rows' scaled
-        Hankel blocks of kernel moments (A) or _coefficient_pairings (B).  h_value never does."""
-        w = self.dense.shape[1]
-        hankel = self.kernels[_K[_DEN, None, None], np.add.outer(np.arange(w), np.arange(w))]
-        pairings = _coefficient_pairings(self.kernels[_K[_NUM]], self.dense[_H[_NUM]])
-        return (
-            _summed_blocks(hankel * _SCALE[_DEN, None, None], _F[_DEN], _G[_DEN]),
-            _summed_blocks(pairings, _F[_NUM], _G[_NUM]),
-        )
-
-
 # The eleven components in HBreakdown order: the kernel K1..K4, the dense rows
 # (f1, f1t, P, 1) = (0, 1, 2, 3) of f, h and g, and a scale.  d_i = scale <K, f g>
 # (denominator_terms, h unused) and n_i = kappa <K, f ((S h) * g)> (numerator_terms).
@@ -177,6 +150,38 @@ _TERMS = {  # name: (K, f, h, g, scale)
 }
 _K, _F, _H, _G, _SCALE = np.array(list(_TERMS.values())).T
 _DEN, _NUM = slice(4), slice(4, None)
+
+
+def _kernel_moments(r: float, p: np.ndarray) -> np.ndarray:
+    """Rows mu_K(n) = <K, x**n> of K1..K4 at (r, P), p P's coefficients padded to a scheme's
+    width, n up to its top numerator degree: beta_n, then scale * sum_k Q[k] B(n+1, k+1)
+    beta_(n+k+1) for Q = P1, P1 * P1 and P2 (module docs)."""
+    a, w, unit = r * r, p.size, _unit_betas(p.size)
+    m, k = len(unit), np.arange(2 * w)
+    p1 = np.append(p[1:], 0.0)  # P1, padded: at width 1 it would be empty
+    beta = _beta_grid(np.array([a]), np.arange(1.0, m + 2 * w + 1))[0]
+    # quietly: an overflow reaches den_terms as inf or NaN, and DegenerateSchemeError names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.zeros((3, 2 * w))
+        q[0, :w] = p1
+        p1p1 = np.outer(p1, p1) * unit[:w, :w]  # y**i * y**j = B(i+1, j+1) y**(i+j+1)
+        q[1] = np.bincount(np.add.outer(k[:w], k[1 : w + 1]).ravel(), p1p1.ravel(), 2 * w)
+        q[2, :-1] = np.convolve(p1, p)
+        mu = q @ (unit[:m, : 2 * w] * beta[np.add.outer(np.arange(m), k) + 1]).T
+        return np.vstack([beta[:m], mu * np.array([a, a * a, a])[:, None]])
+
+
+def _forms(r: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric (A, B) with D = x A x and sum_i M[i, j] = x B[j] x for x the dense f1 | f1t of
+    any scheme at (r, P) whose width is p.size (p as in _kernel_moments): _summed_blocks of the
+    rows' scaled Hankel blocks of kernel moments (A) or _coefficient_pairings (B)."""
+    w, mu = p.size, _kernel_moments(r, p)
+    hankel = mu[_K[_DEN, None, None], np.add.outer(np.arange(w), np.arange(w))]
+    h = np.array([p, np.eye(1, w)[0]])[_H[_NUM] - 2]  # the rows P and 1 of CoeffScheme.dense
+    return (
+        _summed_blocks(hankel * _SCALE[_DEN, None, None], _F[_DEN], _G[_DEN]),
+        _summed_blocks(_coefficient_pairings(mu[_K[_NUM]], h), _F[_NUM], _G[_NUM]),
+    )
 
 
 def _pairings(mu: np.ndarray, f: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -223,7 +228,7 @@ def _summed_blocks(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 @cache
 def _unit_betas(width: int) -> np.ndarray:
     """B(i+1, j+1) for i, j < 2 SINE_TERMS + 3 width - 3, the kernel moments a scheme of this
-    width needs: every integer Beta it reads (kernels, _sine_table); read-only, shared."""
+    width needs: every integer Beta it reads (_kernel_moments, _sine_table); read-only, shared."""
     n = np.arange(1.0, 2 * SINE_TERMS + 3 * width - 2)
     grid = _beta_grid(n, n)
     grid.setflags(write=False)

@@ -10,10 +10,10 @@ published row of verify_table (RowCheck.passed).
 At fixed (r, P), D = x A x and N(c) = x B(c) x are quadratic forms in
 x = (f1 | f1t), the ratio-of-quadratic-forms setup of Montgomery-Odlyzko, so
 the best threshold over f1, f1t is the root of c - lambda_min(B(c), A) = 1,
-with the eigenvector as coefficients (_eigen_root: at most NEWTON_STEPS Newton
-steps, stopping once a step is exactly 0).  A simplex search over r and the
-coefficients of P that no gauge of h fixes lowers that root (optimize_scheme),
-and the eigenvector becomes a scheme once, at its end (_best_threshold).
+with the eigenvector as coefficients (_eigen_root on hfunc._forms(r, p): at
+most NEWTON_STEPS Newton steps, stopping once a step is exactly 0).  A simplex
+search over r and the coefficients of P that no gauge of h fixes lowers that
+root (optimize_scheme); its end is the run's one new scheme (_best_threshold).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .hfunc import (
     DegenerateSchemeError,
     HBreakdown,
     _certifies,
+    _forms,
     _is,
     _ratio,
     _rounding_budget,
@@ -259,16 +260,17 @@ def _denominator_basis(a: np.ndarray) -> np.ndarray:
     return s[:, None] * v[:, live] / np.sqrt(lam[live])
 
 
-def _eigen_root(r: float, P: FracPoly, degrees, c: float) -> tuple[float, float, np.ndarray]:
+def _eigen_root(r: float, p: np.ndarray, degrees, c: float) -> tuple[float, float, np.ndarray]:
     """(root, r, x) for r clipped to [R_MIN, R_MAX]: the least threshold over f1, f1t of the given
-    degrees at (r, P), reached at their coefficients x = (f1 | f1t) = Z v.  At most NEWTON_STEPS
-    Newton steps from c, stopping once a step is exactly 0, solve c - lambda_min(c) = 1, with
-    lambda'(c) = v B'(c) v (Hellmann-Feynman) for the A-normalised eigenvector v and
-    s_j'(c) = (2j + 1) s_j(c) / c."""
+    degrees at (r, P), P's coefficients p, reached at their coefficients x = (f1 | f1t) = Z v.  At
+    most NEWTON_STEPS Newton steps from c, stopping once a step is exactly 0, solve
+    c - lambda_min(c) = 1, with lambda'(c) = v B'(c) v (Hellmann-Feynman) for the A-normalised
+    eigenvector v and s_j'(c) = (2j + 1) s_j(c) / c."""
     d1, d2, _ = degrees
     r = float(np.clip(r, R_MIN, R_MAX))
-    a, b = CoeffScheme(r, *_unit_polys(d1, d2), P).forms
-    kept = _kept(d1, d2, len(a) // 2)
+    w = max(d1 + 1, d2 + 1, p.size)  # the width of a scheme of these degrees and P
+    a, b = _forms(r, np.pad(p, (0, w - p.size)))
+    kept = _kept(d1, d2, w)
     z = _denominator_basis(a[kept])
     b = z.T @ (-2.0 * r / math.pi * b[:, kept[0], kept[1]]) @ z
     series = b.reshape(SINE_TERMS, -1)  # B(c) = s(c) @ series, one matrix-vector product
@@ -283,17 +285,10 @@ def _eigen_root(r: float, P: FracPoly, degrees, c: float) -> tuple[float, float,
     return c, r, z @ v
 
 
-def _best_threshold(r: float, P: FracPoly, degrees, c: float) -> tuple[float, CoeffScheme]:
-    """(root, scheme) of _eigen_root, the scheme's f1 and f1t its coefficients x."""
-    root, r, x = _eigen_root(r, P, degrees, c)
-    return root, CoeffScheme(r, *map(FracPoly.from_coeffs, np.split(x, [degrees[0] + 1])), P)
-
-
-@cache
-def _unit_polys(d1: int, d2: int) -> tuple[FracPoly, FracPoly]:
-    """f1 and f1t of degrees d1 and d2 with every coefficient 1: the forms depend on their
-    degrees only, through the width of the scheme."""
-    return FracPoly.from_coeffs(np.ones(d1 + 1)), FracPoly.from_coeffs(np.ones(d2 + 1))
+def _best_threshold(r: float, p: np.ndarray, degrees, c: float) -> tuple[float, CoeffScheme]:
+    """(root, scheme) of _eigen_root, the scheme's f1 and f1t its coefficients x and P from p."""
+    root, r, x = _eigen_root(r, p, degrees, c)
+    return root, CoeffScheme(r, *map(FracPoly.from_coeffs, [*np.split(x, [degrees[0] + 1]), p]))
 
 
 @cache
@@ -341,7 +336,7 @@ def optimize_scheme(config: OptimizeConfig, start: CoeffScheme) -> OptimizeRepor
     def best(f, v):  # f at r = v[0] and P's free coefficients v[1:], top coefficient 1
         p_v = np.zeros(d_p + 1)
         p_v[free], p_v[-1] = v[1:], 1.0
-        return f(v[0], FracPoly.from_coeffs(p_v), config.degrees, c_start)
+        return f(v[0], p_v, config.degrees, c_start)
 
     v0 = np.r_[start.r, p[free] / (p[-1] or 1.0)]
     v, _, trace = nelder_mead(lambda v: best(_eigen_root, v)[0], v0, config)

@@ -151,13 +151,13 @@ def beta_kernel_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     return _jacobi_rule(a - 1.0, 0.0, order)
 
 
-def _kernel_rules(scheme: CoeffScheme, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(x, w) with <K, phi> ~ w @ phi(x) for K1..K4 (module docs); K2-K4 share x."""
-    a, p = scheme.r * scheme.r, scheme.P.eval
+def _kernel_rules(r: float, P: FracPoly, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(x, w) with <K, phi> ~ w @ phi(x) for K1..K4 at (r, P) (module docs); K2-K4 share x."""
+    a, p = r * r, P.eval
     t, wt = beta_kernel_rule(a, order)  # (1-t)**(a-1): K1 and every inner Beta kernel
     x, wx = beta_kernel_rule(a + 1.0, order)  # (1-x)**a: the y**a of K2-K4, y = 1 - x
     yt = np.outer(1.0 - x, t)
-    s, ws = _unit_rule(min(max(2, int(scheme.P.degree)), 128))  # exact on P1(ws) P1(w(1-s))
+    s, ws = _unit_rule(min(max(2, int(P.degree)), 128))  # exact on P1(ws) P1(w(1-s))
     yts, yt_rest = yt[..., None] * s, yt[..., None] * (1.0 - s)
     p_yt = p(yt)
     p1 = p_yt / yt
@@ -173,7 +173,7 @@ def _compiled(scheme: CoeffScheme, order: int) -> tuple:
     weights H (5, order, order) of the pairs t (1, f1), t (P, f1t), x (1, f1), x (1, f1t)
     and x (P, f1t), and L (7, order), each numerator row's kappa (w f)(nodes)."""
     f1, f1t = scheme.f1, scheme.f1t
-    (t, w1), (x, w2), (_, w3), (_, w4) = _kernel_rules(scheme, order)
+    (t, w1), (x, w2), (_, w3), (_, w4) = _kernel_rules(scheme.r, scheme.P, order)
     zeta, w_zeta = _unit_rule(order)
     nodes = np.array([t, x])[..., None]
     z, rest = nodes * zeta, nodes * (1.0 - zeta)

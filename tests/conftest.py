@@ -42,7 +42,7 @@ def reference_pairings(mu, f, h, g):
 
 def reference_forms(scheme):
     """The forms row by row, (A_i, B_i) with d_i = x A_i x and M[i, j] = x B_ij x: summed over
-    rows in row order, the floats CoeffScheme.forms gives."""
+    rows in row order, the floats hfunc._forms(scheme.r, scheme.dense[2]) gives."""
     w = scheme.dense.shape[1]
     unit = np.eye(2 * w).reshape(2 * w, 2, w).transpose(1, 0, 2)
     hankel = scheme.kernels[:, np.add.outer(np.arange(w), np.arange(w))]

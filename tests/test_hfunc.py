@@ -22,6 +22,7 @@ from zetagaps.hfunc import (
     CoeffScheme,
     DegenerateSchemeError,
     HBreakdown,
+    _forms,
     assemble_h,
     denominator_terms,
     h_grid,
@@ -29,7 +30,7 @@ from zetagaps.hfunc import (
     numerator_terms,
 )
 
-from zetagaps.optimizer import grid_points
+from zetagaps.optimizer import grid_points, threshold_c
 
 from conftest import (
     HB_FIELDS,
@@ -212,7 +213,7 @@ def test_h_path_runs_no_fracpoly_convolution(row2, monkeypatch):
     s = row2.scheme
     scheme = CoeffScheme(s.r * 1.001, s.f1, s.f1t, s.P)
     assert h_value(scheme, row2.c).h == h_grid(scheme, [0.3, row2.c])[1]
-    assert scheme.forms[0].shape == (2 * scheme.dense.shape[1], 2 * scheme.dense.shape[1])
+    assert _forms(scheme.r, scheme.dense[2])[0].shape == (2 * scheme.dense.shape[1],) * 2
 
 
 # ---------------------------------------------------------------- quadratic forms
@@ -226,7 +227,7 @@ def test_forms_reproduce_every_component(rows, r):
         s = preset.scheme
         scheme = CoeffScheme(r or s.r, s.f1, s.f1t, s.P)
         a_rows, b_rows = reference_forms(scheme)
-        a, b = scheme.forms
+        a, b = _forms(scheme.r, scheme.dense[2])
         assert np.array_equal(a, a.T) and np.array_equal(b, b.swapaxes(1, 2))
         x = scheme.dense[:2].ravel()
         kappa = -2.0 * scheme.r / math.pi
@@ -262,7 +263,7 @@ def _reference_denominator(scheme):
 
 def _assert_forms_bitwise(scheme):
     # the reference rows summed in row order: every float, zero signs included
-    a, b = scheme.forms
+    a, b = _forms(scheme.r, scheme.dense[2])
     a_ref, b_ref = (rows.sum(axis=0) for rows in reference_forms(scheme))
     assert a.shape == a_ref.shape and np.array_equal(a.view(np.int64), a_ref.view(np.int64))
     assert b.shape == b_ref.shape and np.array_equal(b.view(np.int64), b_ref.view(np.int64))
@@ -299,10 +300,15 @@ def test_forms_are_bitwise_at_width_one(plain_scheme):
     _assert_forms_bitwise(CoeffScheme(1.2, plain_scheme.f1, plain_scheme.f1, plain_scheme.P))
 
 
-def test_h_value_leaves_the_forms_unbuilt(row1):
+def test_h_value_leaves_the_forms_unbuilt(row1, monkeypatch):
+    # h reads the kernel moments and the scheme's own rows, never the forms of the search
+    def forbidden(*args):
+        raise AssertionError("the forms built on the h path")
+
+    monkeypatch.setattr(zetagaps.hfunc, "_forms", forbidden)
     scheme = CoeffScheme(row1.scheme.r, row1.scheme.f1, row1.scheme.f1t, row1.scheme.P)
-    h_value(scheme, row1.c)
-    assert "forms" not in vars(scheme)
+    assert h_value(scheme, row1.c).h == h_grid(scheme, [0.3, row1.c])[1]
+    assert threshold_c(scheme, (0.51, 0.52)) == threshold_c(row1.scheme, (0.51, 0.52))
 
 
 def test_a_new_scheme_reads_its_polynomials_once(row1, monkeypatch):

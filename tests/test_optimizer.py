@@ -6,7 +6,7 @@ import pytest
 from zetagaps.fracpoly import _SINE_POWERS, DomainError, FracPoly, sinc_coeffs
 import zetagaps.hfunc
 import zetagaps.optimizer
-from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, h_grid, h_value
+from zetagaps.hfunc import CoeffScheme, DegenerateSchemeError, _forms, h_grid, h_value
 from zetagaps.presets import PRESETS
 from zetagaps.optimizer import (
     CERTIFY_STEPS,
@@ -26,7 +26,6 @@ from zetagaps.optimizer import (
     _certify,
     _denominator_basis,
     _eigen_root,
-    _unit_polys,
 )
 
 from conftest import certify_batch, reference_forms
@@ -321,21 +320,44 @@ def test_best_threshold_beats_each_preset_at_its_root(rows):
     # at fixed (r, P, c) the eigenvector maximizes h over f1, f1t of the preset's degrees
     for preset in rows:
         s = preset.scheme
-        root, best = _best_threshold(s.r, s.P, _degrees(s), preset.c)
+        root, best = _best_threshold(s.r, s.P.to_coeffs(), _degrees(s), preset.c)
         assert root < preset.c
         assert h_value(best, root).h == pytest.approx(1.0, abs=1e-12)
         assert h_value(best, root).h > h_value(s, root).h
-        assert (best.r, best.P) == (s.r, s.P)
+        assert best.r == s.r and np.array_equal(best.P.to_coeffs(), s.P.to_coeffs())
+
+
+@pytest.mark.parametrize(
+    "degrees", [(3, 1, 2), (5, 3, 4), (2, 5, 1), (0, 0, 1)], ids=lambda d: "-".join(map(str, d))
+)
+def test_eigen_scheme_is_optimal_at_its_root(degrees):
+    # at the eigenvector scheme's (r, P) and root, no f1, f1t of the same degrees has a
+    # larger h: neither random ones nor the eigenvector's own coefficients moved by 1e-3
+    rng = np.random.default_rng(sum(degrees))
+    d1, d2, dp = degrees
+    for _ in range(10):
+        r, p = rng.uniform(1.0, 1.5), np.r_[0.0, rng.normal(size=dp)]
+        root, r, x = _eigen_root(r, p, degrees, 0.5154)
+
+        def h_at(y):  # h at the root for f1 | f1t = y at (r, P)
+            f1, f1t, P = map(FracPoly.from_coeffs, [*np.split(y, [d1 + 1]), p])
+            return h_value(CoeffScheme(r, f1, f1t, P), root)
+
+        top = h_at(x)
+        for k in range(20):
+            y = x * (1.0 + 1e-3 * rng.normal(size=x.size)) if k % 2 else rng.normal(size=x.size)
+            assert h_at(y).h - top.h <= top.budget, (r, p, y)
 
 
 @pytest.mark.parametrize("scale", [-2.0, 0.5, 3.0])
 def test_gauge_p_times_s_with_f1t_over_s(rows, scale):
     for preset in rows:
         s = preset.scheme
-        p_s = FracPoly.from_coeffs(scale * s.P.to_coeffs())
-        gauged = CoeffScheme(s.r, s.f1, FracPoly.from_coeffs(s.f1t.to_coeffs() / scale), p_s)
+        p, p_s = s.P.to_coeffs(), scale * s.P.to_coeffs()
+        f1t_s = FracPoly.from_coeffs(s.f1t.to_coeffs() / scale)
+        gauged = CoeffScheme(s.r, s.f1, f1t_s, FracPoly.from_coeffs(p_s))
         assert h_value(gauged, preset.c).h == pytest.approx(h_value(s, preset.c).h, abs=1e-14)
-        root = _best_threshold(s.r, s.P, _degrees(s), preset.c)[0]
+        root = _best_threshold(s.r, p, _degrees(s), preset.c)[0]
         assert _best_threshold(s.r, p_s, _degrees(s), preset.c)[0] == pytest.approx(root, abs=1e-12)
 
 
@@ -344,25 +366,26 @@ def test_best_threshold_ignores_p_x_coefficient(row1, degrees):
     # P -> P + e x is f1 -> f1 + e (1 - x) f1t, which f1 absorbs when deg f1 > deg f1t
     p = np.zeros(degrees[2] + 1)
     p[-1] = 1.0
-    root = _best_threshold(row1.scheme.r, FracPoly.from_coeffs(p), degrees, row1.c)[0]
+    root = _best_threshold(row1.scheme.r, p, degrees, row1.c)[0]
     for eps in (-1.0, 0.5, 2.0):
         p[1] = eps
-        moved = _best_threshold(row1.scheme.r, FracPoly.from_coeffs(p), degrees, row1.c)[0]
+        moved = _best_threshold(row1.scheme.r, p, degrees, row1.c)[0]
         assert moved == pytest.approx(root, abs=1e-12)
 
 
 def test_best_threshold_clamps_r(row1):
     for r, clamped in ((9.0, 1.5), (0.5, 1.0)):
-        assert _best_threshold(r, row1.scheme.P, (3, 1, 2), row1.c)[1].r == clamped
+        assert _best_threshold(r, row1.scheme.P.to_coeffs(), (3, 1, 2), row1.c)[1].r == clamped
 
 
-def _full_newton_threshold(r, P, degrees, c):
-    # _eigen_root written out without its shortcuts: the reference forms' rows summed, all
-    # NEWTON_STEPS steps, each rebuilding B(c) by tensordot, with f1, f1t and keep built afresh
+def _full_newton_threshold(r, p, degrees, c):
+    # _eigen_root written out without its shortcuts: the reference forms' rows summed for a
+    # scheme with unit f1, f1t of these degrees and P from p, all NEWTON_STEPS steps, each
+    # rebuilding B(c) by tensordot, with keep built afresh
     d1, d2, _ = degrees
     r = float(np.clip(r, R_MIN, R_MAX))
-    ones = (FracPoly.from_coeffs(np.ones(d + 1)) for d in (d1, d2))
-    a, b = (rows.sum(axis=0) for rows in reference_forms(CoeffScheme(r, *ones, P)))
+    polys = (FracPoly.from_coeffs(q) for q in (np.ones(d1 + 1), np.ones(d2 + 1), p))
+    a, b = (rows.sum(axis=0) for rows in reference_forms(CoeffScheme(r, *polys)))
     w = a.shape[0] // 2
     keep = np.r_[: d1 + 1, w : w + d2 + 1]
     z = _denominator_basis(a[np.ix_(keep, keep)])
@@ -388,10 +411,10 @@ def _report_hex(report):
 
 _P_WIDE = ([0.0, 0.0, 1e6, 0.0, 1.0], [0.0, 0.0, -1e3, 1e3, 1.0], [0.0, 0.0, -0.5, -0.5, 1.0])
 _EIGEN_CASES = {
-    **{p.name: (p.scheme.r, p.scheme.P, _degrees(p.scheme)) for p in PRESETS},
-    **{f"{d}-P{i}": (1.18, FracPoly.from_coeffs(p), d)
+    **{p.name: (p.scheme.r, p.scheme.P.to_coeffs(), _degrees(p.scheme)) for p in PRESETS},
+    **{f"{d}-P{i}": (1.18, np.array(p), d)
        for d in ((5, 3, 4), (7, 4, 5)) for i, p in enumerate(_P_WIDE)},
-    **{f"r={r}": (r, PRESETS[0].scheme.P, (3, 1, 2)) for r in (9.0, 0.5)},  # clipped r
+    **{f"r={r}": (r, PRESETS[0].scheme.P.to_coeffs(), (3, 1, 2)) for r in (9.0, 0.5)},  # clipped
 }
 
 
@@ -420,10 +443,10 @@ def test_optimize_scheme_is_bitwise_the_full_newton_search(row1, degrees, monkey
 def test_best_threshold_stops_at_the_fixed_point(row1, monkeypatch):
     # one eigen-solve for the denominator basis, then one per Newton step: an optimize run
     # from row1 stops early often enough to stay below 1 + NEWTON_STEPS solves a call; and
-    # of the schemes it builds, one per objective call holds the unit f1, f1t, and one more
-    # the eigenvector of the search's end
+    # the run builds one scheme, the eigenvector of the search's end
     solves, built = [], []
-    eigh, root, scheme = np.linalg.eigh, zetagaps.optimizer._eigen_root, CoeffScheme
+    eigh, root = np.linalg.eigh, zetagaps.optimizer._eigen_root
+    post_init = CoeffScheme.__post_init__
 
     def counting_eigh(m):
         solves[-1] += 1
@@ -435,28 +458,50 @@ def test_best_threshold_stops_at_the_fixed_point(row1, monkeypatch):
 
     monkeypatch.setattr(zetagaps.optimizer.np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(zetagaps.optimizer, "_eigen_root", counting_root)
-    monkeypatch.setattr(zetagaps.optimizer, "CoeffScheme", lambda *a: built.append(a) or scheme(*a))
+    monkeypatch.setattr(CoeffScheme, "__post_init__", lambda s: built.append(s) or post_init(s))
     optimize_scheme(OptimizeConfig(), row1.scheme)
     assert solves and max(solves) <= 1 + NEWTON_STEPS
     assert sum(solves) < (1 + NEWTON_STEPS) * len(solves)
-    eigenvector = [args for args in built if args[1] is not _unit_polys(3, 1)[0]]
-    assert len(built) == len(solves) + 1 and len(eigenvector) == 1
+    assert len(built) == 1
 
 
 def test_objective_reads_its_polynomials_once(row1, monkeypatch):
-    # the search's objective builds one scheme, whose construction calls to_coeffs on its
-    # f1, f1t and P, and no eigenvector scheme
-    calls, to_coeffs = [], FracPoly.to_coeffs
-    monkeypatch.setattr(FracPoly, "to_coeffs", lambda p: calls.append(p) or to_coeffs(p))
-    _eigen_root(1.18 + 1e-9, row1.scheme.P, (3, 1, 2), row1.c)
-    assert len(calls) == 3
+    # the search's objective reads (r, P) as numbers: over a whole run its calls build no
+    # scheme and no polynomial and read no polynomial's coefficients
+    inside, seen = [False], []
+    spy = ((CoeffScheme, "__post_init__"), (FracPoly, "__post_init__"), (FracPoly, "to_coeffs"))
+    for cls, name in spy:
+        def counting(self, fn=getattr(cls, name), name=f"{cls.__name__}.{name}"):
+            if inside[0]:
+                seen.append(name)
+            return fn(self)
+
+        monkeypatch.setattr(cls, name, counting)
+    search, calls = zetagaps.optimizer.nelder_mead, []
+
+    def watched_search(objective, start, config):
+        def watched(v):
+            calls.append(v)
+            inside[0] = True
+            try:
+                return objective(v)
+            finally:
+                inside[0] = False
+
+        return search(watched, start, config)
+
+    monkeypatch.setattr(zetagaps.optimizer, "nelder_mead", watched_search)
+    for degrees in ((3, 1, 2), (5, 3, 4)):  # (5, 3, 4) also searches two of P's coefficients
+        optimize_scheme(OptimizeConfig(degrees=degrees, max_iters=20), row1.scheme)
+    assert len(calls) > 40 and seen == []
 
 
 def test_denominator_basis_drops_null_directions():
     with pytest.raises(DegenerateSchemeError):
         _denominator_basis(np.zeros((3, 3)))
     # P = x makes the denominator form singular at degrees (3, 1)
-    a = _scheme(1.18, np.ones(4), np.ones(2), [0.0, 1.0]).forms[0]
+    scheme = _scheme(1.18, np.ones(4), np.ones(2), [0.0, 1.0])
+    a = _forms(scheme.r, scheme.dense[2])[0]
     keep = np.r_[:4, 4:6]
     z = _denominator_basis(a[np.ix_(keep, keep)])
     assert z.shape == (6, 4)

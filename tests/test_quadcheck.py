@@ -226,7 +226,7 @@ def test_k2_to_k4_match_the_product_rule(rows):
     # K(y) = y^a Pi_K(y) with Pi_K a polynomial, so one order-node rule on y^a has the
     # moments of the order^2 product rule on x = u*t, to rounding
     for scheme in _moment_schemes(rows):
-        _, *kernels = _kernel_rules(scheme, 24)
+        _, *kernels = _kernel_rules(scheme.r, scheme.P, 24)
         for k, ((x, w), (xr, wr)) in enumerate(zip(kernels, _product_rule(scheme, 24)), 2):
             for m in range(21):
                 assert float(w @ x**m) == pytest.approx(float(wr @ xr**m), rel=1e-14, abs=0.0), (
@@ -251,7 +251,7 @@ def test_k3_shares_k2_nodes_and_matches_the_double_p1_rule(rows):
     # convolution commutes and associates, so r^4 P1 * BC(P1) = r^4 BC(P1 * P1): the
     # order-node rule on K2's nodes has the moments of the literal order^3 one
     for scheme in _moment_schemes(rows):
-        (_, _), (x2, _), (x, w), (x4, _) = _kernel_rules(scheme, 24)
+        (_, _), (x2, _), (x, w), (x4, _) = _kernel_rules(scheme.r, scheme.P, 24)
         assert x.size == 24 and x2 is x and x4 is x
         xr, wr = _double_p1_rule(scheme, 24)
         for m in range(21):
@@ -342,7 +342,7 @@ def _one_convolution_per_row(scheme, c, order):
     f1, f1t, big_p = scheme.f1, scheme.f1t, scheme.P
     one = FracPoly.from_coeffs([1.0])
     kappa = -2.0 * scheme.r / math.pi
-    k1, k2, k3, k4 = _kernel_rules(scheme, order)
+    k1, k2, k3, k4 = _kernel_rules(scheme.r, scheme.P, order)
     grid = _sine_grid(c, order, (f1, f1t))
     table = (  # kernel, scale, f, h, g; h None for a denominator row
         (k1, 1.0, f1, None, f1), (k2, 2.0, f1, None, f1t),
@@ -367,7 +367,7 @@ def test_three_sine_convolutions_per_call(row3):
     _, weights, z, _ = quadcheck._compiled(s, order)
     assert weights.shape == (5, order, order) and z.shape == (2, order, order)
     samples = (weights * np.sin(math.pi * c * z)[[0, 0, 1, 1, 1]]).sum(axis=2)
-    (t, _), (x, _), _, _ = _kernel_rules(s, order)
+    (t, _), (x, _), _, _ = _kernel_rules(s.r, s.P, order)
     zeta, w_zeta = _unit_rule(order)
     pairs = ((t, None, s.f1), (t, s.P, s.f1t), (x, None, s.f1), (x, None, s.f1t), (x, s.P, s.f1t))
     for row, (nodes, h, g) in zip(samples, pairs):
@@ -515,7 +515,8 @@ def test_quadcheck_stays_independent_of_the_exact_route():
     imports = (ast.Import, ast.ImportFrom)
     imported = {a.name for n in ast.walk(tree) if isinstance(n, imports) for a in n.names}
     read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    exact = {"_beta_grid", "moments", "beta_convolve", "convolve", "sinc_coeffs", "SINE_TERMS"}
+    exact = {"_beta_grid", "moments", "beta_convolve", "convolve", "sinc_coeffs", "SINE_TERMS",
+             "_kernel_moments", "_forms"}
     assert not imported & exact, imported & exact
     compiled = {"kernels", "moments", "dense"}
     assert not read & compiled, read & compiled
