@@ -38,6 +38,9 @@ numerator (CoeffScheme.moments).  The kernel moments and the search's forms in
 (f1 | f1t) read (r, P) alone (_kernel_moments, _forms).  h_grid evaluates h on a
 whole array of c in one call, each value the same float that h_value gives at c.
 
+Every pairing reads kernel moments through one window (_coefficient_pairings):
+the search passes them raw, a scheme's components contracted with f first.
+
 Every component is normalized by the common prefactor A_r * r^2 * (log T)^(r^2)
 shared by all eleven integrals, which removes the (otherwise unspecified)
 constant A_r from the ratio entirely.
@@ -137,8 +140,9 @@ class CoeffScheme:
     @cached_property
     def moments(self) -> np.ndarray:
         """M[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for the rows n1..n43 of numerator_terms."""
-        d, mu = self.dense, self.kernels[_K[_NUM]]
-        return _pairings(mu, d[_F[_NUM]], d[_H[_NUM]], d[_G[_NUM]])
+        d = self.dense
+        nu = _f_contracted(self.kernels[_K[_NUM]], d[_F[_NUM]])
+        return np.einsum("ijl,il->ij", _coefficient_pairings(nu, d[2])[:, :, 0], d[_G[_NUM]])
 
 # The eleven components in HBreakdown order: the kernel K1..K4, the dense rows
 # (f1, f1t, P, 1) = (0, 1, 2, 3) of f, h and g, and a scale.  d_i = scale <K, f g>
@@ -150,6 +154,12 @@ _TERMS = {  # name: (K, f, h, g, scale)
 }
 _K, _F, _H, _G, _SCALE = np.array(list(_TERMS.values())).T
 _DEN, _NUM = slice(4), slice(4, None)
+_H_IS_P = np.flatnonzero(_H[_NUM] == 2)  # the numerator rows whose h is P; it is 1 elsewhere
+
+
+def _f_contracted(mu: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """nu[i](n) = <K_i, f_i x**n> from the kernel moments mu[i](n) = <K_i, x**n>."""
+    return np.array([np.correlate(m, fi, "valid") for m, fi in zip(mu, f)])
 
 
 def _kernel_moments(r: float, p: np.ndarray) -> np.ndarray:
@@ -177,35 +187,24 @@ def _forms(r: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows' scaled Hankel blocks of kernel moments (A) or _coefficient_pairings (B)."""
     w, mu = p.size, _kernel_moments(r, p)
     hankel = mu[_K[_DEN, None, None], np.add.outer(np.arange(w), np.arange(w))]
-    h = np.array([p, np.eye(1, w)[0]])[_H[_NUM] - 2]  # the rows P and 1 of CoeffScheme.dense
     return (
         _summed_blocks(hankel * _SCALE[_DEN, None, None], _F[_DEN], _G[_DEN]),
-        _summed_blocks(_coefficient_pairings(mu[_K[_NUM]], h), _F[_NUM], _G[_NUM]),
+        _summed_blocks(_coefficient_pairings(mu[_K[_NUM]], p), _F[_NUM], _G[_NUM]),
     )
 
 
-def _pairings(mu: np.ndarray, f: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """T[i, j] = <K_i, f_i ((x**(2j) h_i) * g_i)> for kernel moments mu[i] = mu_K_i:
-    sum_klm h_ik g_il f_im B(2j+k+1, l+1) mu_i(2j+k+l+m+1), as x**p * x**l = B(p+1, l+1)
-    x**(p+l+1)."""
-    nu = np.array([np.correlate(m, fi, "valid") for m, fi in zip(mu, f)])
-    degree, betas = _sine_table(h.shape[1])
-    return np.einsum("ijkl,ik,il->ij", nu[:, degree] * betas, h, g)
-
-
-def _coefficient_pairings(mu: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """X[i, j, m, l] = <K_i, x**m ((x**(2j) h_i) * x**l)>, _pairings with f and g the monomials
-    x**m and x**l: sum_k h_ik B(2j+k+1, l+1) mu_i(2j+k+l+m+1), over a window view of mu.  Where
-    h_i is the constant 1 that sum is its k = 0 term, mu_i(2j+l+m+1) B(2j+1, l+1), the same float
-    wherever mu is finite."""
-    w = h.shape[1]
-    _, betas = _sine_table(w)
+def _coefficient_pairings(mu: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """X[i, j, m, l] = <K_i, x**m ((x**(2j) h_i) * x**l)> for mu[i] the moments of K_i, i over the
+    numerator rows of _TERMS, and h_i = P (coefficients p) or 1: sum_k h_ik B(2j+k+1, l+1)
+    mu_i(2j+k+l+m+1), over a window view of mu; m runs as far as mu reaches.  Where h_i is 1 the
+    sum is its k = 0 term, the same float wherever mu is finite."""
+    w, betas = p.size, _sine_table(p.size)
     # window[i, j, k, l, m] = mu_i(2j+k+l+m+1), a view that numpy bounds-checks against mu's buffer
     i, n = mu.strides
-    window = np.ndarray((len(mu), SINE_TERMS, w, w, w), float, mu, n, (i, 2 * n, n, n, n))
-    x = window[:, :, 0] * betas[:, None, 0]
-    rest = np.flatnonzero((h != np.eye(1, w)).any(axis=1))
-    x[rest] = np.einsum("ijklm,jkl,ik->ijml", window[rest], betas, h[rest])
+    shape = (len(mu), SINE_TERMS, w, w, mu.shape[1] - 2 * SINE_TERMS - 2 * w + 3)
+    window = np.ndarray(shape, float, mu, n, (i, 2 * n, n, n, n))
+    x = window[:, :, 0].swapaxes(2, 3) * betas[:, None, 0]  # C-contiguous, as l, m stride alike
+    x[_H_IS_P] = np.einsum("ijklm,jkl,k->ijml", window[_H_IS_P], betas, p)
     return x
 
 
@@ -236,10 +235,10 @@ def _unit_betas(width: int) -> np.ndarray:
 
 
 @cache
-def _sine_table(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2j+k+l+1, B(2j+k+1, l+1)) for j < SINE_TERMS and k, l < width; shared by every scheme."""
+def _sine_table(width: int) -> np.ndarray:
+    """B(2j+k+1, l+1) for j < SINE_TERMS and k, l < width; shared by every scheme."""
     j, k, l = np.ogrid[:SINE_TERMS, :width, :width]
-    return 2 * j + k + l + 1, _unit_betas(width)[2 * j + k, l]
+    return _unit_betas(width)[2 * j + k, l]
 
 
 @dataclass(frozen=True)
@@ -294,9 +293,8 @@ def denominator_terms(scheme: CoeffScheme) -> tuple[float, float, float, float]:
       d2  = 2 <K2, f1 f1t>   d32 = <K4, f1t f1t>
     """
     d = scheme.dense
-    mu = scheme.kernels[:, : 2 * d.shape[1] - 1]
-    rows = list(_TERMS.values())[_DEN]
-    return tuple(s * float(mu[k] @ np.convolve(d[f], d[g])) for k, f, _, g, s in rows)
+    nu = _f_contracted(scheme.kernels[_K[_DEN], : 2 * d.shape[1] - 1], d[_F[_DEN]])
+    return tuple((_SCALE[_DEN] * np.einsum("il,il->i", nu, d[_G[_DEN]])).tolist())
 
 
 def numerator_terms(scheme: CoeffScheme, c: float | np.ndarray):

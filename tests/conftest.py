@@ -35,9 +35,12 @@ REF_K, REF_F, REF_H, REF_G = np.array(
 
 
 def reference_pairings(mu, f, h, g):
+    """T[i, j, a, b] = sum_kl h_ik g_ibl B(2j+k+1, l+1) nu_ia(2j+k+l+1) for nu_ia = mu_i correlated
+    with f_ia: the kernel moments gathered through a degree table of their own."""
     nu = np.array([[np.correlate(m, fa, "valid") for fa in fi] for m, fi in zip(mu, f)])
-    degree, betas = zetagaps.hfunc._sine_table(h.shape[1])
-    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, degree] * betas, h, g)
+    j, k, l = np.ogrid[: zetagaps.fracpoly.SINE_TERMS, : h.shape[1], : h.shape[1]]
+    betas = zetagaps.hfunc._unit_betas(h.shape[1])[2 * j + k, l]
+    return np.einsum("iajkl,ik,ibl->ijab", nu[:, :, 2 * j + k + l + 1] * betas, h, g)
 
 
 def reference_forms(scheme):

@@ -267,8 +267,6 @@ def _assert_forms_bitwise(scheme):
     a_ref, b_ref = (rows.sum(axis=0) for rows in reference_forms(scheme))
     assert a.shape == a_ref.shape and np.array_equal(a.view(np.int64), a_ref.view(np.int64))
     assert b.shape == b_ref.shape and np.array_equal(b.view(np.int64), b_ref.view(np.int64))
-    assert np.array_equal(scheme.moments, _reference_moments(scheme))
-    assert denominator_terms(scheme) == _reference_denominator(scheme)
 
 
 def test_component_table_follows_hbreakdown():
@@ -282,22 +280,76 @@ def test_forms_are_bitwise_the_unit_vector_construction(rows, r):
         _assert_forms_bitwise(CoeffScheme(r or s.r, s.f1, s.f1t, s.P))
 
 
-@pytest.mark.parametrize("degrees", [(0, 0, 1), (3, 1, 2), (2, 5, 1), (6, 2, 3), (7, 4, 5)])
-def test_forms_are_bitwise_on_random_schemes(degrees):
+_RANDOM_DEGREES = [(0, 0, 1), (3, 1, 2), (2, 5, 1), (6, 2, 3), (7, 4, 5)]
+
+
+def _random_schemes(degrees):
     # (0, 0, 1) has one coefficient in f1 and f1t; (2, 5, 1) has deg f1t > deg f1
     rng = np.random.default_rng(sum(degrees))
     d1, d2, dp = degrees
     for _ in range(6):
         p = np.r_[0.0, rng.normal(size=dp)]
-        _assert_forms_bitwise(
-            _scheme(rng.uniform(1.0, 1.5), rng.normal(size=d1 + 1), rng.normal(size=d2 + 1), p)
-        )
+        yield _scheme(rng.uniform(1.0, 1.5), rng.normal(size=d1 + 1), rng.normal(size=d2 + 1), p)
+
+
+@pytest.mark.parametrize("degrees", _RANDOM_DEGREES)
+def test_forms_are_bitwise_on_random_schemes(degrees):
+    for scheme in _random_schemes(degrees):
+        _assert_forms_bitwise(scheme)
 
 
 def test_forms_are_bitwise_at_width_one(plain_scheme):
     # f1 = 1 and P = 0: the dense rows have one column
     assert plain_scheme.dense.shape[1] == 1
     _assert_forms_bitwise(CoeffScheme(1.2, plain_scheme.f1, plain_scheme.f1, plain_scheme.P))
+
+
+def test_components_agree_with_the_reference_route(rows, plain_scheme):
+    # conftest's route sums h and g in one einsum over a degree table, a scheme's sums h in the
+    # window and g after it: on the presets at three r, width one and the certify batch the two
+    # orders agree within 1e-15 relative, entry by entry
+    s = [p.scheme for p in rows]
+    schemes = [CoeffScheme(r, p.f1, p.f1t, p.P) for r in (1.0, 1.5) for p in s] + certify_batch()
+    for scheme in [*schemes, CoeffScheme(1.2, plain_scheme.f1, plain_scheme.f1, plain_scheme.P)]:
+        assert scheme.moments == pytest.approx(_reference_moments(scheme), rel=1e-15, abs=0.0)
+        denominator = pytest.approx(_reference_denominator(scheme), rel=1e-15, abs=0.0)
+        assert denominator_terms(scheme) == denominator
+
+
+def _fixed(a, s):
+    """The floats of a as the exact integers a * 2**s (s >= 1074), an object array."""
+    exact = [(n << s) // d for n, d in map(float.as_integer_ratio, np.ravel(a).tolist())]
+    return np.array(exact, dtype=object).reshape(np.shape(a))
+
+
+@pytest.mark.parametrize("degrees", _RANDOM_DEGREES)
+def test_components_are_within_rounding_of_the_exact_sum(degrees):
+    # The same pairings summed exactly over the same floats (kernel moments, dense rows, Betas),
+    # as integers scaled by 2**1074 per factor.  A sum whose terms each pass through at most n
+    # roundings is within gamma_n = n u / (1 - n u) times the sum of its terms' absolute values
+    # of the exact sum, in any order (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 3.1).  A moment rounds a term at most 3w + 1 times (w correlating f, the Beta and h, w - 1
+    # summing over h, g and w - 1 summing over g), a denominator 2w times.  On these cancelling
+    # schemes two summation orders need not agree to 1e-15 relative, so the exact sum is the
+    # reference.
+    s = 1074
+    for scheme in _random_schemes(degrees):
+        d, mu, w = _fixed(scheme.dense, s), _fixed(scheme.kernels, s), scheme.dense.shape[1]
+        j, k, l = np.ogrid[:SINE_TERMS, :w, :w]
+        betas = _fixed(zetagaps.hfunc._unit_betas(w)[2 * j + k, l], s)
+        sums = []  # (moments, denominators) exactly, then over the terms' absolute values
+        for m, x, b in ((mu, d, betas), (abs(mu), abs(d), abs(betas))):
+            window = np.lib.stride_tricks.sliding_window_view(m[REF_K], w, axis=1)
+            nu = (window * x[REF_F, None]).sum(axis=2)  # nu[i, n] = <K_i, f_i x**n>
+            h, g = x[REF_H, None, :, None], x[REF_G, None, None, :]
+            moments = (nu[:, 2 * j + k + l + 1] * b * h * g).sum(axis=(2, 3))
+            f, g = x[[0, 0, 1, 1], :, None], x[[0, 1, 1, 1], None, :]
+            den = (m[:4, np.add.outer(np.arange(w), np.arange(w))] * f * g).sum(axis=(1, 2))
+            sums.append((moments, den * np.array([1, 2, 1, 1])))
+        computed = (scheme.moments, np.array(denominator_terms(scheme)))
+        for got, ref, total, n, scale in zip(computed, *sums, (3 * w + 1, 2 * w), (5, 3)):
+            err = abs(_fixed(got, scale * s) - ref)
+            assert (err * (2**53 - n) <= n * total).all(), (degrees, got)
 
 
 def test_h_value_leaves_the_forms_unbuilt(row1, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from zetagaps.fracpoly import FracPoly
 from zetagaps.hfunc import CoeffScheme, h_value
 
-from conftest import HB_FIELDS
+from conftest import HB_FIELDS, certify_batch
 
 
 def _add(out, key, value):
@@ -108,6 +108,12 @@ def test_h_value_matches_40_digit_replay_at_r_one(row1):
     # r = 1 makes K1 = 1 and every kernel exponent an integer
     scheme = CoeffScheme(r=1.0, f1=row1.scheme.f1, f1t=row1.scheme.f1t, P=row1.scheme.P)
     _check("r=1", scheme, (0.01, 0.45, row1.c, 0.99))
+
+
+def test_h_value_matches_40_digit_replay_on_the_certify_batch():
+    # the certify benchmark's 21 perturbed schemes, at its c* and near 1
+    for i, scheme in enumerate(certify_batch()[3:]):
+        _check(f"perturbed {i}", scheme, (0.5154, 0.99))
 
 
 def replay_kernels(scheme, m):

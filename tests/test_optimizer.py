@@ -231,8 +231,14 @@ def test_certify_without_bracket_reuses_the_scan(row1, ramp_scheme, monkeypatch)
 
 def test_certify_c_lo_only_above_the_rounding_budget(row1):
     # h - 1 > 0 on the whole grid, but at c_lo it is within the rounding budget of h: the
-    # c_lo fallback certifies by threshold_c's rule, so this grid certifies nothing
-    c_lo = 0.5153970643207866
+    # c_lo fallback certifies by threshold_c's rule, so this grid certifies nothing.  c_lo is
+    # where h - 1 first exceeds half the budget, by bisection from a c with h < 1 and one with
+    # h - 1 far above the budget, so that a last-bit change in h leaves it inside the band
+    lo, hi = 0.515, 0.516
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        hb = h_value(row1.scheme, mid)
+        lo, hi = (mid, hi) if hb.h - 1.0 <= 0.5 * hb.budget else (lo, mid)
+    c_lo = hi
     at_lo = h_value(row1.scheme, c_lo)
     assert 0.0 < at_lo.h - 1.0 <= at_lo.budget
     assert bracket_scan(row1.scheme, c_lo, 0.53, 0.001) is None

@@ -167,6 +167,29 @@ def test_fractional_algebra_is_named_only_in_fracpoly():
     ]
 
 
+def _reads(source: str) -> dict[str, set[str]]:
+    """{function: the names it reads} for every module-level function and every method, a
+    method keyed Class.name."""
+    found = {}
+    for node in ast.parse(source).body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in defs:
+            if isinstance(fn, ast.FunctionDef):
+                key = f"{node.name}.{fn.name}" if fn is not node else fn.name
+                found[key] = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    return found
+
+
+def test_h_and_the_search_pair_by_one_route():
+    # a scheme's moments and the search's forms both call _coefficient_pairings, the one
+    # reader of the sine table's Betas
+    reads = _reads((SRC / "hfunc.py").read_text())
+    readers = [fn for fn, names in reads.items() if "_sine_table" in names]
+    assert readers == ["_coefficient_pairings"]
+    for fn in ("_forms", "CoeffScheme.moments"):
+        assert "_coefficient_pairings" in reads[fn], fn
+
+
 def test_package_reexports_each_module_all_in_order():
     # the public API is declared once, in the modules' __all__ lists
     modules = (fracpoly, hfunc, presets, quadcheck, sieve, optimizer)
